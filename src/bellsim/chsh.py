@@ -3,11 +3,11 @@
 The measurement model uses one phase-parametrized observable family per
 side.  Side A measures, at analyzer angle ``alpha``,
 
-    A(alpha) = [[0, exp(-i alpha)], [exp(+i alpha), 0]]
+    A(alpha) = [[0, exp(-i alpha)], [exp(+i alpha), 0]] = cos(alpha) X + sin(alpha) Y
 
 and side B measures, at angle ``chi``,
 
-    B(chi) = [[0, exp(+i chi)], [exp(-i chi), 0]]
+    B(chi) = [[0, exp(+i chi)], [exp(-i chi), 0]] = cos(chi) X - sin(chi) Y
 
 Both are Hermitian with eigenvalues +/-1; A(0) = B(0) = X, A(pi/2) = Y,
 B(pi/2) = -Y.  The correlation E(alpha, chi) is the expectation of
@@ -16,38 +16,53 @@ B(pi/2) = -Y.  The correlation E(alpha, chi) is the expectation of
 
     S = E(alpha1, chi1) - E(alpha1, chi2) + E(alpha2, chi1) + E(alpha2, chi2)
 
+Both families lie in the XY plane, so E(alpha, chi) = a.M.b with
+a = (cos alpha, sin alpha), b = (cos chi, -sin chi) and M[j, k] =
+<sigma_j (x) sigma_k> the 2x2 XY block of the correlation tensor, computed
+once per call.  The largest S is 2*sqrt(m1**2 + m2**2), m1 and m2 the
+singular values of M (Horodecki, Phys. Lett. A 200, 340 (1995)).
+
 For the Bell state (|01> + |10>)/sqrt(2) the correlation has the closed
 form cos(alpha + chi); for (|00> + |11>)/sqrt(2) it is cos(alpha - chi).
 Quantum states keep |S| <= 2*sqrt(2); local hidden variable models keep
 |S| <= 2.
 
-Angles are canonicalized to [-pi, pi].  All computation here is exact
-dense linear algebra on the statevector engine; no sampling is involved.
+Angles must be finite and are canonicalized to [-pi, pi].  Everything is
+exact linear algebra; no sampling is involved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import statevector as sv
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, InputError
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 SETTING_NAMES = ("alpha1", "alpha2", "chi1", "chi2")
 
-_REFINE_TOL = 1e-7
-_MAX_SWEEPS = 200
+_PAULI_XY = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]]], dtype=complex)
+
+# Fixed-pair search: a periodic chi2 grid, then a zoom on every local peak;
+# each step samples 9 points across the bracket and keeps a quarter of it.
+_CHI_GRID = 1024
+_ZOOM = np.linspace(-1.0, 1.0, 9)
+_ZOOM_STEPS = 12
 
 
 def wrap_angle(theta: float) -> float:
-    """Map an angle to the canonical interval [-pi, pi]."""
-    return math.remainder(float(theta), math.tau)
+    """Map a finite angle to the canonical interval [-pi, pi].
+
+    NaN and +/-inf raise :class:`InputError`.
+    """
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise InputError(f"angle must be finite, got {theta!r}")
+    return math.remainder(theta, math.tau)
 
 
 def observable_a(alpha: float) -> np.ndarray:
@@ -78,7 +93,8 @@ def phi_plus_correlation(alpha: float, chi: float) -> float:
 class MeasurementSettings:
     """Analyzer angles (alpha1, alpha2) for side A and (chi1, chi2) for side B.
 
-    Angles are wrapped to [-pi, pi] on construction.
+    Angles are wrapped to [-pi, pi] on construction; a non-finite angle
+    raises :class:`InputError`.
     """
 
     alpha1: float
@@ -104,37 +120,51 @@ class SFactorResult:
     s_value: float
 
 
-def _require_two_qubits(state: sv.StateVector) -> None:
+def _xy_block(state: sv.StateVector) -> np.ndarray:
+    """M[j, k] = <psi| sigma_j (x) sigma_k |psi> for sigma in (X, Y)."""
     if state.num_qubits != 2:
         raise DimensionError(
             f"CHSH analysis needs a 2-qubit state, got {state.num_qubits} qubits"
         )
+    psi = state.amplitudes.reshape(2, 2)
+    return np.einsum("ij,aik,bjl,kl->ab", psi.conj(), _PAULI_XY, _PAULI_XY, psi).real
+
+
+def _directions(angles, sign: float) -> np.ndarray:
+    """Rows (cos t, sign * sin t): a-vectors for sign +1, b-vectors for -1."""
+    t = np.atleast_1d(np.asarray(angles, dtype=float))
+    if not np.isfinite(t).all():
+        raise InputError("angles must be finite")
+    return np.stack([np.cos(t), sign * np.sin(t)], axis=-1)
+
+
+def _angle(v: np.ndarray, sign: float) -> float:
+    """Inverse of :func:`_directions` for one vector; -pi for a zero vector,
+    where every angle ties and the smallest is kept."""
+    if not v.any():
+        return -math.pi
+    return math.atan2(sign * v[1], v[0])
 
 
 def correlation(state: sv.StateVector, alpha: float, chi: float) -> float:
     """E(alpha, chi) = <psi| A(alpha) (x) B(chi) |psi> on a two-qubit state."""
-    _require_two_qubits(state)
-    return sv.expectation(state, observable_a(alpha), observable_b(chi))
+    return float(correlation_matrix(state, alpha, chi)[0, 0])
 
 
 def correlation_matrix(
     state: sv.StateVector, alphas: np.ndarray, chis: np.ndarray
 ) -> np.ndarray:
     """Correlations for every (alpha, chi) pair: shape (len(alphas), len(chis))."""
-    _require_two_qubits(state)
-    a_stack = np.stack([observable_a(a) for a in np.atleast_1d(alphas)])
-    b_stack = np.stack([observable_b(c) for c in np.atleast_1d(chis)])
-    psi = state.amplitudes.reshape(2, 2)
-    return np.einsum("ab,iac,jbd,cd->ij", psi.conj(), a_stack, b_stack, psi).real
+    m = _xy_block(state)
+    return _directions(alphas, 1.0) @ m @ _directions(chis, -1.0).T
 
 
 def s_factor(state: sv.StateVector, settings: MeasurementSettings) -> SFactorResult:
     """Evaluate the CHSH combination at the given settings."""
-    _require_two_qubits(state)
-    e11 = correlation(state, settings.alpha1, settings.chi1)
-    e12 = correlation(state, settings.alpha1, settings.chi2)
-    e21 = correlation(state, settings.alpha2, settings.chi1)
-    e22 = correlation(state, settings.alpha2, settings.chi2)
+    e = correlation_matrix(
+        state, [settings.alpha1, settings.alpha2], [settings.chi1, settings.chi2]
+    )
+    e11, e12, e21, e22 = (float(v) for v in e.ravel())
     return SFactorResult(
         settings=settings,
         correlations=(e11, e12, e21, e22),
@@ -165,109 +195,76 @@ def scan_s(
     Both axes are inclusive linspaces with ``resolution`` points;
     ``resolution`` must be at least 2.
     """
-    _require_two_qubits(state)
     if resolution < 2:
         raise ConfigError(f"scan resolution must be at least 2, got {resolution}")
     alpha1 = wrap_angle(alpha1)
     chi1 = wrap_angle(chi1)
     axis = np.linspace(-math.pi, math.pi, resolution)
-    alphas = np.concatenate(([alpha1], axis))
-    chis = np.concatenate(([chi1], axis))
-    e = correlation_matrix(state, alphas, chis)
-    e11 = e[0, 0]
-    e12 = e[0, 1:]
-    e21 = e[1:, 0]
-    e22 = e[1:, 1:]
-    s = e11 - e12[None, :] + e21[:, None] + e22
+    e = correlation_matrix(
+        state, np.concatenate(([alpha1], axis)), np.concatenate(([chi1], axis))
+    )
+    s = e[0, 0] - e[0, 1:][None, :] + e[1:, 0][:, None] + e[1:, 1:]
     return CorrelationGrid(
         alpha1=alpha1, chi1=chi1, alpha2_axis=axis, chi2_axis=axis, s_values=s
     )
 
 
 def maximize_s(
-    state: sv.StateVector,
-    fixed: "tuple[float, float] | None" = None,
-    grid_points: int = 101,
+    state: sv.StateVector, fixed: "tuple[float, float] | None" = None
 ) -> tuple[MeasurementSettings, float]:
-    """Maximize S over the analyzer angles.
+    """Maximize S over the analyzer angles; returns ``(best_settings, best_s)``.
 
-    ``fixed``, when given, pins (alpha1, chi1) and leaves (alpha2, chi2)
-    free; otherwise all four angles are free.  The search runs a coarse
-    inclusive grid over [-pi, pi] with ``grid_points`` points per free
-    axis (grid ties resolve to the lexicographically smallest
-    (alpha1, alpha2, chi1, chi2) tuple), then refines by bounded
-    derivative-free line searches, one coordinate at a time, until no
-    coordinate moves more than 1e-7 in a sweep.
+    Write S = a1.M(b1 - b2) + a2.M(b1 + b2).  With all four angles free
+    the maximum is 2*sqrt(m1**2 + m2**2), m1 >= m2 the singular values of
+    M = U diag(m1, m2) V^T; it is reached at a2 = U[:, 0], a1 = U[:, 1],
+    b1, b2 = cos(t) V[:, 0] +/- sin(t) V[:, 1] with tan(t) = m2 / m1.
 
-    Returns ``(best_settings, best_s)``.
+    ``fixed``, when given, pins (alpha1, chi1).  For each chi2 the best
+    alpha2 points a2 along M(b1 + b2), which leaves a smooth periodic
+    function of chi2: it is sampled on a 1024-point grid and every local
+    peak is refined to about 1e-10 rad, so near-equal peaks cannot hide
+    the global one.
+
+    Where every angle ties (M = 0, or M(b1 + b2) = 0 for alpha2), the
+    angle returned is -pi.
     """
-    _require_two_qubits(state)
-    if grid_points < 2:
-        raise ConfigError(f"grid_points must be at least 2, got {grid_points}")
-    pinned: dict[str, float] = {}
-    if fixed is not None:
-        alpha1, chi1 = fixed
-        pinned = {"alpha1": wrap_angle(alpha1), "chi1": wrap_angle(chi1)}
-    free = [name for name in SETTING_NAMES if name not in pinned]
+    m = _xy_block(state)
+    if fixed is None:
+        u, sing, vt = np.linalg.svd(m)
+        radius = math.hypot(sing[0], sing[1])
+        if radius == 0.0:
+            best = MeasurementSettings(-math.pi, -math.pi, -math.pi, -math.pi)
+        else:
+            half_sum = sing[0] / radius * vt[0]
+            half_diff = sing[1] / radius * vt[1]
+            best = MeasurementSettings(
+                alpha1=_angle(u[:, 1], 1.0),
+                alpha2=_angle(u[:, 0], 1.0),
+                chi1=_angle(half_sum + half_diff, -1.0),
+                chi2=_angle(half_sum - half_diff, -1.0),
+            )
+        return best, s_factor(state, best).s_value
 
-    axis = np.linspace(-math.pi, math.pi, grid_points)
-    cand = {
-        name: (np.array([pinned[name]]) if name in pinned else axis)
-        for name in SETTING_NAMES
-    }
-    e_a1c1 = correlation_matrix(state, cand["alpha1"], cand["chi1"])
-    e_a1c2 = correlation_matrix(state, cand["alpha1"], cand["chi2"])
-    e_a2c1 = correlation_matrix(state, cand["alpha2"], cand["chi1"])
-    e_a2c2 = correlation_matrix(state, cand["alpha2"], cand["chi2"])
+    alpha1, chi1 = (wrap_angle(v) for v in fixed)
+    a1 = _directions(alpha1, 1.0)[0]
+    b1 = _directions(chi1, -1.0)[0]
 
-    # S = [E(a1,c1) + E(a2,c1)] + [-E(a1,c2) + E(a2,c2)]: the two bracketed
-    # terms involve disjoint chi coordinates, so for each (alpha1, alpha2)
-    # pair they can be maximized independently.  This keeps the search at
-    # O(grid_points^3) instead of O(grid_points^4).
-    t1 = e_a1c1[:, None, :] + e_a2c1[None, :, :]
-    t2 = -e_a1c2[:, None, :] + e_a2c2[None, :, :]
-    m1 = t1.max(axis=2)
-    k1 = t1.argmax(axis=2)
-    m2 = t2.max(axis=2)
-    l2 = t2.argmax(axis=2)
-    total = m1 + m2
-    i1, i2 = np.unravel_index(int(total.argmax()), total.shape)
-    coords = {
-        "alpha1": float(cand["alpha1"][i1]),
-        "alpha2": float(cand["alpha2"][i2]),
-        "chi1": float(cand["chi1"][k1[i1, i2]]),
-        "chi2": float(cand["chi2"][l2[i1, i2]]),
-    }
+    def curve(chis: np.ndarray) -> np.ndarray:
+        """S at each chi2, with alpha2 at its best."""
+        b2 = _directions(chis, -1.0).T
+        return a1 @ m @ (b1[:, None] - b2) + np.linalg.norm(m @ (b1[:, None] + b2), axis=0)
 
-    def s_at(values: Mapping[str, float]) -> float:
-        e = correlation_matrix(
-            state,
-            np.array([values["alpha1"], values["alpha2"]]),
-            np.array([values["chi1"], values["chi2"]]),
-        )
-        return float(e[0, 0] - e[0, 1] + e[1, 0] + e[1, 1])
-
-    if free:
-        window = float(axis[1] - axis[0])
-        for _ in range(_MAX_SWEEPS):
-            moved = 0.0
-            for name in free:
-                x0 = coords[name]
-                lo = max(-math.pi, x0 - window)
-                hi = min(math.pi, x0 + window)
-                best_here = s_at(coords)
-                res = minimize_scalar(
-                    lambda x: -s_at({**coords, name: float(x)}),
-                    bounds=(lo, hi),
-                    method="bounded",
-                    options={"xatol": 1e-9},
-                )
-                if -float(res.fun) > best_here:
-                    new_x = float(res.x)
-                    moved = max(moved, abs(new_x - x0))
-                    coords[name] = new_x
-            if moved < _REFINE_TOL:
-                break
-
-    best = MeasurementSettings(**coords)
+    grid = np.linspace(-math.pi, math.pi, _CHI_GRID, endpoint=False)
+    s_grid = curve(grid)
+    centres = grid[(s_grid >= np.roll(s_grid, 1)) & (s_grid >= np.roll(s_grid, -1))]
+    width = math.tau / _CHI_GRID
+    for _ in range(_ZOOM_STEPS):
+        trial = centres[:, None] + width * _ZOOM
+        s_trial = curve(trial.ravel()).reshape(trial.shape)
+        centres = trial[np.arange(len(centres)), s_trial.argmax(axis=1)]
+        width /= 4.0
+    candidates = np.concatenate((grid, centres))
+    chi2 = float(candidates[np.concatenate((s_grid, curve(centres))).argmax()])
+    a2 = m @ (b1 + _directions(chi2, -1.0)[0])
+    best = MeasurementSettings(alpha1, _angle(a2, 1.0), chi1, chi2)
     return best, s_factor(state, best).s_value

@@ -8,9 +8,13 @@ polytope whose facets are exactly the eight CHSH sign variants
 
     | E11 + E12 + E21 + E22 - 2 * Eij | <= 2   for each ij,
 
-so membership can be decided in closed form; :func:`fit_lhv` uses that
-check as the feasibility gate and a linear program only to construct an
-explicit witness mixture.  Every deterministic strategy gives the CHSH
+so membership can be decided in closed form.  Each strategy's correlation
+tuple is +/-h_k for one of the four Hadamard rows h_k, so the polytope is
+the cross-polytope conv{+/-h_k}: with c = H E / 4 (H the Hadamard matrix,
+so E = sum_k c_k h_k), E is local exactly when sum |c_k| <= 1, and the
+weights |c_k| on the strategies for sign(c_k) h_k form an explicit witness
+mixture (Fine, PRL 48, 291 (1982)).  :func:`fit_lhv` gates on the facet
+test and builds that witness.  Every deterministic strategy gives the CHSH
 combination E11 - E12 + E21 + E22 a value of exactly +/-2, hence the
 classical bound |S| <= 2 for every model.
 """
@@ -21,7 +25,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InputError, ModelError
 
@@ -58,6 +61,13 @@ STRATEGIES: tuple[DeterministicStrategy, ...] = tuple(
 # Row s = correlations of STRATEGIES[s]; columns are (E11, E12, E21, E22).
 _VERTEX_MATRIX = np.array([s.correlations() for s in STRATEGIES], dtype=float)
 
+_HADAMARD = np.array(
+    [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
+)
+# The first strategy whose correlations are +h_k, and the first giving -h_k.
+_PLUS_H = np.argmax(_VERTEX_MATRIX @ _HADAMARD == 4.0, axis=0)
+_MINUS_H = np.argmax(_VERTEX_MATRIX @ _HADAMARD == -4.0, axis=0)
+
 
 def enumerate_strategies() -> tuple[DeterministicStrategy, ...]:
     """All 16 deterministic strategies in canonical order.
@@ -83,8 +93,9 @@ def classical_max_s() -> float:
 class LhvModel:
     """A probability mixture over the 16 deterministic strategies.
 
-    Weights must be nonnegative (values above -1e-12 are clamped to 0)
-    and sum to 1 within 1e-10; anything else raises :class:`ModelError`.
+    Weights must be finite, nonnegative (values above -1e-12 are clamped
+    to 0) and sum to 1 within 1e-10; anything else raises
+    :class:`ModelError`.
     """
 
     weights: np.ndarray
@@ -93,6 +104,8 @@ class LhvModel:
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
         if w.shape[0] != len(STRATEGIES):
             raise ModelError(f"expected {len(STRATEGIES)} weights, got {w.shape[0]}")
+        if not np.isfinite(w).all():
+            raise ModelError("model weights must be finite")
         if float(w.min()) < -_WEIGHT_NEG_ATOL:
             raise ModelError(f"negative weight {float(w.min())!r} in model")
         w = np.clip(w, 0.0, None)
@@ -138,10 +151,12 @@ def fit_lhv(
     ``targets`` is (E11, E12, E21, E22) with every entry in [-1, 1]
     (within ``tol``); anything else raises :class:`InputError`.
 
-    Feasibility is decided by the eight-variant facet test.  When the
-    targets pass, a linear program over the 16 strategy weights builds an
-    explicit model whose correlations match within ``tol`` (exactly, for
-    strictly interior targets); when they fail, returns None.
+    Feasibility is decided by the eight-variant facet test (None when it
+    fails).  The witness puts weight |c_k|, c = H E / 4, on the first
+    strategy for sign(c_k) h_k and splits what is left evenly between the
+    first strategies for +h_0 and -h_0, which cancel.  It reproduces the
+    targets up to rounding, or within ``tol`` for targets up to ``tol``
+    outside the polytope, which are first scaled onto its boundary.
     """
     e = np.asarray(targets, dtype=float).reshape(-1)
     if e.shape[0] != 4:
@@ -155,30 +170,15 @@ def fit_lhv(
     if max(chsh_variants(tuple(e))) > 2.0 + tol:
         return None
 
-    ones = np.ones((1, len(STRATEGIES)))
-    res = linprog(
-        c=np.zeros(len(STRATEGIES)),
-        A_eq=np.vstack([_VERTEX_MATRIX.T, ones]),
-        b_eq=np.append(e, 1.0),
-        bounds=[(0.0, None)] * len(STRATEGIES),
-        method="highs",
-    )
-    if res.status != 0:
-        # Targets within tol of the boundary can be marginally outside the
-        # exact polytope; retry with a tol-wide band around the targets.
-        res = linprog(
-            c=np.zeros(len(STRATEGIES)),
-            A_ub=np.vstack([_VERTEX_MATRIX.T, -_VERTEX_MATRIX.T]),
-            b_ub=np.concatenate([e + tol, tol - e]),
-            A_eq=ones,
-            b_eq=np.array([1.0]),
-            bounds=[(0.0, None)] * len(STRATEGIES),
-            method="highs",
-        )
-    if res.status != 0:  # pragma: no cover - facet test guarantees feasibility
-        raise ModelError(f"witness construction failed unexpectedly: {res.message}")
-    w = np.clip(res.x, 0.0, None)
-    return LhvModel(w / w.sum())
+    c = _HADAMARD @ e / 4.0
+    norm = float(np.abs(c).sum())
+    if norm > 1.0:
+        c /= norm
+        norm = 1.0
+    w = np.zeros(len(STRATEGIES))
+    w[np.where(c < 0.0, _MINUS_H, _PLUS_H)] = np.abs(c)
+    w[[_PLUS_H[0], _MINUS_H[0]]] += (1.0 - norm) / 2.0
+    return LhvModel(w)
 
 
 def sample_lhv(

@@ -352,7 +352,17 @@ def fidelity(a: "StateVector | np.ndarray", b: "StateVector | np.ndarray") -> fl
 
 
 def _check_density(rho: np.ndarray) -> np.ndarray:
+    """A 2x2 density matrix: finite, Hermitian, unit trace and positive
+    semidefinite, each within 1e-10; anything else raises InputError."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise DimensionError(f"density matrix must be 2x2, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InputError("density matrix must be finite")
+    if float(np.max(np.abs(rho - rho.conj().T))) > NORM_ATOL:
+        raise InputError("density matrix is not Hermitian within 1e-10")
+    if abs(np.trace(rho) - 1.0) > NORM_ATOL:
+        raise InputError(f"density matrix trace is {np.trace(rho)!r}, expected 1")
+    if float(np.linalg.eigvalsh(rho)[0]) < -NORM_ATOL:
+        raise InputError("density matrix has a negative eigenvalue")
     return rho

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim import chsh
 from bellsim import statevector as sv
-from bellsim.errors import ConfigError, DimensionError
+from bellsim.errors import ConfigError, DimensionError, InputError
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -229,7 +231,64 @@ def test_maximize_is_deterministic():
 
 
 def test_maximize_validates_inputs():
-    with pytest.raises(ConfigError):
-        chsh.maximize_s(sv.bell_psi_plus(), grid_points=1)
     with pytest.raises(DimensionError):
         chsh.maximize_s(sv.zero_state(1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_are_rejected(bad):
+    with pytest.raises(InputError):
+        chsh.wrap_angle(bad)
+    with pytest.raises(InputError):
+        chsh.MeasurementSettings(bad, 0.0, 0.0, 0.0)
+    with pytest.raises(InputError):
+        chsh.correlation(sv.bell_psi_plus(), 0.0, bad)
+    with pytest.raises(InputError):
+        chsh.scan_s(sv.bell_psi_plus(), bad, 0.0, resolution=3)
+    with pytest.raises(InputError):
+        chsh.maximize_s(sv.bell_psi_plus(), fixed=(0.0, bad))
+
+
+# Property tests: the closed forms against an independent computation.
+# M[j, k] = <sigma_j (x) sigma_k> is built here from sv.expectation, and
+# E(alpha, chi) = a.M.b with a = (cos alpha, sin alpha), b = (cos chi, -sin chi).
+
+PAULI_XY = (sv.FIXED_GATES["X"], sv.FIXED_GATES["Y"])
+
+two_qubit_states = st.lists(
+    st.floats(-1.0, 1.0, allow_nan=False), min_size=8, max_size=8
+).map(lambda v: np.array(v[:4]) + 1j * np.array(v[4:])).filter(
+    lambda amps: np.linalg.norm(amps) > 1e-3
+).map(lambda amps: sv.StateVector(2, amps / np.linalg.norm(amps)))
+
+angles = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+def xy_block(state):
+    return np.array([[sv.expectation(state, p, q) for q in PAULI_XY] for p in PAULI_XY])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(two_qubit_states)
+def test_free_maximum_is_horodecki_closed_form(state):
+    m1, m2 = np.linalg.svd(xy_block(state), compute_uv=False)
+    best, s_star = chsh.maximize_s(state)
+    assert abs(s_star - 2.0 * math.sqrt(m1**2 + m2**2)) < 1e-12
+    assert abs(chsh.s_factor(state, best).s_value - s_star) < 1e-12
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(two_qubit_states, angles, angles)
+def test_fixed_pair_maximum_beats_dense_grid(state, alpha1, chi1):
+    # For each chi2 the best alpha2 gives a2.v its largest value |v|
+    # (Cauchy-Schwarz), so a chi2 grid alone bounds the maximum from below.
+    m = xy_block(state)
+    a1 = np.array([math.cos(alpha1), math.sin(alpha1)])
+    b1 = np.array([math.cos(chi1), -math.sin(chi1)])
+    chi2 = np.linspace(-math.pi, math.pi, 20001)
+    b2 = np.stack([np.cos(chi2), -np.sin(chi2)])
+    grid = a1 @ m @ (b1[:, None] - b2) + np.linalg.norm(m @ (b1[:, None] + b2), axis=0)
+    best, s_fixed = chsh.maximize_s(state, fixed=(alpha1, chi1))
+    assert (best.alpha1, best.chi1) == (alpha1, chi1)
+    assert s_fixed >= float(grid.max()) - 1e-12
+    assert s_fixed <= chsh.maximize_s(state)[1] + 1e-12

@@ -1,0 +1,39 @@
+"""The runtime dependency list is numpy alone: SciPy must never load."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import bellsim
+
+SRC = str(Path(bellsim.__file__).resolve().parents[1])
+
+IMPORT_ONLY = "import sys, bellsim\nprint('scipy' in sys.modules)"
+
+CLI_RUN = """import runpy, sys
+sys.argv = ["bellsim", "lhv-bound"]
+try:
+    runpy.run_module("bellsim.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print("scipy" in sys.modules)
+"""
+
+
+def loads_scipy(code):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_import_bellsim_leaves_scipy_unloaded():
+    assert loads_scipy(IMPORT_ONLY) == "False"
+
+
+def test_cli_lhv_bound_leaves_scipy_unloaded():
+    assert loads_scipy(CLI_RUN) == "False"

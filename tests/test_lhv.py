@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim import lhv
 from bellsim.errors import InputError, ModelError
@@ -50,6 +52,16 @@ def test_model_weight_validation():
         lhv.LhvModel(np.array([-1e-3] + [0.0] * 14 + [1.001]))
     with pytest.raises(ModelError):
         lhv.LhvModel(np.full(16, 0.9 / 16))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_weights(bad):
+    with pytest.raises(ModelError):
+        lhv.LhvModel(np.full(16, bad))
+    w = np.full(16, 1.0 / 16)
+    w[7] = bad
+    with pytest.raises(ModelError):
+        lhv.LhvModel(w)
 
 
 def test_model_clamps_tiny_negative_weights():
@@ -130,7 +142,7 @@ def test_fit_scaled_targets_round_trip():
     model = lhv.fit_lhv(targets)
     assert model is not None
     fitted = lhv.model_correlations(model)
-    np.testing.assert_allclose(fitted, targets, atol=1e-8)
+    np.testing.assert_allclose(fitted, targets, atol=1e-12)
 
 
 def test_fit_round_trips_random_models():
@@ -139,7 +151,7 @@ def test_fit_round_trips_random_models():
         targets = lhv.model_correlations(model)
         refit = lhv.fit_lhv(targets)
         assert refit is not None
-        np.testing.assert_allclose(lhv.model_correlations(refit), targets, atol=1e-8)
+        np.testing.assert_allclose(lhv.model_correlations(refit), targets, atol=1e-12)
 
 
 def test_fit_agrees_with_facet_test():
@@ -152,7 +164,24 @@ def test_fit_agrees_with_facet_test():
             assert worst > 2.0
         else:
             assert worst <= 2.0 + 1e-9
-            np.testing.assert_allclose(lhv.model_correlations(model), targets, atol=1e-7)
+            np.testing.assert_allclose(lhv.model_correlations(model), targets, atol=1e-12)
+
+
+HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4))
+def test_witness_exists_iff_cross_polytope_norm_at_most_one(targets):
+    # The local polytope is conv{+/-h_k} for the Hadamard rows h_k, so the
+    # facet test must agree with sum |c_k| <= 1 where c = H E / 4.
+    norm = float(np.abs(HADAMARD @ np.array(targets) / 4.0).sum())
+    model = lhv.fit_lhv(tuple(targets))
+    if abs(norm - 1.0) > 1e-9:
+        assert (model is None) == (norm > 1.0)
+    if model is not None:
+        assert model.weights.min() >= 0.0
+        np.testing.assert_allclose(lhv.model_correlations(model), targets, atol=1e-12)
 
 
 def test_fit_input_validation():

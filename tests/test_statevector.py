@@ -247,6 +247,23 @@ def test_fidelity_pure_vs_density():
     assert abs(sv.fidelity(single, maximally_mixed) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [
+        np.diag([5.0, -3.0]),  # unit trace, negative eigenvalue
+        np.eye(2),  # trace 2
+        np.array([[0.5, 0.5], [0.0, 0.5]]),  # not Hermitian
+        np.array([[1.0, math.nan], [math.nan, 0.0]]),
+        np.diag([1.0 + 1e-9, -1e-9]),
+    ],
+)
+def test_fidelity_rejects_non_physical_density(rho):
+    with pytest.raises(InputError):
+        sv.fidelity(rho, sv.reduced_density(sv.bell_psi_plus(), 0))
+    with pytest.raises(InputError):
+        sv.fidelity(sv.zero_state(1), rho)
+
+
 def test_fidelity_density_density():
     mixed = sv.reduced_density(sv.bell_psi_plus(), 0)
     assert abs(sv.fidelity(mixed, mixed) - 1.0) < 1e-12
