@@ -20,7 +20,9 @@ caller-supplied :class:`numpy.random.Generator`; a measurement with a
 deterministic outcome consumes no randomness.
 
 Supports up to 64 qubits; conversion to a dense statevector is capped at
-12 qubits to match the statevector engine.
+12 qubits to match the statevector engine.  A measurement is one
+vectorised update over all rows, never a loop over them, so up to 64
+qubits its cost is numpy call overhead rather than bytes moved.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevector as sv
-from .errors import BellSimError, NonCliffordGate, ProjectionError, QubitIndexError, SizeError
+from .errors import (
+    BellSimError, InputError, NonCliffordGate, ProjectionError, QubitIndexError, SizeError
+)
 
 MAX_QUBITS = 64
 
@@ -49,31 +53,17 @@ class StabilizerTableau:
     def copy(self) -> "StabilizerTableau":
         return StabilizerTableau(self.num_qubits, self.x.copy(), self.z.copy(), self.phase.copy())
 
-    def _rowsum(self, h: int, i: int) -> None:
-        """Row h := row i * row h with exact sign tracking (in place)."""
-        self.phase[h] = _product_phase(
-            self.x[i], self.z[i], self.phase[i], self.x[h], self.z[h], self.phase[h]
-        )
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
 
+def _anticommuting(x1, z1, x2, z2) -> tuple[np.ndarray, np.ndarray]:
+    """Per-qubit factors of i in the Pauli product P1 * P2, over broadcast bit arrays.
 
-def _product_phase(x1, z1, r1, x2, z2, r2) -> int:
-    """Sign bit of the Pauli product (row1 * row2), rows as bit arrays.
-
-    The exponent of i is accumulated mod 4.  Products of commuting rows
-    (stabilizer/stabilizer, and every product feeding a measurement
-    outcome) always land on an even exponent, giving a +/- sign.  Odd
-    exponents occur only when updating destabilizer rows, whose sign bit
-    carries no observable meaning; the imaginary part is dropped there.
+    ``anti`` marks the anticommuting qubits, each adding +i or -i = i**3;
+    ``neg`` marks the -i ones.  The product's exponent of i is ``anti.sum()
+    + 2 * neg.sum()`` plus 2 per minus sign, mod 4 (Aaronson-Gottesman's g).
     """
-    a = x1.astype(np.int64)
-    b = z1.astype(np.int64)
-    c = x2.astype(np.int64)
-    d = z2.astype(np.int64)
-    g = a * b * (d - c) + a * (1 - b) * d * (2 * c - 1) + (1 - a) * b * c * (1 - 2 * d)
-    total = 2 * int(r1) + 2 * int(r2) + int(g.sum())
-    return (total % 4) // 2
+    x1z2 = x1 & z2
+    anti = (x2 & z1) ^ x1z2
+    return anti, anti & (x1 ^ x2 ^ z1 ^ z2 ^ x1z2)
 
 
 def init_zero(num_qubits: int) -> StabilizerTableau:
@@ -163,29 +153,45 @@ def apply(t: StabilizerTableau, kind: str, *qubits: int) -> StabilizerTableau:
 def _deterministic_outcome(t: StabilizerTableau, q: int) -> int:
     """Outcome of a z-measurement when no stabilizer anticommutes with Z_q.
 
-    Accumulates, in a scratch row, the product of the stabilizer rows
-    whose matching destabilizer anticommutes with Z_q; the scratch sign
-    bit is the measurement outcome.
+    The outcome is the sign of the product of the stabilizer rows whose
+    matching destabilizer anticommutes with Z_q.  The rows commute, so
+    each is multiplied onto the XOR prefix of the rows before it, and the
+    exponents of i of all these products are summed at once.
     """
     n = t.num_qubits
-    sx = np.zeros(n, dtype=np.uint8)
-    sz = np.zeros(n, dtype=np.uint8)
-    sr = 0
-    for i in range(n):
-        if t.x[i, q]:
-            sr = _product_phase(t.x[n + i], t.z[n + i], t.phase[n + i], sx, sz, sr)
-            sx ^= t.x[n + i]
-            sz ^= t.z[n + i]
-    return int(sr)
+    rows = t.x[:n, q].astype(bool)
+    x1 = t.x[n:][rows]
+    z1 = t.z[n:][rows]
+    anti, neg = _anticommuting(
+        x1, z1, np.bitwise_xor.accumulate(x1) ^ x1, np.bitwise_xor.accumulate(z1) ^ z1
+    )
+    total = np.count_nonzero(anti) + 2 * np.count_nonzero(neg)
+    return ((total >> 1) + np.count_nonzero(t.phase[n:][rows])) & 1
 
 
 def _collapse_random(t: StabilizerTableau, q: int, outcome: int) -> StabilizerTableau:
+    """Collapse a random z-measurement of ``q`` onto ``outcome``.
+
+    Every row with an x bit on ``q`` except the first such stabilizer row
+    p is multiplied by row p in one whole-array update (p is masked to
+    the identity on the other rows).  A sign bit becomes bit 1 of the
+    product's exponent of i: destabilizer products can land on an odd
+    exponent, whose imaginary part is dropped, as destabilizer signs
+    carry no observable meaning.
+    """
     n = t.num_qubits
-    p = n + int(np.nonzero(t.x[n:, q])[0][0])
+    p = n + int(t.x[n:, q].argmax())
     out = t.copy()
-    for i in range(2 * n):
-        if i != p and out.x[i, q]:
-            out._rowsum(i, p)
+    rows = out.x[:, q].copy()
+    rows[p] = 0
+    if np.count_nonzero(rows):
+        x1 = out.x[p] & rows[:, None]
+        z1 = out.z[p] & rows[:, None]
+        anti, neg = _anticommuting(x1, z1, out.x, out.z)
+        exponents = (anti + 2 * neg).sum(axis=1, dtype=np.uint8)
+        out.phase ^= ((exponents >> 1) & 1) ^ (rows & out.phase[p])
+        out.x ^= x1
+        out.z ^= z1
     out.x[p - n] = out.x[p]
     out.z[p - n] = out.z[p]
     out.phase[p - n] = out.phase[p]
@@ -206,7 +212,7 @@ def measure_z(
     consumes none and returns the input tableau unchanged.
     """
     _check_qubit(t, q)
-    if t.x[t.num_qubits:, q].any():
+    if np.count_nonzero(t.x[t.num_qubits:, q]):
         outcome = int(rng.integers(0, 2))
         return outcome, False, _collapse_random(t, q, outcome)
     return _deterministic_outcome(t, q), True, t
@@ -221,7 +227,7 @@ def measure_z_forced(t: StabilizerTableau, q: int, outcome: int) -> tuple[bool, 
     _check_qubit(t, q)
     if outcome not in (0, 1):
         raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
-    if t.x[t.num_qubits:, q].any():
+    if np.count_nonzero(t.x[t.num_qubits:, q]):
         return False, _collapse_random(t, q, outcome)
     if _deterministic_outcome(t, q) != outcome:
         raise ProjectionError(f"outcome {outcome} on qubit {q} has probability 0")
@@ -234,7 +240,7 @@ def outcome_probability(t: StabilizerTableau, q: int) -> float:
     Always exactly 0.0, 0.5 or 1.0 for a stabilizer state.
     """
     _check_qubit(t, q)
-    if t.x[t.num_qubits:, q].any():
+    if np.count_nonzero(t.x[t.num_qubits:, q]):
         return 0.5
     return float(_deterministic_outcome(t, q))
 
@@ -245,7 +251,7 @@ _BASIS_CHANGE = {"Z": (), "X": ("H",), "Y": ("SDG", "H")}
 def pauli_expectation(t: StabilizerTableau, q: int, pauli: str) -> float:
     """Expectation value of X, Y or Z on qubit ``q``: exactly -1, 0 or +1."""
     if pauli not in _BASIS_CHANGE:
-        raise QubitIndexError(f"pauli must be X, Y or Z, got {pauli!r}")
+        raise InputError(f"pauli must be X, Y or Z, got {pauli!r}")
     rotated = t
     for kind in _BASIS_CHANGE[pauli]:
         rotated = apply(rotated, kind, q)
@@ -280,7 +286,7 @@ def to_statevector(t: StabilizerTableau) -> sv.StateVector:
     probe = t
     bits = []
     for q in range(n):
-        if probe.x[n:, q].any():
+        if np.count_nonzero(probe.x[n:, q]):
             probe = _collapse_random(probe, q, 0)
             bits.append(0)
         else:
@@ -298,62 +304,52 @@ def to_statevector(t: StabilizerTableau) -> sv.StateVector:
     return sv.StateVector(n, amps / nrm)
 
 
+_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)  # indexed by x + 2z
+
+
 def stabilizer_strings(t: StabilizerTableau) -> list[str]:
     """Human-readable stabilizer generators, e.g. ['+XX', '-ZZ']."""
-    letters = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-    rows = []
-    for row in range(t.num_qubits, 2 * t.num_qubits):
-        sign = "-" if t.phase[row] else "+"
-        body = "".join(
-            letters[(int(t.x[row, j]), int(t.z[row, j]))] for j in range(t.num_qubits)
-        )
-        rows.append(sign + body)
-    return rows
-
-
-def _symplectic_product(t: StabilizerTableau, i: int, j: int) -> int:
-    return int((t.x[i] & t.z[j]).sum() + (t.x[j] & t.z[i]).sum()) % 2
+    n = t.num_qubits
+    letters = _LETTERS[t.x[n:] | (t.z[n:] << 1)]
+    signs = ["-" if sign else "+" for sign in t.phase[n:].tolist()]
+    return [sign + row.tobytes().decode("ascii") for sign, row in zip(signs, letters)]
 
 
 def _gf2_rank(mat: np.ndarray) -> int:
-    m = mat.copy() % 2
-    rank = 0
-    rows, cols = m.shape
-    for col in range(cols):
-        pivots = np.nonzero(m[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot = rank + int(pivots[0])
-        m[[rank, pivot]] = m[[pivot, rank]]
-        elim = np.nonzero(m[:, col])[0]
-        for r in elim:
-            if r != rank:
-                m[r] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over GF(2) of a 0/1 matrix, eliminating rows packed into Python ints."""
+    pivots: dict[int, int] = {}
+    for packed in np.packbits(mat, axis=1):
+        row = int.from_bytes(packed.tobytes(), "big")
+        while row and (top := row.bit_length()) in pivots:
+            row ^= pivots[top]
+        if row:
+            pivots[row.bit_length()] = row
+    return len(pivots)
 
 
 def validate(t: StabilizerTableau) -> None:
-    """Check the tableau group-theoretic invariants; raise on violation."""
+    """Check the tableau group-theoretic invariants; raise on violation.
+
+    Row commutation is one GF(2) product, X Z^T + Z X^T (mod 2), taken in
+    float64: exact for these counts (at most 2n), and run through BLAS.
+    """
     n = t.num_qubits
     if t.x.shape != (2 * n, n) or t.z.shape != (2 * n, n) or t.phase.shape != (2 * n,):
         raise BellSimError("tableau arrays have inconsistent shapes")
     for arr in (t.x, t.z, t.phase):
         if not np.isin(arr, (0, 1)).all():
             raise BellSimError("tableau arrays must be binary")
-    for i in range(n, 2 * n):
-        for j in range(i + 1, 2 * n):
-            if _symplectic_product(t, i, j):
-                raise BellSimError(f"stabilizer rows {i - n} and {j - n} anticommute")
-    for i in range(n):
-        for j in range(n, 2 * n):
-            expected = 1 if j - n == i else 0
-            if _symplectic_product(t, i, j) != expected:
-                raise BellSimError(
-                    f"destabilizer {i} has wrong commutation with stabilizer {j - n}"
-                )
+    x = t.x.astype(np.float64)
+    z = t.z.astype(np.float64)
+    anti = (x @ z.T + z @ x.T) % 2
+    bad = np.argwhere(np.triu(anti[n:, n:], 1))
+    if bad.size:
+        i, j = bad[0]
+        raise BellSimError(f"stabilizer rows {i} and {j} anticommute")
+    bad = np.argwhere(anti[:n, n:] != np.eye(n))
+    if bad.size:
+        i, j = bad[0]
+        raise BellSimError(f"destabilizer {i} has wrong commutation with stabilizer {j}")
     full = np.concatenate([t.x, t.z], axis=1)
     if _gf2_rank(full) != 2 * n:
         raise BellSimError("tableau rows are linearly dependent over GF(2)")

@@ -125,6 +125,7 @@ class StateVector:
     The amplitude array is copied on construction and frozen read-only.
     Length must be exactly ``2**num_qubits`` and the norm must be 1 within
     1e-10; violations raise :class:`DimensionError` / :class:`NormalizationError`.
+    Non-finite amplitudes (NaN, inf) raise :class:`InputError`.
     """
 
     num_qubits: int
@@ -142,6 +143,8 @@ class StateVector:
                 f"got {amps.shape[0]}"
             )
         nrm = float(np.linalg.norm(amps))
+        if not math.isfinite(nrm):
+            raise InputError(f"state amplitudes must be finite, got norm {nrm!r}")
         if abs(nrm - 1.0) > NORM_ATOL:
             raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than {NORM_ATOL}")
         amps.flags.writeable = False

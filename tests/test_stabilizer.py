@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
-from bellsim.errors import BellSimError, NonCliffordGate, ProjectionError, QubitIndexError, SizeError
+from bellsim.errors import (
+    BellSimError,
+    InputError,
+    NonCliffordGate,
+    ProjectionError,
+    QubitIndexError,
+    SizeError,
+)
 
 ONE_QUBIT_CLIFFORDS = ["H", "S", "SDG", "X", "Y", "Z"]
 
@@ -132,8 +141,9 @@ def test_pauli_expectation_named_states():
     assert st.pauli_expectation(plus, 0, "Z") == 0.0
     assert st.pauli_expectation(plus_i, 0, "Y") == 1.0
     assert st.pauli_expectation(plus_i, 0, "X") == 0.0
-    with pytest.raises(QubitIndexError):
-        st.pauli_expectation(plus, 0, "W")
+    for bad in ("W", "Q"):
+        with pytest.raises(InputError):
+            st.pauli_expectation(plus, 0, bad)
 
 
 def test_to_statevector_bell():
@@ -172,6 +182,20 @@ def test_cross_engine_collapse_agrees():
         assert abs(sv.fidelity(st.to_statevector(collapsed_tab), collapsed_dense) - 1.0) < 1e-10
 
 
+def test_deterministic_outcome_counts_factors_of_i():
+    # Stabilizers +XX, -ZZ, -YYZ: Z_2 = (+XX)(-ZZ)(-YYZ) only because XX.ZZ = -YY,
+    # so the outcome depends on the factors of i in the product, not only on signs.
+    t = st.init_zero(3)
+    for kind, *qubits in [
+        ("Y", 2), ("CNOT", 0, 2), ("CNOT", 1, 2), ("H", 0), ("CNOT", 0, 1), ("X", 0), ("SDG", 2)
+    ]:
+        t = st.apply(t, kind, *qubits)
+    assert st.stabilizer_strings(t) == ["+XXI", "-ZZI", "-YYZ"]
+    outcome, deterministic, _ = st.measure_z(t, 2, np.random.default_rng(0))
+    assert (outcome, deterministic) == (1, True)
+    assert st.to_statevector(t).probabilities()[1::2].sum() > 1 - 1e-12
+
+
 def test_validate_catches_corruption():
     t = st.apply(st.apply(st.init_zero(2), "H", 0), "CNOT", 0, 1)
     broken = t.copy()
@@ -188,3 +212,233 @@ def test_sixty_four_qubit_register():
     assert st.outcome_probability(t, 63) == 0.5
     m, _, after = st.measure_z(t, 0, np.random.default_rng(9))
     assert st.outcome_probability(after, 63) == float(m)
+
+
+# -- row-by-row reference -----------------------------------------------------
+#
+# The engine's measurement kernels update every row in one array expression.
+# The functions below are the row-at-a-time Aaronson-Gottesman procedures they
+# replaced; the property tests require bit-identical results from both.
+
+
+def ref_product_phase(x1, z1, r1, x2, z2, r2):
+    """Sign bit of (row1 * row2); odd exponents of i are dropped as 3 -> 1, 1 -> 0."""
+    a, b, c, d = (v.astype(np.int64) for v in (x1, z1, x2, z2))
+    g = a * b * (d - c) + a * (1 - b) * d * (2 * c - 1) + (1 - a) * b * c * (1 - 2 * d)
+    return (2 * int(r1) + 2 * int(r2) + int(g.sum())) % 4 // 2
+
+
+def ref_deterministic_outcome(t, q):
+    n = t.num_qubits
+    sx = np.zeros(n, dtype=np.uint8)
+    sz = np.zeros(n, dtype=np.uint8)
+    sr = 0
+    for i in range(n):
+        if t.x[i, q]:
+            sr = ref_product_phase(t.x[n + i], t.z[n + i], t.phase[n + i], sx, sz, sr)
+            sx ^= t.x[n + i]
+            sz ^= t.z[n + i]
+    return sr
+
+
+def ref_collapse(t, q, outcome):
+    n = t.num_qubits
+    p = n + int(np.nonzero(t.x[n:, q])[0][0])
+    out = t.copy()
+    for h in range(2 * n):
+        if h != p and out.x[h, q]:
+            out.phase[h] = ref_product_phase(
+                out.x[p], out.z[p], out.phase[p], out.x[h], out.z[h], out.phase[h]
+            )
+            out.x[h] ^= out.x[p]
+            out.z[h] ^= out.z[p]
+    out.x[p - n], out.z[p - n], out.phase[p - n] = out.x[p], out.z[p], out.phase[p]
+    out.x[p], out.z[p] = 0, 0
+    out.z[p, q] = 1
+    out.phase[p] = outcome
+    return out
+
+
+def ref_is_random(t, q):
+    return bool(t.x[t.num_qubits :, q].any())
+
+
+def ref_validate(t):
+    """Pairwise invariant check with the engine's messages, first offending pair first."""
+    n = t.num_qubits
+
+    def sym(i, j):
+        return int((t.x[i] & t.z[j]).sum() + (t.x[j] & t.z[i]).sum()) % 2
+
+    for i in range(n, 2 * n):
+        for j in range(i + 1, 2 * n):
+            if sym(i, j):
+                raise BellSimError(f"stabilizer rows {i - n} and {j - n} anticommute")
+    for i in range(n):
+        for j in range(n, 2 * n):
+            if sym(i, j) != (1 if j - n == i else 0):
+                raise BellSimError(
+                    f"destabilizer {i} has wrong commutation with stabilizer {j - n}"
+                )
+    if ref_gf2_rank(np.concatenate([t.x, t.z], axis=1)) != 2 * n:
+        raise BellSimError("tableau rows are linearly dependent over GF(2)")
+
+
+def ref_gf2_rank(mat):
+    m = mat.copy() % 2
+    rank = 0
+    for col in range(m.shape[1]):
+        pivots = np.nonzero(m[rank:, col])[0]
+        if pivots.size == 0:
+            continue
+        pivot = rank + int(pivots[0])
+        m[[rank, pivot]] = m[[pivot, rank]]
+        for r in np.nonzero(m[:, col])[0]:
+            if r != rank:
+                m[r] ^= m[rank]
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank
+
+
+def assert_same_tableau(a, b):
+    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a.z, b.z)
+    np.testing.assert_array_equal(a.phase, b.phase)
+
+
+# Opcodes 0-5 index ONE_QUBIT_CLIFFORDS; then CNOT, CZ, measure_z, measure_z_forced.
+STEP_KINDS = ONE_QUBIT_CLIFFORDS + ["CNOT", "CZ", "MEASURE", "FORCE"]
+STEP_WEIGHTS = [0.08] * 6 + [0.16, 0.16, 0.12, 0.08]
+
+
+def programs(num_qubits, max_len):
+    """Step lists ``(opcode, qubit, other_qubit, bit)`` built from a drawn seed and length.
+
+    Drawing the seed rather than each step keeps the programs long enough to
+    entangle the register, so collapses multiply many rows at once.
+    """
+
+    def build(seed_and_length):
+        seed, length = seed_and_length
+        rng = np.random.default_rng(seed)
+        codes = rng.choice(len(STEP_KINDS), size=length, p=STEP_WEIGHTS)
+        qubits = rng.integers(0, num_qubits, size=length)
+        others = (qubits + 1 + rng.integers(0, max(num_qubits - 1, 1), size=length)) % num_qubits
+        bits = rng.integers(0, 2, size=length)
+        return [tuple(map(int, step)) for step in zip(codes, qubits, others, bits)]
+
+    return hs.tuples(hs.integers(0, 2**32 - 1), hs.integers(0, max_len)).map(build)
+
+
+class FixedBit:
+    """Generator stand-in whose one random bit is chosen by the test."""
+
+    def __init__(self, bit):
+        self.bit = bit
+
+    def integers(self, low, high):
+        assert (low, high) == (0, 2)
+        return self.bit
+
+
+def run_against_reference(num_qubits, program):
+    """Run ``program`` on the engine and the reference side by side, checking every step."""
+    t = st.init_zero(num_qubits)
+    ref = t.copy()
+    for code, q, other, bit in program:
+        kind = STEP_KINDS[code]
+        if kind in ("MEASURE", "FORCE"):
+            random = ref_is_random(ref, q)
+            want = bit if random else ref_deterministic_outcome(ref, q)
+            assert st.outcome_probability(t, q) == (0.5 if random else float(want))
+            if kind == "MEASURE":
+                outcome, deterministic, t = st.measure_z(t, q, FixedBit(bit))
+            else:
+                deterministic, t = st.measure_z_forced(t, q, want)
+                outcome = want
+                if not random:
+                    with pytest.raises(ProjectionError):
+                        st.measure_z_forced(t, q, 1 - want)
+            assert (outcome, deterministic) == (want, not random)
+            if random:
+                ref = ref_collapse(ref, q, want)
+        else:
+            if kind in ("CNOT", "CZ"):
+                if q == other:
+                    continue
+                op = sv.gate(kind, q, other)
+            else:
+                op = sv.gate(kind, q)
+            t = st.apply_clifford(t, op)
+            ref = st.apply_clifford(ref, op)
+        assert_same_tableau(t, ref)
+        st.validate(t)
+    return t
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(hs.integers(1, 8).flatmap(lambda n: hs.tuples(hs.just(n), programs(n, 80))))
+def test_measurement_matches_row_by_row_reference(case):
+    num_qubits, program = case
+    measure_all = [(STEP_KINDS.index("MEASURE"), q, q, q % 2) for q in range(num_qubits)]
+    run_against_reference(num_qubits, program + measure_all)
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(programs(64, 400), hs.lists(hs.integers(0, 1), min_size=64, max_size=64))
+def test_measurement_matches_reference_at_64_qubits(program, bits):
+    measure_all = [(STEP_KINDS.index("MEASURE"), q, q, bit) for q, bit in enumerate(bits)]
+    run_against_reference(64, program + measure_all)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    hs.integers(1, 8).flatmap(
+        lambda n: hs.tuples(
+            hs.just(n),
+            programs(n, 40),
+            hs.sampled_from(["x", "z", "phase"]),
+            hs.integers(0, 2 * n - 1),
+            hs.integers(0, n - 1),
+        )
+    )
+)
+def test_validate_agrees_with_pairwise_reference_on_bit_flips(case):
+    num_qubits, program, array, row, col = case
+    t = run_against_reference(num_qubits, program)
+    broken = t.copy()
+    if array == "phase":
+        broken.phase[row] ^= 1
+    else:
+        getattr(broken, array)[row, col] ^= 1
+    try:
+        ref_validate(broken)
+        expected = None
+    except BellSimError as exc:
+        expected = str(exc)
+    if expected is None:
+        st.validate(broken)
+    else:
+        with pytest.raises(BellSimError) as caught:
+            st.validate(broken)
+        assert str(caught.value) == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    hs.tuples(hs.integers(1, 12), hs.integers(1, 20)).flatmap(
+        lambda shape: hs.lists(
+            hs.lists(hs.integers(0, 1), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    ),
+    hs.booleans(),
+)
+def test_gf2_rank_matches_reference(rows, dependent):
+    mat = np.array(rows, dtype=np.uint8)
+    if dependent and len(mat) >= 3:
+        mat[-1] = mat[0] ^ mat[1]
+    assert st._gf2_rank(mat) == ref_gf2_rank(mat)

@@ -65,6 +65,14 @@ def test_prepare_named_dispatch():
         sv.prepare_named("w_state")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(InputError):
+        sv.StateVector(2, np.array([bad, 0.0, 0.0, 0.0]))
+    with pytest.raises(InputError):
+        sv.StateVector(1, np.array([1.0, bad]))
+
+
 def test_state_validation_errors():
     with pytest.raises(NormalizationError):
         sv.StateVector(1, np.array([1.0, 1.0]))
