@@ -141,7 +141,7 @@ def _cmd_lhv_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_lhv_fit(args: argparse.Namespace) -> int:
-    model = lhv.fit_lhv((args.e11, args.e12, args.e21, args.e22), tol=args.tol)
+    model = lhv.fit_lhv((args.e11, args.e12, args.e21, args.e22))
     if model is None:
         print("INFEASIBLE")
         return 0
@@ -242,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e12", type=correlation_argument, required=True)
     p.add_argument("--e21", type=correlation_argument, required=True)
     p.add_argument("--e22", type=correlation_argument, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_lhv_fit)
 
     p = sub.add_parser("teleport", help="teleport a single-qubit state")
@@ -281,23 +280,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NUMERIC_FLAGS = frozenset(
-    {"--alpha1", "--alpha2", "--chi1", "--chi2", "--e11", "--e12", "--e21", "--e22", "--tol"}
-)
-_NEGATIVE_VALUE_RE = re.compile(r"^-(?:pi\b|\d|\.\d)")
+_NUMERIC_FLAGS = ("--alpha1", "--alpha2", "--chi1", "--chi2", "--e11", "--e12", "--e21", "--e22")
+# Flag -> the values starting with "-" that belong to it: negative numbers,
+# and for --input any value but one starting "--" (-i, -, -0.6,0.8).
+_DASH_VALUES = {
+    **dict.fromkeys(_NUMERIC_FLAGS, re.compile(r"^-(?:pi\b|\d|\.\d)")),
+    "--input": re.compile(r"^-(?!-)"),
+}
 
 
 def _fold_negative_values(argv: list[str]) -> list[str]:
-    """Join numeric flags with negative values so argparse keeps them together.
+    """Join flags with values starting with ``-`` so argparse keeps them together.
 
-    ``--chi1 -pi/4`` becomes ``--chi1=-pi/4``; without this argparse reads
-    ``-pi/4`` as an unknown option.
+    ``--chi1 -pi/4`` becomes ``--chi1=-pi/4`` and ``--input -i`` becomes
+    ``--input=-i``; without this argparse reads the value as an option.
     """
     folded: list[str] = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token in _NUMERIC_FLAGS and i + 1 < len(argv) and _NEGATIVE_VALUE_RE.match(argv[i + 1]):
+        if token in _DASH_VALUES and i + 1 < len(argv) and _DASH_VALUES[token].match(argv[i + 1]):
             folded.append(f"{token}={argv[i + 1]}")
             i += 2
         else:

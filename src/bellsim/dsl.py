@@ -22,8 +22,9 @@ LF line endings.  ``parse(format_circuit(c)) == c`` for every circuit
 
 :func:`classify` marks a circuit stabilizer-simulable when every
 instruction is Clifford: the discrete set {h,x,y,z,s,sdg,cnot,cz,measure}
-plus any rotation whose angle is an integer multiple of pi/2 within
-1e-12.  t/tdg and all other rotation angles are non-Clifford witnesses.
+plus any rotation by a multiple of pi/2, read from the angle's own cos
+and sin (|cos * sin| <= 1e-12).  t/tdg and all other rotation angles,
+huge floats such as 1e16 among them, are non-Clifford witnesses.
 """
 
 from __future__ import annotations
@@ -204,13 +205,26 @@ def format_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _quarter_turns(angle: float) -> int | None:
+    """k mod 4 when ``angle`` is k quarter turns, else None.
+
+    Judged by the angle's own cos and sin, exact for any float, not by
+    angle / (pi/2), whose fraction is lost for huge angles.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+    if abs(c * s) > CLIFFORD_ANGLE_ATOL:
+        return None
+    if abs(c) >= abs(s):
+        return 0 if c > 0 else 2
+    return 1 if s > 0 else 3
+
+
 def is_clifford_instruction(ins: Instruction) -> bool:
     if ins.opcode in _ALWAYS_CLIFFORD:
         return True
     if ins.opcode in _ROTATIONS:
         assert ins.angle is not None
-        half_turns = ins.angle / (math.pi / 2.0)
-        return abs(ins.angle - round(half_turns) * (math.pi / 2.0)) <= CLIFFORD_ANGLE_ATOL
+        return _quarter_turns(ins.angle) is not None
     return False
 
 
@@ -251,38 +265,24 @@ def classify(circuit: Circuit) -> SimulabilityClass:
     return SimulabilityClass(value=value, witnesses=witnesses)
 
 
-_RZ_SEQUENCES: dict[int, tuple[str, ...]] = {
-    0: (),
-    1: ("S",),
-    2: ("Z",),
-    3: ("SDG",),
-}
-_RX_SEQUENCES: dict[int, tuple[str, ...]] = {
-    0: (),
-    1: ("H", "S", "H"),
-    2: ("X",),
-    3: ("H", "SDG", "H"),
-}
-_RY_SEQUENCES: dict[int, tuple[str, ...]] = {
-    0: (),
-    1: ("SDG", "H", "S", "H", "S"),
-    2: ("Y",),
-    3: ("SDG", "H", "SDG", "H", "S"),
+# Clifford sequences for 0, 1, 2 and 3 quarter turns of each rotation.
+_ROTATION_SEQUENCES: dict[str, tuple[tuple[str, ...], ...]] = {
+    "RZ": ((), ("S",), ("Z",), ("SDG",)),
+    "RX": ((), ("H", "S", "H"), ("X",), ("H", "SDG", "H")),
+    "RY": ((), ("SDG", "H", "S", "H", "S"), ("Y",), ("SDG", "H", "SDG", "H", "S")),
 }
 
 
 def rotation_to_cliffords(opcode: str, angle: float) -> tuple[str, ...]:
     """Clifford gate sequence (time order) equal to the rotation up to phase.
 
-    Only valid when the angle is an integer multiple of pi/2 within
-    1e-12; anything else raises :class:`NonCliffordGate`.
+    Only valid when the angle is an integer multiple of pi/2 (the
+    classifier's test); anything else raises :class:`NonCliffordGate`.
     """
-    quarter_turns = round(angle / (math.pi / 2.0))
-    if abs(angle - quarter_turns * (math.pi / 2.0)) > CLIFFORD_ANGLE_ATOL:
+    k = _quarter_turns(angle)
+    if k is None:
         raise NonCliffordGate(f"{opcode} angle {angle!r} is not a multiple of pi/2")
-    k = quarter_turns % 4
-    table = {"RZ": _RZ_SEQUENCES, "RX": _RX_SEQUENCES, "RY": _RY_SEQUENCES}[opcode]
-    return table[k]
+    return _ROTATION_SEQUENCES[opcode][k]
 
 
 @dataclass
@@ -298,6 +298,41 @@ class RunRecord:
     outcomes: list[int]
     final_statevector: sv.StateVector | None = None
     final_stabilizers: list[str] | None = None
+
+
+def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list, object]:
+    """The one gate-and-measure loop: ``(outcomes, infos, final_state)``.
+
+    A :class:`~bellsim.statevector.StateVector` runs on the dense engine;
+    a tableau runs on the stabilizer engine, with quarter-turn rotations
+    expanded into Clifford gates.  ``infos`` holds each measurement's
+    second return value: its probability (dense) or whether it was
+    deterministic (tableau).  ``forced`` gives the outcomes in order and
+    nothing is drawn; otherwise each engine draws from ``rng`` under its
+    own contract.  Engine functions are looked up on every call.
+    """
+    dense = isinstance(state, sv.StateVector)
+    outcomes: list[int] = []
+    infos: list = []
+    for ins in circuit.instructions:
+        q = ins.qubit_args[0]
+        if ins.opcode == "MEASURE":
+            if forced is None:
+                outcome, info, state = (sv.measure_qubit if dense else st.measure_z)(state, q, rng)
+            else:
+                outcome = forced[len(outcomes)]
+                project = sv.project_qubit if dense else st.measure_z_forced
+                info, state = project(state, q, outcome)
+            outcomes.append(outcome)
+            infos.append(info)
+        elif dense:
+            state = sv.apply_gate(state, sv.GateOp(ins.opcode, ins.qubit_args, ins.angle))
+        elif ins.opcode in _ROTATIONS:
+            for kind in rotation_to_cliffords(ins.opcode, ins.angle):
+                state = st.apply_clifford(state, sv.GateOp(kind, (q,)))
+        else:
+            state = st.apply_clifford(state, sv.GateOp(ins.opcode, ins.qubit_args))
+    return outcomes, infos, state
 
 
 def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
@@ -318,28 +353,11 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
         spots = ", ".join(f"line {ln} column {col}" for ln, col in report.witnesses)
         raise NonCliffordGate(f"circuit has non-Clifford instructions at {spots}")
     chosen = engine if engine != "auto" else ("stabilizer" if report.simulable else "statevector")
-    rng = np.random.default_rng(seed)
-    outcomes: list[int] = []
+    n = circuit.num_qubits
+    start = sv.zero_state(n) if chosen == "statevector" else st.init_zero(n)
+    outcomes, _, state = _execute(circuit, start, np.random.default_rng(seed))
     if chosen == "statevector":
-        state = sv.zero_state(circuit.num_qubits)
-        for ins in circuit.instructions:
-            if ins.opcode == "MEASURE":
-                outcome, _, state = sv.measure_qubit(state, ins.qubit_args[0], rng)
-                outcomes.append(outcome)
-            else:
-                state = sv.apply_gate(state, sv.GateOp(ins.opcode, ins.qubit_args, ins.angle))
         return RunRecord(engine=chosen, outcomes=outcomes, final_statevector=state)
-    tableau = st.init_zero(circuit.num_qubits)
-    for ins in circuit.instructions:
-        if ins.opcode == "MEASURE":
-            outcome, _, tableau = st.measure_z(tableau, ins.qubit_args[0], rng)
-            outcomes.append(outcome)
-        elif ins.opcode in _ROTATIONS:
-            assert ins.angle is not None
-            for kind in rotation_to_cliffords(ins.opcode, ins.angle):
-                tableau = st.apply(tableau, kind, ins.qubit_args[0])
-        else:
-            tableau = st.apply_clifford(tableau, sv.GateOp(ins.opcode, ins.qubit_args))
     return RunRecord(
-        engine=chosen, outcomes=outcomes, final_stabilizers=st.stabilizer_strings(tableau)
+        engine=chosen, outcomes=outcomes, final_stabilizers=st.stabilizer_strings(state)
     )

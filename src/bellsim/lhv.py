@@ -32,6 +32,8 @@ CLASSICAL_BOUND = 2.0
 
 _WEIGHT_SUM_ATOL = 1e-10
 _WEIGHT_NEG_ATOL = 1e-12
+# How far fit_lhv's targets may stray outside [-1, 1] and the CHSH facets.
+_FIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -143,19 +145,17 @@ def chsh_variants(targets: "tuple[float, float, float, float]") -> tuple[float, 
     return tuple(out)
 
 
-def fit_lhv(
-    targets: "tuple[float, float, float, float]", tol: float = 1e-9
-) -> LhvModel | None:
+def fit_lhv(targets: "tuple[float, float, float, float]") -> LhvModel | None:
     """Find a mixture reproducing the target correlations, if one exists.
 
     ``targets`` is (E11, E12, E21, E22) with every entry in [-1, 1]
-    (within ``tol``); anything else raises :class:`InputError`.
+    (within 1e-9); anything else raises :class:`InputError`.
 
     Feasibility is decided by the eight-variant facet test (None when it
     fails).  The witness puts weight |c_k|, c = H E / 4, on the first
     strategy for sign(c_k) h_k and splits what is left evenly between the
     first strategies for +h_0 and -h_0, which cancel.  It reproduces the
-    targets up to rounding, or within ``tol`` for targets up to ``tol``
+    targets up to rounding, or within 1e-9 for targets up to 1e-9
     outside the polytope, which are first scaled onto its boundary.
     """
     e = np.asarray(targets, dtype=float).reshape(-1)
@@ -163,11 +163,11 @@ def fit_lhv(
         raise InputError(f"expected 4 target correlations, got {e.shape[0]}")
     if not np.isfinite(e).all():
         raise InputError("target correlations must be finite")
-    if float(np.abs(e).max()) > 1.0 + tol:
+    if float(np.abs(e).max()) > 1.0 + _FIT_TOL:
         raise InputError(
             f"correlations must lie in [-1, 1], got max magnitude {float(np.abs(e).max())!r}"
         )
-    if max(chsh_variants(tuple(e))) > 2.0 + tol:
+    if max(chsh_variants(tuple(e))) > 2.0 + _FIT_TOL:
         return None
 
     c = _HADAMARD @ e / 4.0

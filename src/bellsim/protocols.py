@@ -1,25 +1,31 @@
 """Protocol drivers: teleportation, superdense coding, and BB84.
 
-Each driver runs the protocol circuit on one of the two engines and
-returns a :class:`ProtocolReport` with the engine used, the classical
-bits produced, and numeric quality metrics (fidelity, error rates).
+Each driver returns a :class:`ProtocolReport` with the engine used, the
+classical bits produced, and numeric quality metrics (fidelity, error
+rates).  Teleportation and superdense coding are circuits run through
+``dsl.run``'s gate-and-measure loop; BB84 is a sampler.
 
 Wire layout conventions:
 
 * teleportation: qubit 0 carries the input state, qubits 1 and 2 hold a
-  (|00> + |11>)/sqrt(2) resource pair; qubit 2 receives the state.
-  Corrections: X on qubit 2 when the qubit-1 measurement is 1, then Z
-  when the qubit-0 measurement is 1.
+  (|00> + |11>)/sqrt(2) resource pair; qubit 2 receives the state.  The
+  corrections are coherent (deferred measurement): CNOT(1, 2) and then
+  CZ(0, 2) act before qubits 0 and 1 are measured, in place of X on
+  qubit 2 when the qubit-1 outcome is 1 and then Z when the qubit-0
+  outcome is 1.  The outcomes and their probabilities are unchanged.
 * superdense coding: sender holds qubit 0 of the resource pair, encodes
   two classical bits (b1, b2) as X^b2 then Z^b1 on it; decoding is
   CNOT(0,1), H(0) followed by measuring both qubits, which returns
   (b1, b2) deterministically.
-* BB84: one fresh single-qubit tableau per round; bases are 0 = Z,
-  1 = X (preparation applies X^bit then H^basis).
+* BB84: bases are 0 = Z, 1 = X (preparation applies X^bit then H^basis).
+  No state is simulated: a qubit measured in the basis it was prepared in
+  returns the prepared bit, and in the other basis a fair coin, so the
+  report says ``engine=sampler``.  All rounds are drawn at once, at most
+  1,000,000 per call.
 
 Randomness is drawn only from the caller-supplied generator, in a fixed
-documented order per round, so seeded runs are exactly reproducible.
-Measurements with deterministic outcomes consume no randomness.
+documented order, so seeded runs are exactly reproducible.  Measurements
+with deterministic outcomes consume no randomness.
 """
 
 from __future__ import annotations
@@ -28,11 +34,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dsl
 from . import stabilizer as st
 from . import statevector as sv
 from .errors import ConfigError, InputError, NonCliffordGate
 
 TELEPORT_FORCE_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+# Resource pair on qubits 1 and 2, Bell measurement of qubits 0 and 1 with
+# the corrections applied coherently before it.
+_TELEPORT = dsl.parse(
+    "qubits 3\nh 1\ncnot 1 2\ncnot 0 1\nh 0\ncnot 1 2\ncz 0 2\nmeasure 0\nmeasure 1\n"
+)
+
+# One superdense-coding circuit per bit pair (b1, b2), encoded as X^b2 then Z^b1.
+_SUPERDENSE = {
+    bits: dsl.parse("qubits 2\nh 0\ncnot 0 1\n" + encode + "cnot 0 1\nh 0\nmeasure 0\nmeasure 1\n")
+    for bits, encode in (((0, 0), ""), ((0, 1), "x 0\n"), ((1, 0), "z 0\n"), ((1, 1), "x 0\nz 0\n"))
+}
+
+_BB84_MAX_ROUNDS = 1_000_000
 
 # Gate sequences preparing the six single-qubit stabilizer states from |0>.
 STABILIZER_INPUTS: dict[str, tuple[str, ...]] = {
@@ -96,12 +117,15 @@ def resolve_stabilizer_input(name: str) -> tuple[str, ...]:
     return STABILIZER_INPUTS[key]
 
 
+def _preparation(name: str, num_qubits: int) -> dsl.Circuit:
+    """Circuit preparing a named stabilizer input on qubit 0 of ``num_qubits``."""
+    gates = resolve_stabilizer_input(name)
+    return dsl.Circuit(num_qubits, tuple(dsl.Instruction(kind, (0,)) for kind in gates))
+
+
 def stabilizer_input_state(name: str) -> sv.StateVector:
     """Dense single-qubit state for a named stabilizer input."""
-    state = sv.zero_state(1)
-    for kind in resolve_stabilizer_input(name):
-        state = sv.apply(state, kind, 0)
-    return state
+    return dsl._execute(_preparation(name, 1), sv.zero_state(1), None)[2]
 
 
 def teleport_statevector(
@@ -119,29 +143,17 @@ def teleport_statevector(
     """
     if input_state.num_qubits != 1:
         raise InputError(f"teleportation input must be 1 qubit, got {input_state.num_qubits}")
-    amps = np.kron(input_state.amplitudes, sv.bell_phi_plus().amplitudes)
-    state = sv.StateVector(3, amps)
-    state = sv.apply(state, "CNOT", 0, 1)
-    state = sv.apply(state, "H", 0)
-    if force_outcomes is None:
-        m0, _, state = sv.measure_qubit(state, 0, rng)
-        m1, _, state = sv.measure_qubit(state, 1, rng)
-    else:
-        m0, m1 = force_outcomes
-        _, state = sv.project_qubit(state, 0, m0)
-        _, state = sv.project_qubit(state, 1, m1)
-    if m1:
-        state = sv.apply(state, "X", 2)
-    if m0:
-        state = sv.apply(state, "Z", 2)
+    if force_outcomes is not None and len(force_outcomes) != 2:
+        raise InputError(f"force_outcomes must be a pair (m0, m1), got {force_outcomes!r}")
+    amps = np.kron(input_state.amplitudes, sv.zero_state(2).amplitudes)
+    bits, _, state = dsl._execute(_TELEPORT, sv.StateVector(3, amps), rng, force_outcomes)
     rho = sv.reduced_density(state, 2)
-    fid = sv.fidelity(input_state, rho)
     report = ProtocolReport(
         protocol="teleport",
         engine="statevector",
         classically_simulable=False,
-        classical_bits=[m0, m1],
-        metrics={"fidelity": fid},
+        classical_bits=bits,
+        metrics={"fidelity": sv.fidelity(input_state, rho)},
     )
     return report, rho
 
@@ -154,24 +166,11 @@ def teleport_stabilizer(input_name: str, rng: np.random.Generator) -> ProtocolRe
     receiver qubit's Bloch components and the exact fidelity against the
     ideal input.
     """
-    prep = resolve_stabilizer_input(input_name)
-    t = st.init_zero(3)
-    for kind in prep:
-        t = st.apply(t, kind, 0)
-    t = st.apply(t, "H", 1)
-    t = st.apply(t, "CNOT", 1, 2)
-    t = st.apply(t, "CNOT", 0, 1)
-    t = st.apply(t, "H", 0)
-    m0, _, t = st.measure_z(t, 0, rng)
-    m1, _, t = st.measure_z(t, 1, rng)
-    if m1:
-        t = st.apply(t, "X", 2)
-    if m0:
-        t = st.apply(t, "Z", 2)
-    ideal = stabilizer_input_state(input_name)
+    t = dsl._execute(_preparation(input_name, 3), st.init_zero(3), None)[2]
+    bits, _, t = dsl._execute(_TELEPORT, t, rng)
     rho = sv.reduced_density(st.to_statevector(t), 2)
     metrics = {
-        "fidelity": sv.fidelity(ideal, rho),
+        "fidelity": sv.fidelity(stabilizer_input_state(input_name), rho),
         "output_x": st.pauli_expectation(t, 2, "X"),
         "output_y": st.pauli_expectation(t, 2, "Y"),
         "output_z": st.pauli_expectation(t, 2, "Z"),
@@ -180,7 +179,7 @@ def teleport_stabilizer(input_name: str, rng: np.random.Generator) -> ProtocolRe
         protocol="teleport",
         engine="stabilizer",
         classically_simulable=True,
-        classical_bits=[m0, m1],
+        classical_bits=bits,
         metrics=metrics,
     )
 
@@ -189,32 +188,36 @@ def superdense_code(bits: tuple[int, int], rng: np.random.Generator) -> Protocol
     """Send two classical bits through one qubit of a shared pair.
 
     Decoding is deterministic: the measured bits always equal the input
-    ``bits``.  Runs on the stabilizer engine.
+    ``bits``, and no randomness is drawn.  Runs on the stabilizer engine.
     """
     b1, b2 = bits
     if b1 not in (0, 1) or b2 not in (0, 1):
         raise InputError(f"bits must be 0 or 1, got {bits!r}")
-    t = st.init_zero(2)
-    t = st.apply(t, "H", 0)
-    t = st.apply(t, "CNOT", 0, 1)
-    if b2:
-        t = st.apply(t, "X", 0)
-    if b1:
-        t = st.apply(t, "Z", 0)
-    t = st.apply(t, "CNOT", 0, 1)
-    t = st.apply(t, "H", 0)
-    m0, det0, t = st.measure_z(t, 0, rng)
-    m1, det1, t = st.measure_z(t, 1, rng)
+    outcomes, deterministic, _ = dsl._execute(_SUPERDENSE[b1, b2], st.init_zero(2), rng)
     return ProtocolReport(
         protocol="superdense",
         engine="stabilizer",
         classically_simulable=True,
-        classical_bits=[m0, m1],
+        classical_bits=outcomes,
         metrics={
-            "success": float((m0, m1) == (b1, b2)),
-            "deterministic": float(det0 and det1),
+            "success": float(outcomes == [b1, b2]),
+            "deterministic": float(all(deterministic)),
         },
     )
+
+
+def _bb84_measure(
+    bits: np.ndarray, sent_bases: np.ndarray, bases: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Outcomes of measuring qubits prepared as ``bits`` in ``sent_bases`` in ``bases``.
+
+    A matching basis returns the prepared bit; a mismatched one returns a
+    fair coin, drawn only for those rounds, in round order.
+    """
+    out = bits.copy()
+    mismatched = sent_bases != bases
+    out[mismatched] = rng.integers(0, 2, size=int(np.count_nonzero(mismatched)), dtype=np.uint8)
+    return out
 
 
 def bb84_simulate(
@@ -222,48 +225,37 @@ def bb84_simulate(
 ) -> ProtocolReport:
     """BB84 key distribution, optionally with an intercept-resend attacker.
 
-    Per round the generator is consumed in this order: sender bit, sender
-    basis, (attacker basis, attacker measurement if random), receiver
-    basis, receiver measurement if random.  Rounds where sender and
-    receiver bases match are sifted; qber is the error fraction among
-    sifted rounds (0.0 when nothing was sifted).  The classical bits in
-    the report are the receiver's sifted key.
+    A sampler vectorised over rounds (see the module docstring).  The
+    generator is consumed array by array, each in round order: sender
+    bits; sender bases; with an attacker, the attacker's bases and then
+    coins for the rounds where they differ from the sender's; receiver
+    bases; receiver coins for the rounds where the receiver's basis
+    differs from the one the qubit was last prepared in.  Rounds where
+    sender and receiver bases match are sifted; qber is the error
+    fraction among them (0.0 when none), and the report's classical bits
+    are the receiver's sifted key.  ``num_rounds`` outside 1..1,000,000
+    raises :class:`ConfigError`.
     """
-    if num_rounds < 1:
-        raise ConfigError(f"num_rounds must be positive, got {num_rounds}")
-    sifted = 0
-    errors = 0
-    key_bits: list[int] = []
-    for _ in range(num_rounds):
-        bit = int(rng.integers(0, 2))
-        basis = int(rng.integers(0, 2))
-        t = st.init_zero(1)
-        if bit:
-            t = st.apply(t, "X", 0)
-        if basis:
-            t = st.apply(t, "H", 0)
-        if intercept_resend:
-            eve_basis = int(rng.integers(0, 2))
-            if eve_basis:
-                t = st.apply(t, "H", 0)
-            _, _, t = st.measure_z(t, 0, rng)
-            if eve_basis:
-                t = st.apply(t, "H", 0)
-        bob_basis = int(rng.integers(0, 2))
-        if bob_basis:
-            t = st.apply(t, "H", 0)
-        m, _, t = st.measure_z(t, 0, rng)
-        if bob_basis == basis:
-            sifted += 1
-            key_bits.append(m)
-            if m != bit:
-                errors += 1
+    if not 1 <= num_rounds <= _BB84_MAX_ROUNDS:
+        raise ConfigError(f"num_rounds must lie in 1..{_BB84_MAX_ROUNDS}, got {num_rounds}")
+    bits = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)
+    bases = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)
+    sent, sent_bases = bits, bases
+    if intercept_resend:
+        sent_bases = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)
+        sent = _bb84_measure(bits, bases, sent_bases, rng)
+    bob_bases = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)
+    received = _bb84_measure(sent, sent_bases, bob_bases, rng)
+    sifted_rounds = bob_bases == bases
+    key = received[sifted_rounds]
+    sifted = len(key)
+    errors = int(np.count_nonzero(key != bits[sifted_rounds]))
     qber = errors / sifted if sifted else 0.0
     return ProtocolReport(
         protocol="bb84",
-        engine="stabilizer",
+        engine="sampler",
         classically_simulable=True,
-        classical_bits=key_bits,
+        classical_bits=key.tolist(),
         metrics={
             "rounds": float(num_rounds),
             "sifted_count": float(sifted),

@@ -247,12 +247,6 @@ def apply(state: StateVector, kind: str, *qubits: int, angle: float | None = Non
     return apply_gate(state, gate(kind, *qubits, angle=angle))
 
 
-def apply_circuit(state: StateVector, ops: "list[GateOp]") -> StateVector:
-    for op in ops:
-        state = apply_gate(state, op)
-    return state
-
-
 def project_qubit(state: StateVector, q: int, outcome: int) -> tuple[float, StateVector]:
     """Project qubit ``q`` onto ``outcome`` and renormalize.
 

@@ -130,6 +130,15 @@ def test_lhv_fit_rejects_out_of_range_correlation(capsys):
     assert "error:" in err
 
 
+def test_lhv_fit_has_no_tolerance_flag(capsys):
+    c = repr(math.cos(math.pi / 4))
+    argv = ["lhv-fit", "--e11", c, "--e12", c, "--e21", c, "--e22", f"-{c}", "--tol", "nan"]
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_teleport_statevector_engine(capsys):
     code, out, _ = run_cli(capsys, ["teleport", "--input", "0.6,0.8", "--seed", "5"])
     assert code == 0
@@ -147,6 +156,22 @@ def test_teleport_stabilizer_engine(capsys):
     assert out_value(out, "simulable") == "true"
     assert out_value(out, "fidelity") == "1.0000000000"
     assert out_value(out, "output_y") == "1.0000000000"
+
+
+def test_teleport_accepts_input_values_starting_with_minus(capsys):
+    code, out, _ = run_cli(
+        capsys, ["teleport", "--input", "-i", "--engine", "stabilizer", "--seed", "4"]
+    )
+    assert code == 0
+    assert out_value(out, "output_y") == "-1.0000000000"
+    code, out, _ = run_cli(capsys, ["teleport", "--input", "-0.6,0.8", "--seed", "4"])
+    assert code == 0
+    assert out_value(out, "fidelity") == "1.0000000000"
+    code, out, _ = run_cli(
+        capsys, ["teleport", "--input", "-", "--engine", "stabilizer", "--seed", "4"]
+    )
+    assert code == 0
+    assert out_value(out, "output_x") == "-1.0000000000"
 
 
 def test_teleport_is_seed_reproducible(capsys):
@@ -182,6 +207,14 @@ def test_bb84_clean_and_eavesdropped(capsys):
     code, out, _ = run_cli(capsys, ["bb84", "--rounds", "2000", "--seed", "3", "--eavesdrop"])
     assert code == 0
     assert 0.2 < float(out_value(out, "qber")) < 0.3
+    assert out_value(out, "engine") == "sampler"
+
+
+def test_bb84_rejects_rounds_above_the_cap(capsys):
+    code, out, err = run_cli(capsys, ["bb84", "--rounds", "10000000000"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_classify_clifford_file(tmp_path, capsys):

@@ -5,8 +5,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bellsim import dsl
+from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import ConfigError, NonCliffordGate
 
@@ -183,6 +186,118 @@ def test_rotation_to_cliffords_rejects_other_angles():
         dsl.rotation_to_cliffords("RZ", math.pi / 4)
     with pytest.raises(NonCliffordGate):
         dsl.rotation_to_cliffords("RX", 1.0)
+
+
+HUGE_ANGLES = ("1e308", "-1e308", "1e16", "99999999999999999999pi", "12345678pi/2")
+
+
+def test_quarter_turn_rule_rejects_huge_angles():
+    for token in HUGE_ANGLES:
+        for opcode in ("rx", "ry", "rz"):
+            circuit = dsl.parse(f"qubits 1\n{opcode} 0 {token}\n")
+            assert not dsl.classify(circuit).simulable, token
+            with pytest.raises(NonCliffordGate):
+                dsl.rotation_to_cliffords(opcode.upper(), circuit.instructions[0].angle)
+
+
+def test_quarter_turn_rule_accepts_small_multiples():
+    for k in range(-12, 13):
+        for token in (f"{k}pi/2", repr(k * math.pi / 2.0)):
+            circuit = dsl.parse(f"qubits 1\nry 0 {token}\n")
+            assert dsl.classify(circuit).simulable, token
+
+
+PAULIS = {name: sv.FIXED_GATES[name] for name in ("X", "Y", "Z")}
+ANGLE_TOKENS = hs.one_of(
+    hs.sampled_from(HUGE_ANGLES),
+    hs.integers(-40, 40).map(lambda k: f"{k}pi/2"),
+    hs.integers(-40, 40).map(lambda k: repr(k * math.pi / 2.0)),
+    hs.integers(-(10**6), 10**6).map(lambda k: f"{k}pi/2"),
+    hs.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    hs.sampled_from(["", "h 0", "h 0\ns 0", "x 0\nh 0"]),
+    hs.sampled_from(["rx", "ry", "rz"]),
+    ANGLE_TOKENS,
+)
+def test_clifford_rotations_agree_with_the_dense_engine(prep, opcode, token):
+    circuit = dsl.parse(f"qubits 1\n{prep}\n{opcode} 0 {token}\n")
+    if not dsl.classify(circuit).simulable:
+        return
+    _, _, tableau = dsl._execute(circuit, st.init_zero(1), None)
+    _, _, state = dsl._execute(circuit, sv.zero_state(1), None)
+    # P(1) of a measurement in the eigenbasis of a Pauli P is (1 - <P>) / 2.
+    for name, pauli in PAULIS.items():
+        dense = float(np.vdot(state.amplitudes, pauli @ state.amplitudes).real)
+        assert abs(st.pauli_expectation(tableau, 0, name) - dense) / 2 < 1e-10, name
+
+
+CLIFFORD_KINDS = ("H", "X", "Y", "Z", "S", "SDG", "RX", "RY", "RZ", "CNOT", "CZ", "MEASURE")
+
+
+def clifford_circuit(n, steps):
+    """Instructions from ``(kind, qubit, shift, quarter_turns)`` steps on ``n`` qubits."""
+    instructions = []
+    for kind, q, shift, k in steps:
+        if kind in ("CNOT", "CZ"):
+            if n > 1:
+                instructions.append(dsl.Instruction(kind, (q, (q + shift) % n)))
+        elif kind in ("RX", "RY", "RZ"):
+            instructions.append(dsl.Instruction(kind, (q,), k * math.pi / 2.0))
+        else:
+            instructions.append(dsl.Instruction(kind, (q,)))
+    return dsl.Circuit(n, tuple(instructions))
+
+
+def possible_outcomes(circuit, bits):
+    """Forced outcomes that the tableau's outcome_probability allows: the
+    drawn bit where a measurement is random, the only outcome elsewhere."""
+    t = st.init_zero(circuit.num_qubits)
+    forced = []
+    for ins in circuit.instructions:
+        step = dsl.Circuit(circuit.num_qubits, (ins,))
+        if ins.opcode == "MEASURE":
+            p = st.outcome_probability(t, ins.qubit_args[0])
+            forced.append(bits[len(forced)] if p == 0.5 else int(p))
+            t = dsl._execute(step, t, None, [forced[-1]])[2]
+        else:
+            t = dsl._execute(step, t, None)[2]
+    return forced
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    hs.integers(1, 5).flatmap(
+        lambda n: hs.tuples(
+            hs.just(n),
+            hs.lists(
+                hs.tuples(
+                    hs.sampled_from(CLIFFORD_KINDS),
+                    hs.integers(0, n - 1),
+                    hs.integers(1, max(n - 1, 1)),
+                    hs.integers(-4, 7),
+                ),
+                max_size=40,
+            ),
+        )
+    ),
+    hs.lists(hs.integers(0, 1), min_size=40, max_size=40),
+)
+def test_engines_agree_through_execute_with_forced_outcomes(case, bits):
+    n, steps = case
+    circuit = clifford_circuit(n, steps)
+    forced = possible_outcomes(circuit, bits)
+    outcomes, deterministic, tableau = dsl._execute(circuit, st.init_zero(n), None, forced)
+    dense_outcomes, probabilities, state = dsl._execute(circuit, sv.zero_state(n), None, forced)
+    assert outcomes == dense_outcomes == forced
+    for det, prob in zip(deterministic, probabilities):
+        assert det == (abs(prob - 1.0) < 1e-10)
+        assert det or abs(prob - 0.5) < 1e-10
+    overlap = abs(np.vdot(st.to_statevector(tableau).amplitudes, state.amplitudes))
+    assert abs(overlap - 1.0) < 1e-10
 
 
 def test_run_measures_flipped_qubit_on_both_engines():

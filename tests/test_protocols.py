@@ -1,11 +1,14 @@
 """Protocol driver tests: teleportation, superdense coding, BB84."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from bellsim import dsl
 from bellsim import protocols as pr
+from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import ConfigError, InputError, NonCliffordGate
 
@@ -94,6 +97,12 @@ def test_teleport_all_forced_branches():
 def test_teleport_rejects_multiqubit_input():
     with pytest.raises(InputError):
         pr.teleport_statevector(sv.zero_state(2), np.random.default_rng(0))
+
+
+def test_teleport_rejects_forced_outcomes_that_are_not_a_pair():
+    for forced in ((0,), (0, 1, 1)):
+        with pytest.raises(InputError):
+            pr.teleport_statevector(random_qubit(3), ExplodingRng(), force_outcomes=forced)
 
 
 def test_teleport_stabilizer_six_inputs():
@@ -197,6 +206,88 @@ def test_bb84_rejects_nonpositive_rounds():
         pr.bb84_simulate(-5, True, np.random.default_rng(0))
 
 
+def test_bb84_rejects_rounds_above_the_cap():
+    largest = pr.bb84_simulate(pr._BB84_MAX_ROUNDS, False, np.random.default_rng(0))
+    assert largest.metrics["rounds"] == float(pr._BB84_MAX_ROUNDS)
+    for rounds in (pr._BB84_MAX_ROUNDS + 1, 10**10):
+        with pytest.raises(ConfigError):
+            pr.bb84_simulate(rounds, True, ExplodingRng())
+
+
+class Coins:
+    """Generator stand-in that answers every draw with one fixed coin, counting the draws."""
+
+    def __init__(self, coin):
+        self.coin = coin
+        self.drawn = 0
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high) == (0, 2)
+        self.drawn += size
+        return np.full(size, self.coin, dtype=dtype)
+
+
+def assert_sampler_rule(probability, bit, sent_basis, basis):
+    """The sampler's outcome over both coins has P(1) = ``probability``, and
+    it draws a coin exactly when the outcome is random."""
+    outcomes = []
+    for coin in (0, 1):
+        rng = Coins(coin)
+        bits, sent, bases = (np.array([v], np.uint8) for v in (bit, sent_basis, basis))
+        outcomes.append(int(pr._bb84_measure(bits, sent, bases, rng)[0]))
+        assert rng.drawn == (probability == 0.5)
+    assert sum(outcomes) / 2 == probability
+
+
+def bb84_round(text, forced=None):
+    return dsl._execute(dsl.parse("qubits 1\n" + text), st.init_zero(1), None, forced)[2]
+
+
+@pytest.mark.parametrize("bit,basis,eve_basis,bob_basis", itertools.product((0, 1), repeat=4))
+def test_bb84_sampler_matches_tableau(bit, basis, eve_basis, bob_basis):
+    prep = ("x 0\n" if bit else "") + ("h 0\n" if basis else "")
+    eve = "h 0\n" if eve_basis else ""
+    bob = "h 0\n" if bob_basis else ""
+    # No attacker: the receiver measures the sender's qubit.
+    assert_sampler_rule(st.outcome_probability(bb84_round(prep + bob), 0), bit, basis, bob_basis)
+    # Attacker: measures in her basis, then resends her outcome in that basis.
+    p_eve = st.outcome_probability(bb84_round(prep + eve), 0)
+    assert_sampler_rule(p_eve, bit, basis, eve_basis)
+    for seen in {0, 1} if p_eve == 0.5 else {int(p_eve)}:
+        t = bb84_round(prep + eve + "measure 0\n" + eve + bob, forced=[seen])
+        assert_sampler_rule(st.outcome_probability(t, 0), seen, eve_basis, bob_basis)
+
+
+class Scripted:
+    """Generator stand-in that returns prepared arrays in order, recording the sizes asked."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+        self.sizes = []
+
+    def integers(self, low, high, size, dtype):
+        self.sizes.append(size)
+        out = np.array(self.arrays.pop(0), dtype=dtype)
+        assert out.shape == (size,)
+        return out
+
+
+def test_bb84_draw_order():
+    rng = Scripted(
+        [0, 1, 1, 0],  # sender bits
+        [0, 0, 1, 1],  # sender bases
+        [0, 1, 1, 0],  # attacker bases
+        [1, 0],  # attacker coins, rounds 1 and 3
+        [0, 1, 1, 1],  # receiver bases
+        [1],  # receiver coin, round 3 (attacker basis 0, receiver basis 1)
+    )
+    report = pr.bb84_simulate(4, True, rng)
+    assert rng.sizes == [4, 4, 4, 2, 4, 1]
+    assert report.classical_bits == [0, 1, 1]  # rounds 0, 2 and 3 are sifted
+    assert report.metrics["error_count"] == 1.0  # round 3: sent 0, received 1
+    assert report.engine == "sampler"
+
+
 def test_report_key_value_lines():
     report = pr.ProtocolReport(
         protocol="teleport",
@@ -224,3 +315,4 @@ def test_simulable_flag_tracks_engine():
     assert pr.teleport_stabilizer("0", np.random.default_rng(0)).classically_simulable
     assert pr.superdense_code((1, 1), np.random.default_rng(0)).classically_simulable
     assert pr.bb84_simulate(5, False, np.random.default_rng(0)).classically_simulable
+    assert pr.bb84_simulate(5, False, np.random.default_rng(0)).engine == "sampler"

@@ -424,21 +424,3 @@ def test_validate_agrees_with_pairwise_reference_on_bit_flips(case):
         with pytest.raises(BellSimError) as caught:
             st.validate(broken)
         assert str(caught.value) == expected
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(
-    hs.tuples(hs.integers(1, 12), hs.integers(1, 20)).flatmap(
-        lambda shape: hs.lists(
-            hs.lists(hs.integers(0, 1), min_size=shape[1], max_size=shape[1]),
-            min_size=shape[0],
-            max_size=shape[0],
-        )
-    ),
-    hs.booleans(),
-)
-def test_gf2_rank_matches_reference(rows, dependent):
-    mat = np.array(rows, dtype=np.uint8)
-    if dependent and len(mat) >= 3:
-        mat[-1] = mat[0] ^ mat[1]
-    assert st._gf2_rank(mat) == ref_gf2_rank(mat)

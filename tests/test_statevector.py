@@ -153,8 +153,7 @@ def test_cnot_and_cz_truth_tables():
 
 
 def test_bell_circuit():
-    ops = [sv.gate("H", 0), sv.gate("CNOT", 0, 1)]
-    state = sv.apply_circuit(sv.zero_state(2), ops)
+    state = sv.apply(sv.apply(sv.zero_state(2), "H", 0), "CNOT", 0, 1)
     np.testing.assert_allclose(state.amplitudes, sv.bell_phi_plus().amplitudes, atol=1e-15)
 
 
