@@ -53,6 +53,10 @@ _CHI_GRID = 1024
 _ZOOM = np.linspace(-1.0, 1.0, 9)
 _ZOOM_STEPS = 12
 
+# Largest scan_s resolution: an uncapped grid grows as resolution**2
+# (200000 points per axis would need about 300 GiB).
+_SCAN_MAX_RESOLUTION = 1001
+
 
 def wrap_angle(theta: float) -> float:
     """Map a finite angle to the canonical interval [-pi, pi].
@@ -193,10 +197,13 @@ def scan_s(
     """Sweep alpha2 and chi2 over [-pi, pi] at the given resolution.
 
     Both axes are inclusive linspaces with ``resolution`` points;
-    ``resolution`` must be at least 2.
+    ``resolution`` must lie in 2..1001, which keeps the grid's few
+    float arrays near 8 MB each.
     """
-    if resolution < 2:
-        raise ConfigError(f"scan resolution must be at least 2, got {resolution}")
+    if not 2 <= resolution <= _SCAN_MAX_RESOLUTION:
+        raise ConfigError(
+            f"scan resolution must lie in 2..{_SCAN_MAX_RESOLUTION}, got {resolution}"
+        )
     alpha1 = wrap_angle(alpha1)
     chi1 = wrap_angle(chi1)
     axis = np.linspace(-math.pi, math.pi, resolution)

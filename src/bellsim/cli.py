@@ -86,6 +86,17 @@ def correlation_argument(text: str) -> float:
     return value
 
 
+def seed_argument(text: str) -> int:
+    """A seed for :func:`numpy.random.default_rng`: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value}")
+    return value
+
+
 def bits_argument(text: str) -> tuple[int, int]:
     digits = [c for c in text if c not in ", "]
     if len(digits) != 2 or any(c not in "01" for c in digits):
@@ -94,6 +105,7 @@ def bits_argument(text: str) -> tuple[int, int]:
 
 
 def _read_text(path: str) -> str:
+    """Circuit text from a file or stdin; bytes that are not UTF-8 are a parse error."""
     try:
         if path == "-":
             return sys.stdin.read()
@@ -101,6 +113,12 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        before = exc.object[: exc.start]
+        line = before.count(b"\n") + 1
+        column = exc.start - before.rfind(b"\n")
+        bad = exc.object[exc.start]
+        raise dsl.ParseError(line, column, f"byte {bad:#04x} is not UTF-8 text") from None
 
 
 def _print_report(report: protocols.ProtocolReport) -> None:
@@ -166,7 +184,15 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
                 print(f"error: bad input state {args.input!r}: {exc}", file=sys.stderr)
                 return 2
         else:
-            state = protocols.stabilizer_input_state(text)
+            try:
+                state = protocols.stabilizer_input_state(text)
+            except NonCliffordGate:
+                print(
+                    f"error: bad input state {args.input!r}: expected 0, 1, +, -, +i, -i "
+                    "or amplitudes a0,a1",
+                    file=sys.stderr,
+                )
+                return 2
         report, _ = protocols.teleport_statevector(state, rng)
     _print_report(report)
     return 0
@@ -230,7 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", type=state_argument, default=sv.bell_psi_plus())
     p.add_argument("--alpha1", type=angle_argument, default="pi/2")
     p.add_argument("--chi1", type=angle_argument, default="-pi/4")
-    p.add_argument("--resolution", type=int, default=201)
+    p.add_argument(
+        "--resolution",
+        type=int,
+        default=201,
+        help=f"points per axis, 2..{chsh._SCAN_MAX_RESOLUTION} (default 201)",
+    )
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_chsh_scan)
 
@@ -251,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="named stabilizer state (0, 1, +, -, +i, -i) or amplitudes a0,a1",
     )
     p.add_argument("--engine", choices=("statevector", "stabilizer"), default="statevector")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_argument, default=0)
     p.set_defaults(func=_cmd_teleport)
 
     p = sub.add_parser("superdense", help="superdense coding of two bits")
     p.add_argument("--bits", type=bits_argument, required=True, metavar="B1B2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_argument, default=0)
     p.set_defaults(func=_cmd_superdense)
 
     p = sub.add_parser("bb84", help="BB84 key distribution")
@@ -264,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--eavesdrop", action="store_true", help="insert an intercept-resend attacker"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_argument, default=0)
     p.set_defaults(func=_cmd_bb84)
 
     p = sub.add_parser("classify", help="stabilizer-simulability of a circuit file")
@@ -274,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a circuit file")
     p.add_argument("file", help="circuit file path, or - for stdin")
     p.add_argument("--engine", choices=("auto", "statevector", "stabilizer"), default="auto")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_argument, default=0)
     p.set_defaults(func=_cmd_run)
 
     return parser

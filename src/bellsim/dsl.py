@@ -329,9 +329,9 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
             state = sv.apply_gate(state, sv.GateOp(ins.opcode, ins.qubit_args, ins.angle))
         elif ins.opcode in _ROTATIONS:
             for kind in rotation_to_cliffords(ins.opcode, ins.angle):
-                state = st.apply_clifford(state, sv.GateOp(kind, (q,)))
+                state = st.apply(state, kind, q)
         else:
-            state = st.apply_clifford(state, sv.GateOp(ins.opcode, ins.qubit_args))
+            state = st.apply(state, ins.opcode, *ins.qubit_args)
     return outcomes, infos, state
 
 

@@ -3,8 +3,18 @@
 Tracks an n-qubit stabilizer state as a binary tableau in the
 destabilizer/stabilizer form: rows 0..n-1 hold destabilizer generators,
 rows n..2n-1 hold stabilizer generators.  Each row is a Pauli string
-encoded as x-bits, z-bits and a sign bit (``phase``), with bit pair
-(x, z) meaning I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).
+encoded as x-bits, z-bits and a sign bit, with bit pair (x, z) meaning
+I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).
+
+The tableau is stored by column: for each qubit j one Python int holds
+the x bits of all 2n rows (bit r is row r's x bit on qubit j), another
+the z bits, and one more int holds the 2n sign bits.  Up to 64 qubits a
+column is at most 128 bits, so a gate is a few int operations on the
+columns it touches, and a measurement's row multiplication is one pass
+over the qubits that updates every row at once.  ``x``, ``z`` and
+``phase`` give the same bits as read-only uint8 arrays of shapes
+(2n, n), (2n, n) and (2n,), built on access;
+:meth:`StabilizerTableau.from_arrays` packs such arrays back.
 
 Row invariants (checked by :func:`validate`):
 
@@ -21,50 +31,90 @@ caller-supplied :class:`numpy.random.Generator`; a measurement with a
 deterministic outcome consumes no randomness.
 
 Supports up to 64 qubits; conversion to a dense statevector is capped at
-12 qubits to match the statevector engine.  A measurement is one
-vectorised update over all rows, never a loop over them, so up to 64
-qubits its cost is numpy call overhead rather than bytes moved.
+12 qubits to match the statevector engine.  The kernels need
+``int.bit_count`` (Python 3.10+).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import statevector as sv
 from .errors import (
-    BellSimError, InputError, NonCliffordGate, ProjectionError, QubitIndexError, SizeError
+    BellSimError, DimensionError, InputError, NonCliffordGate, ProjectionError, QubitIndexError,
+    SizeError,
 )
 
 MAX_QUBITS = 64
 
-CLIFFORD_GATE_KINDS = frozenset({"H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ"})
+
+def _unpack(words: list[int], num_bits: int) -> np.ndarray:
+    """uint8 bit matrix of shape (len(words), num_bits); entry [i, r] is bit r of words[i]."""
+    width = (num_bits + 7) // 8
+    raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(words), width), axis=1, count=num_bits, bitorder="little")
 
 
-@dataclass(eq=False)
+def _pack(bits: np.ndarray) -> list[int]:
+    """Inverse of :func:`_unpack`: one int per row of a binary matrix."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 class StabilizerTableau:
-    """Binary tableau for an n-qubit stabilizer state."""
+    """Binary tableau for an n-qubit stabilizer state, stored by column.
 
-    num_qubits: int
-    x: np.ndarray
-    z: np.ndarray
-    phase: np.ndarray
+    Build one with :func:`init_zero` or :meth:`from_arrays`.  ``x``, ``z``
+    and ``phase`` are read-only arrays computed on each access.
+    """
+
+    __slots__ = ("num_qubits", "_x", "_z", "_r")
+
+    def __init__(self, num_qubits: int, x_cols: list[int], z_cols: list[int], signs: int):
+        self.num_qubits = num_qubits
+        self._x = x_cols
+        self._z = z_cols
+        self._r = signs
+
+    @classmethod
+    def from_arrays(cls, x, z, phase) -> "StabilizerTableau":
+        """Tableau with the given (2n, n) x and z bits and (2n,) sign bits.
+
+        Raises :class:`DimensionError` for inconsistent shapes,
+        :class:`SizeError` outside 1..64 qubits and :class:`InputError`
+        for entries other than 0 and 1.  The invariants are not checked;
+        :func:`validate` does that.
+        """
+        x, z, phase = (np.asarray(a) for a in (x, z, phase))
+        n = x.shape[1] if x.ndim == 2 else -1
+        if x.shape != (2 * n, n) or z.shape != x.shape or phase.shape != (2 * n,):
+            raise DimensionError("tableau arrays have inconsistent shapes")
+        if not 1 <= n <= MAX_QUBITS:
+            raise SizeError(f"stabilizer engine supports 1..{MAX_QUBITS} qubits, got {n}")
+        for arr in (x, z, phase):
+            if not np.isin(arr, (0, 1)).all():
+                raise InputError("tableau arrays must be binary")
+        return cls(n, _pack(x.T), _pack(z.T), _pack(phase[None, :])[0])
+
+    @property
+    def x(self) -> np.ndarray:
+        return _read_only(_unpack(self._x, 2 * self.num_qubits).T)
+
+    @property
+    def z(self) -> np.ndarray:
+        return _read_only(_unpack(self._z, 2 * self.num_qubits).T)
+
+    @property
+    def phase(self) -> np.ndarray:
+        return _read_only(_unpack([self._r], 2 * self.num_qubits)[0])
 
     def copy(self) -> "StabilizerTableau":
-        return StabilizerTableau(self.num_qubits, self.x.copy(), self.z.copy(), self.phase.copy())
-
-
-def _anticommuting(x1, z1, x2, z2) -> tuple[np.ndarray, np.ndarray]:
-    """Per-qubit factors of i in the Pauli product P1 * P2, over broadcast bit arrays.
-
-    ``anti`` marks the anticommuting qubits, each adding +i or -i = i**3;
-    ``neg`` marks the -i ones.  The product's exponent of i is ``anti.sum()
-    + 2 * neg.sum()`` plus 2 per minus sign, mod 4 (Aaronson-Gottesman's g).
-    """
-    x1z2 = x1 & z2
-    anti = (x2 & z1) ^ x1z2
-    return anti, anti & (x1 ^ x2 ^ z1 ^ z2 ^ x1z2)
+        return StabilizerTableau(self.num_qubits, self._x.copy(), self._z.copy(), self._r)
 
 
 def init_zero(num_qubits: int) -> StabilizerTableau:
@@ -72,11 +122,7 @@ def init_zero(num_qubits: int) -> StabilizerTableau:
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise SizeError(f"stabilizer engine supports 1..{MAX_QUBITS} qubits, got {num_qubits}")
     n = num_qubits
-    x = np.zeros((2 * n, n), dtype=np.uint8)
-    z = np.zeros((2 * n, n), dtype=np.uint8)
-    x[np.arange(n), np.arange(n)] = 1
-    z[np.arange(n, 2 * n), np.arange(n)] = 1
-    return StabilizerTableau(n, x, z, np.zeros(2 * n, dtype=np.uint8))
+    return StabilizerTableau(n, [1 << j for j in range(n)], [1 << (n + j) for j in range(n)], 0)
 
 
 def _check_qubit(t: StabilizerTableau, q: int) -> None:
@@ -84,48 +130,68 @@ def _check_qubit(t: StabilizerTableau, q: int) -> None:
         raise QubitIndexError(f"qubit {q} out of range for {t.num_qubits}-qubit tableau")
 
 
+# -- gate kernels: update one tableau in place ----------------------------------
+
 def _h(t: StabilizerTableau, q: int) -> None:
-    t.phase ^= t.x[:, q] & t.z[:, q]
-    t.x[:, q], t.z[:, q] = t.z[:, q].copy(), t.x[:, q].copy()
+    x, z = t._x, t._z
+    t._r ^= x[q] & z[q]
+    x[q], z[q] = z[q], x[q]
 
 
 def _s(t: StabilizerTableau, q: int) -> None:
-    t.phase ^= t.x[:, q] & t.z[:, q]
-    t.z[:, q] ^= t.x[:, q]
+    x, z = t._x, t._z
+    t._r ^= x[q] & z[q]
+    z[q] ^= x[q]
 
 
 def _sdg(t: StabilizerTableau, q: int) -> None:
-    t.phase ^= t.x[:, q] & (t.z[:, q] ^ 1)
-    t.z[:, q] ^= t.x[:, q]
+    x, z = t._x, t._z
+    t._r ^= x[q] & ~z[q]
+    z[q] ^= x[q]
+
+
+def _pauli_x(t: StabilizerTableau, q: int) -> None:
+    t._r ^= t._z[q]
+
+
+def _pauli_y(t: StabilizerTableau, q: int) -> None:
+    t._r ^= t._x[q] ^ t._z[q]
+
+
+def _pauli_z(t: StabilizerTableau, q: int) -> None:
+    t._r ^= t._x[q]
 
 
 def _cnot(t: StabilizerTableau, c: int, tq: int) -> None:
-    t.phase ^= t.x[:, c] & t.z[:, tq] & (t.x[:, tq] ^ t.z[:, c] ^ 1)
-    t.x[:, tq] ^= t.x[:, c]
-    t.z[:, c] ^= t.z[:, tq]
+    x, z = t._x, t._z
+    t._r ^= x[c] & z[tq] & ~(x[tq] ^ z[c])
+    x[tq] ^= x[c]
+    z[c] ^= z[tq]
 
 
-def _apply_inplace(t: StabilizerTableau, kind: str, qubits: tuple[int, ...]) -> None:
-    if kind == "H":
-        _h(t, qubits[0])
-    elif kind == "S":
-        _s(t, qubits[0])
-    elif kind == "SDG":
-        _sdg(t, qubits[0])
-    elif kind == "X":
-        t.phase ^= t.z[:, qubits[0]]
-    elif kind == "Y":
-        t.phase ^= t.x[:, qubits[0]] ^ t.z[:, qubits[0]]
-    elif kind == "Z":
-        t.phase ^= t.x[:, qubits[0]]
-    elif kind == "CNOT":
-        _cnot(t, qubits[0], qubits[1])
-    elif kind == "CZ":
-        _h(t, qubits[1])
-        _cnot(t, qubits[0], qubits[1])
-        _h(t, qubits[1])
-    else:  # pragma: no cover - guarded by apply_clifford
-        raise NonCliffordGate(f"gate kind {kind!r} is not in the Clifford set")
+def _cz(t: StabilizerTableau, a: int, b: int) -> None:
+    x, z = t._x, t._z
+    t._r ^= x[a] & x[b] & (z[a] ^ z[b])
+    z[a] ^= x[b]
+    z[b] ^= x[a]
+
+
+# kind -> (kernel, number of qubits)
+_KERNELS = {
+    "H": (_h, 1), "S": (_s, 1), "SDG": (_sdg, 1),
+    "X": (_pauli_x, 1), "Y": (_pauli_y, 1), "Z": (_pauli_z, 1),
+    "CNOT": (_cnot, 2), "CZ": (_cz, 2),
+}
+
+CLIFFORD_GATE_KINDS = frozenset(_KERNELS)
+
+
+def _in_range(n: int, qubits: tuple[int, ...]) -> bool:
+    """Whether ``qubits`` are distinct indices in 0..n-1 (one or two of them)."""
+    if len(qubits) == 1:
+        return 0 <= qubits[0] < n
+    a, b = qubits
+    return a != b and 0 <= a < n and 0 <= b < n
 
 
 def apply_clifford(t: StabilizerTableau, op: sv.GateOp) -> StabilizerTableau:
@@ -142,65 +208,118 @@ def apply_clifford(t: StabilizerTableau, op: sv.GateOp) -> StabilizerTableau:
     for q in op.qubits:
         _check_qubit(t, q)
     out = t.copy()
-    _apply_inplace(out, op.kind, op.qubits)
+    _KERNELS[op.kind][0](out, *op.qubits)
     return out
 
 
 def apply(t: StabilizerTableau, kind: str, *qubits: int) -> StabilizerTableau:
-    """Convenience wrapper: ``apply(t, "CNOT", 0, 1)``."""
-    return apply_clifford(t, sv.gate(kind, *qubits))
+    """Apply one gate by name, ``apply(t, "CNOT", 0, 1)``, and return the new tableau.
+
+    Raises the errors :func:`apply_clifford` and :class:`~bellsim.statevector.GateOp`
+    raise for the same gate.
+    """
+    kernel = _KERNELS.get(kind)
+    if kernel is None or len(qubits) != kernel[1] or not _in_range(t.num_qubits, qubits):
+        return apply_clifford(t, sv.gate(kind, *qubits))
+    out = t.copy()
+    kernel[0](out, *qubits)
+    return out
+
+
+# -- measurement kernels -----------------------------------------------------------
+
+def _prefix_xor(v: int) -> int:
+    """Bit i is the XOR of bits 0..i-1 of ``v`` (at most 64 bits)."""
+    p = v << 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        p ^= p << shift
+    return p
 
 
 def _deterministic_outcome(t: StabilizerTableau, q: int) -> int:
     """Outcome of a z-measurement when no stabilizer anticommutes with Z_q.
 
-    The outcome is the sign of the product of the stabilizer rows whose
-    matching destabilizer anticommutes with Z_q.  The rows commute, so
-    each is multiplied onto the XOR prefix of the rows before it, and the
-    exponents of i of all these products are summed at once.
+    The outcome is the sign of the product of the stabilizer rows n+i
+    whose destabilizer i anticommutes with Z_q, i.e. has an x bit on q.
+    Each selected row is multiplied onto the product of the selected rows
+    before it, an XOR prefix over the column's bits, and the factors of i
+    of all these products are counted per qubit with ``int.bit_count``.
     """
     n = t.num_qubits
-    rows = t.x[:n, q].astype(bool)
-    x1 = t.x[n:][rows]
-    z1 = t.z[n:][rows]
-    anti, neg = _anticommuting(
-        x1, z1, np.bitwise_xor.accumulate(x1) ^ x1, np.bitwise_xor.accumulate(z1) ^ z1
-    )
-    total = np.count_nonzero(anti) + 2 * np.count_nonzero(neg)
-    return ((total >> 1) + np.count_nonzero(t.phase[n:][rows])) & 1
+    sel = t._x[q] & ((1 << n) - 1)
+    total = 0
+    for xc, zc in zip(t._x, t._z):
+        x1 = (xc >> n) & sel
+        z1 = (zc >> n) & sel
+        if not (x1 | z1):
+            continue
+        x2 = _prefix_xor(x1)
+        z2 = _prefix_xor(z1)
+        x1z2 = x1 & z2
+        anti = (x2 & z1) ^ x1z2
+        total += anti.bit_count() + 2 * (anti & (x1 ^ x2 ^ z1 ^ z2 ^ x1z2)).bit_count()
+    return ((total >> 1) + ((t._r >> n) & sel).bit_count()) & 1
 
 
-def _collapse_random(t: StabilizerTableau, q: int, outcome: int) -> StabilizerTableau:
-    """Collapse a random z-measurement of ``q`` onto ``outcome``.
+def _collapse(t: StabilizerTableau, q: int, outcome: int) -> None:
+    """Collapse a random z-measurement of ``q`` onto ``outcome``, in place.
 
     Every row with an x bit on ``q`` except the first such stabilizer row
-    p is multiplied by row p in one whole-array update (p is masked to
-    the identity on the other rows).  A sign bit becomes bit 1 of the
-    product's exponent of i: destabilizer products can land on an odd
-    exponent, whose imaginary part is dropped, as destabilizer signs
-    carry no observable meaning.
+    p is multiplied by row p.  One pass over the qubits XORs the row mask
+    into each column where p is not the identity, adds that qubit's
+    factors of i (+i or -i per anticommuting row) into a two-bit
+    carry-save counter per row, and moves row p to row p-n.  A sign bit
+    becomes bit 1 of the product's exponent of i: destabilizer products
+    can land on an odd exponent, whose imaginary part is dropped, as
+    destabilizer signs carry no observable meaning.
     """
     n = t.num_qubits
-    p = n + int(t.x[n:, q].argmax())
+    xs, zs = t._x, t._z
+    stab = xs[q] >> n
+    p = n + (stab & -stab).bit_length() - 1
+    bp = 1 << p
+    bd = 1 << (p - n)
+    rows = xs[q] ^ bp
+    keep = ~(bp | bd)
+    c0 = c1 = 0
+    for j in range(n):
+        xj, zj = xs[j], zs[j]
+        if xj & bp:
+            if zj & bp:  # pivot Y: anticommutes with X and Z, -i against X
+                anti = (xj ^ zj) & rows
+                neg = anti & xj
+                zs[j] = ((zj ^ rows) & keep) | bd
+            else:  # pivot X: anticommutes with Z and Y, -i against Z
+                anti = zj & rows
+                neg = anti & ~xj
+                zs[j] = zj & keep
+            xs[j] = ((xj ^ rows) & keep) | bd
+        elif zj & bp:  # pivot Z: anticommutes with X and Y, -i against Y
+            anti = xj & rows
+            neg = anti & zj
+            xs[j] = xj & keep
+            zs[j] = ((zj ^ rows) & keep) | bd
+        else:
+            xs[j] = xj & keep
+            zs[j] = zj & keep
+            continue
+        c1 ^= (c0 & anti) ^ neg
+        c0 ^= anti
+    zs[q] |= bp
+    r = t._r
+    sign = (r >> p) & 1
+    r ^= c1 ^ (rows if sign else 0)
+    t._r = (r & keep) | (bd if sign else 0) | (bp if outcome else 0)
+
+
+def _collapsed(t: StabilizerTableau, q: int, outcome: int) -> StabilizerTableau:
     out = t.copy()
-    rows = out.x[:, q].copy()
-    rows[p] = 0
-    if np.count_nonzero(rows):
-        x1 = out.x[p] & rows[:, None]
-        z1 = out.z[p] & rows[:, None]
-        anti, neg = _anticommuting(x1, z1, out.x, out.z)
-        exponents = (anti + 2 * neg).sum(axis=1, dtype=np.uint8)
-        out.phase ^= ((exponents >> 1) & 1) ^ (rows & out.phase[p])
-        out.x ^= x1
-        out.z ^= z1
-    out.x[p - n] = out.x[p]
-    out.z[p - n] = out.z[p]
-    out.phase[p - n] = out.phase[p]
-    out.x[p] = 0
-    out.z[p] = 0
-    out.z[p, q] = 1
-    out.phase[p] = outcome
+    _collapse(out, q, outcome)
     return out
+
+
+def _is_random(t: StabilizerTableau, q: int) -> bool:
+    return bool(t._x[q] >> t.num_qubits)
 
 
 def measure_z(
@@ -213,9 +332,9 @@ def measure_z(
     consumes none and returns the input tableau unchanged.
     """
     _check_qubit(t, q)
-    if np.count_nonzero(t.x[t.num_qubits:, q]):
+    if _is_random(t, q):
         outcome = int(rng.integers(0, 2))
-        return outcome, False, _collapse_random(t, q, outcome)
+        return outcome, False, _collapsed(t, q, outcome)
     return _deterministic_outcome(t, q), True, t
 
 
@@ -228,8 +347,8 @@ def measure_z_forced(t: StabilizerTableau, q: int, outcome: int) -> tuple[bool, 
     _check_qubit(t, q)
     if outcome not in (0, 1):
         raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
-    if np.count_nonzero(t.x[t.num_qubits:, q]):
-        return False, _collapse_random(t, q, outcome)
+    if _is_random(t, q):
+        return False, _collapsed(t, q, outcome)
     if _deterministic_outcome(t, q) != outcome:
         raise ProjectionError(f"outcome {outcome} on qubit {q} has probability 0")
     return True, t
@@ -241,7 +360,7 @@ def outcome_probability(t: StabilizerTableau, q: int) -> float:
     Always exactly 0.0, 0.5 or 1.0 for a stabilizer state.
     """
     _check_qubit(t, q)
-    if np.count_nonzero(t.x[t.num_qubits:, q]):
+    if _is_random(t, q):
         return 0.5
     return float(_deterministic_outcome(t, q))
 
@@ -259,18 +378,16 @@ def pauli_expectation(t: StabilizerTableau, q: int, pauli: str) -> float:
     return 1.0 - 2.0 * outcome_probability(rotated, q)
 
 
-def _apply_pauli_row(t: StabilizerTableau, row: int, amps: np.ndarray) -> np.ndarray:
-    n = t.num_qubits
+_PAULI_NAMES = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+
+
+def _apply_pauli_row(xrow, zrow, sign, amps: np.ndarray) -> np.ndarray:
+    n = len(xrow)
     out = amps
-    for j in range(n):
-        xb, zb = int(t.x[row, j]), int(t.z[row, j])
-        if xb == 0 and zb == 0:
-            continue
-        name = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[(xb, zb)]
-        out = sv._apply_matrix(out, sv.FIXED_GATES[name], (j,), n)
-    if t.phase[row]:
-        out = -out
-    return out
+    for j, bits in enumerate(zip(xrow.tolist(), zrow.tolist())):
+        if bits != (0, 0):
+            out = sv._apply_matrix(out, sv.FIXED_GATES[_PAULI_NAMES[bits]], (j,), n)
+    return -out if sign else out
 
 
 def to_statevector(t: StabilizerTableau) -> sv.StateVector:
@@ -284,21 +401,20 @@ def to_statevector(t: StabilizerTableau) -> sv.StateVector:
     n = t.num_qubits
     if n > sv.MAX_QUBITS:
         raise SizeError(f"dense conversion supports up to {sv.MAX_QUBITS} qubits, got {n}")
-    probe = t
-    bits = []
-    for q in range(n):
-        if np.count_nonzero(probe.x[n:, q]):
-            probe = _collapse_random(probe, q, 0)
-            bits.append(0)
-        else:
-            bits.append(_deterministic_outcome(probe, q))
+    probe = t.copy()
     index = 0
-    for b in bits:
-        index = (index << 1) | b
+    for q in range(n):
+        if _is_random(probe, q):
+            _collapse(probe, q, 0)
+            bit = 0
+        else:
+            bit = _deterministic_outcome(probe, q)
+        index = (index << 1) | bit
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
+    x, z, phase = t.x, t.z, t.phase
     for row in range(n, 2 * n):
-        amps = (amps + _apply_pauli_row(t, row, amps)) / 2.0
+        amps = (amps + _apply_pauli_row(x[row], z[row], phase[row], amps)) / 2.0
     nrm = float(np.linalg.norm(amps))
     if nrm <= 0.0:  # pragma: no cover - impossible for a valid tableau
         raise BellSimError("support search produced a state outside the stabilized subspace")
@@ -306,30 +422,29 @@ def to_statevector(t: StabilizerTableau) -> sv.StateVector:
 
 
 _LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)  # indexed by x + 2z
+_SIGNS = np.frombuffer(b"+-", dtype=np.uint8)
 
 
 def stabilizer_strings(t: StabilizerTableau) -> list[str]:
     """Human-readable stabilizer generators, e.g. ['+XX', '-ZZ']."""
     n = t.num_qubits
-    letters = _LETTERS[t.x[n:] | (t.z[n:] << 1)]
-    signs = ["-" if sign else "+" for sign in t.phase[n:].tolist()]
-    return [sign + row.tobytes().decode("ascii") for sign, row in zip(signs, letters)]
+    lines = np.full((n, n + 2), ord("\n"), dtype=np.uint8)
+    lines[:, 0] = _SIGNS[t.phase[n:]]
+    lines[:, 1:-1] = _LETTERS[t.x[n:] | (t.z[n:] << 1)]
+    return lines.tobytes().decode("ascii").split("\n")[:-1]
 
 
 def validate(t: StabilizerTableau) -> None:
     """Check the tableau group-theoretic invariants; raise on violation.
 
-    Row commutation is one GF(2) product, X Z^T + Z X^T (mod 2), taken in
-    float64: exact for these counts (at most 2n), and run through BLAS.
+    The bits are binary and the shapes consistent by construction
+    (:meth:`StabilizerTableau.from_arrays` checks both).  Row commutation
+    is one GF(2) product, X Z^T + Z X^T (mod 2), taken in float64: exact
+    for these counts (at most 2n), and run through BLAS.
     Once both checks pass, the rows' symplectic Gram matrix is [[D, I],
     [I, 0]], invertible over GF(2), so the rows are independent as well.
     """
     n = t.num_qubits
-    if t.x.shape != (2 * n, n) or t.z.shape != (2 * n, n) or t.phase.shape != (2 * n,):
-        raise BellSimError("tableau arrays have inconsistent shapes")
-    for arr in (t.x, t.z, t.phase):
-        if not np.isin(arr, (0, 1)).all():
-            raise BellSimError("tableau arrays must be binary")
     x = t.x.astype(np.float64)
     z = t.z.astype(np.float64)
     anti = (x @ z.T + z @ x.T) % 2

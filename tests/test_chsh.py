@@ -154,9 +154,17 @@ def test_scan_resolution_two_has_exact_corners():
     assert grid.s_values.shape == (2, 2)
 
 
-def test_scan_rejects_bad_resolution():
-    with pytest.raises(ConfigError):
-        chsh.scan_s(sv.bell_psi_plus(), 0.0, 0.0, resolution=1)
+def test_scan_rejects_bad_resolution(monkeypatch):
+    cap = chsh._SCAN_MAX_RESOLUTION
+    assert chsh.scan_s(sv.bell_psi_plus(), 0.0, 0.0, resolution=cap).s_values.shape == (cap, cap)
+
+    def no_grid(*args):
+        raise AssertionError("the grid was built before the resolution was checked")
+
+    monkeypatch.setattr(chsh, "correlation_matrix", no_grid)
+    for bad in (1, 0, -5, cap + 1, 200000):
+        with pytest.raises(ConfigError):
+            chsh.scan_s(sv.bell_psi_plus(), 0.0, 0.0, resolution=bad)
 
 
 def test_scan_cells_match_s_factor():

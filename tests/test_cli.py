@@ -282,3 +282,55 @@ def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, ["classify", "/nonexistent/path.qc"])
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["teleport", "--input", "0"],
+        ["teleport", "--input", "0", "--engine", "stabilizer"],
+        ["superdense", "--bits", "10"],
+        ["bb84", "--rounds", "10"],
+        ["run", "-"],
+    ],
+)
+def test_negative_seed_is_a_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("qubits 1\nmeasure 0\n"))
+    with pytest.raises(SystemExit) as caught:
+        main([*argv, "--seed", "-1"])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer, got -1" in err
+    assert "Traceback" not in err
+
+
+def test_teleport_rejects_unknown_input_name_as_bad_state(capsys):
+    code, out, err = run_cli(capsys, ["teleport", "--input", "banana"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad input state 'banana':")
+
+
+def test_run_rejects_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.qc"
+    path.write_bytes(b"qubits 1\nh 0  # caf\xe9\n")
+    for command in ("run", "classify"):
+        code, out, err = run_cli(capsys, [command, str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: line 2, column 11: byte 0xe9 is not UTF-8 text\n"
+
+
+def test_chsh_scan_rejects_resolution_above_the_cap(tmp_path, monkeypatch, capsys):
+    def no_grid(*args):
+        raise AssertionError("the grid was built before the resolution was checked")
+
+    monkeypatch.setattr(chsh, "correlation_matrix", no_grid)
+    out_path = tmp_path / "scan.csv"
+    code, out, err = run_cli(
+        capsys, ["chsh-scan", "--resolution", "200000", "--out", str(out_path)]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: scan resolution must lie in 2..1001, got 200000\n"
+    assert not out_path.exists()

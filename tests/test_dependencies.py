@@ -1,6 +1,11 @@
-"""The runtime dependency list is numpy alone: SciPy must never load."""
+"""The runtime dependency list is numpy alone: SciPy must never load.
+
+The stabilizer kernels call ``int.bit_count``, so the supported Python
+floor must stay at 3.10 or higher.
+"""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +13,7 @@ from pathlib import Path
 import bellsim
 
 SRC = str(Path(bellsim.__file__).resolve().parents[1])
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 IMPORT_ONLY = "import sys, bellsim\nprint('scipy' in sys.modules)"
 
@@ -37,3 +43,10 @@ def test_import_bellsim_leaves_scipy_unloaded():
 
 def test_cli_lhv_bound_leaves_scipy_unloaded():
     assert loads_scipy(CLI_RUN) == "False"
+
+
+def test_requires_python_floor_has_int_bit_count():
+    text = PYPROJECT.read_text(encoding="utf-8")
+    match = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)[^"]*"\s*$', text, re.MULTILINE)
+    assert match, "pyproject.toml must declare requires-python as >=X.Y"
+    assert (int(match.group(1)), int(match.group(2))) >= (3, 10)

@@ -119,6 +119,47 @@ def test_valid_corpus_parses_and_round_trips():
         assert dsl.parse(dsl.format_circuit(circuit)) == circuit, path.name
 
 
+# Angles whose text form is easy to get wrong: signed zero, subnormals, the
+# extremes of the float range, and huge multiples of pi/2.
+EDGE_ANGLES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+    1.7976931348623157e308, math.pi / 2, 1e16 * (math.pi / 2), -(2**60) * (math.pi / 2),
+)
+
+ANGLES = hs.one_of(
+    hs.sampled_from(EDGE_ANGLES),
+    hs.floats(allow_nan=False, allow_infinity=False),
+    hs.integers(-(10**18), 10**18).map(lambda k: k * (math.pi / 2)),
+)
+
+
+@hs.composite
+def circuits(draw):
+    num_qubits = draw(hs.integers(1, 70))
+    opcodes = sorted(op for op, (arity, _) in dsl.OPCODES.items() if arity <= num_qubits)
+    instructions = []
+    for _ in range(draw(hs.integers(0, 12))):
+        opcode = draw(hs.sampled_from(opcodes))
+        arity, takes_angle = dsl.OPCODES[opcode]
+        qubits = draw(
+            hs.lists(hs.integers(0, num_qubits - 1), min_size=arity, max_size=arity, unique=True)
+        )
+        angle = draw(ANGLES) if takes_angle else None
+        instructions.append(dsl.Instruction(opcode.upper(), tuple(qubits), angle))
+    return dsl.Circuit(num_qubits, tuple(instructions))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(circuits())
+def test_parse_inverts_format_circuit(circuit):
+    back = dsl.parse(dsl.format_circuit(circuit))
+    assert back == circuit
+    # == treats -0.0 and 0.0 as equal; the text form must keep the sign too.
+    assert [repr(ins.angle) for ins in back.instructions] == [
+        repr(ins.angle) for ins in circuit.instructions
+    ]
+
+
 def test_valid_corpus_classification_matches_markers():
     # Non-Clifford lines in the corpus carry a trailing "# non-clifford"
     # marker; the classifier's witness lines must match them exactly.

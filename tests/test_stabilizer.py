@@ -9,6 +9,7 @@ from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import (
     BellSimError,
+    DimensionError,
     InputError,
     NonCliffordGate,
     ProjectionError,
@@ -196,12 +197,120 @@ def test_deterministic_outcome_counts_factors_of_i():
     assert st.to_statevector(t).probabilities()[1::2].sum() > 1 - 1e-12
 
 
+# Programs on logical qubits 0..k-1 after which measuring ``target`` is
+# deterministic and its outcome depends on which factors of i are -i.  The
+# first leaves stabilizers -XZI, -YYZ, +ZXI: XZ.ZX = (-iY)(+iY) = +YY.
+MINUS_I_PROGRAMS = {
+    "three": (
+        [("SDG", 1), ("CNOT", 0, 1), ("Y", 2), ("H", 0), ("CNOT", 1, 2), ("H", 1), ("X", 2),
+         ("Y", 0), ("CZ", 0, 1), ("CNOT", 2, 0)],
+        2,
+        0,
+    ),
+    "five": (
+        [("Z", 2), ("CNOT", 1, 2), ("SDG", 4), ("S", 2), ("CNOT", 4, 2), ("H", 4), ("Y", 1),
+         ("CNOT", 4, 1), ("H", 3), ("Y", 4), ("SDG", 1), ("SDG", 3), ("H", 4), ("X", 2),
+         ("SDG", 0), ("Z", 2), ("CNOT", 0, 1), ("H", 0), ("S", 0)],
+        2,
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, num_qubits, placement",
+    [
+        ("three", 3, (0, 1, 2)),
+        ("three", 64, (0, 40, 63)),
+        ("five", 5, (0, 1, 2, 3, 4)),
+        # Rows up to 63 apart: the XOR prefix must reach across the whole column.
+        ("five", 64, (0, 20, 40, 60, 63)),
+    ],
+)
+def test_deterministic_outcome_counts_minus_i_factors(name, num_qubits, placement):
+    program, target, expected = MINUS_I_PROGRAMS[name]
+    t = st.init_zero(num_qubits)
+    dense = sv.zero_state(len(placement))
+    for kind, *qubits in program:
+        t = st.apply(t, kind, *(placement[q] for q in qubits))
+        dense = sv.apply_gate(dense, sv.gate(kind, *qubits))
+    q = placement[target]
+    outcome, deterministic, _ = st.measure_z(t, q, np.random.default_rng(0))
+    assert (outcome, deterministic) == (ref_deterministic_outcome(t, q), True) == (expected, True)
+    bits = (np.arange(2 ** len(placement)) >> (len(placement) - 1 - target)) & 1
+    assert dense.probabilities()[bits == expected].sum() > 1 - 1e-12
+
+
 def test_validate_catches_corruption():
     t = st.apply(st.apply(st.init_zero(2), "H", 0), "CNOT", 0, 1)
-    broken = t.copy()
-    broken.x[2] ^= 1  # scramble a stabilizer row
+    x = t.x.copy()
+    x[2] ^= 1  # scramble a stabilizer row
+    broken = st.StabilizerTableau.from_arrays(x, t.z, t.phase)
     with pytest.raises(BellSimError):
         st.validate(broken)
+
+
+def test_from_arrays_rejects_malformed_arrays():
+    t = st.apply(st.init_zero(2), "H", 0)
+    x, z, phase = t.x, t.z, t.phase
+    with pytest.raises(DimensionError):
+        st.StabilizerTableau.from_arrays(x[:3], z, phase)
+    with pytest.raises(DimensionError):
+        st.StabilizerTableau.from_arrays(x, z, phase[:3])
+    with pytest.raises(DimensionError):
+        st.StabilizerTableau.from_arrays(x, z.T, phase)
+    with pytest.raises(InputError):
+        st.StabilizerTableau.from_arrays(x * 2, z, phase)
+    with pytest.raises(InputError):
+        st.StabilizerTableau.from_arrays(x, z, phase - 1)
+    with pytest.raises(SizeError):
+        st.StabilizerTableau.from_arrays(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0))
+    big = np.zeros((130, 65), dtype=np.uint8)
+    with pytest.raises(SizeError):
+        st.StabilizerTableau.from_arrays(big, big, np.zeros(130, dtype=np.uint8))
+
+
+def test_tableau_arrays_are_read_only():
+    t = st.apply(st.init_zero(3), "H", 1)
+    before = (t.x.copy(), t.z.copy(), t.phase.copy())
+    for name in ("x", "z", "phase"):
+        with pytest.raises(ValueError):
+            getattr(t, name)[0] ^= 1
+        with pytest.raises(AttributeError):
+            setattr(t, name, np.zeros_like(getattr(t, name)))
+    assert_same_tableau(t, st.StabilizerTableau.from_arrays(*before))
+    assert t.x.shape == (6, 3) and t.z.shape == (6, 3) and t.phase.shape == (6,)
+    assert t.x.dtype == t.z.dtype == t.phase.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "kind, qubits, error",
+    [
+        ("FOO", (0,), InputError),
+        ("RZ", (0,), InputError),
+        ("T", (0,), NonCliffordGate),
+        ("TDG", (5,), NonCliffordGate),
+        ("H", (0, 1), QubitIndexError),
+        ("CNOT", (0,), QubitIndexError),
+        ("CZ", (0, 1, 2), QubitIndexError),
+        ("CNOT", (1, 1), QubitIndexError),
+        ("H", (2,), QubitIndexError),
+        ("H", (-1,), QubitIndexError),
+        ("CZ", (0, 2), QubitIndexError),
+        ("CNOT", (-1, 0), QubitIndexError),
+    ],
+)
+def test_apply_error_classes(kind, qubits, error):
+    t = st.init_zero(2)
+    with pytest.raises(error):
+        st.apply(t, kind, *qubits)
+    with pytest.raises(error):
+        st.apply_clifford(t, sv.gate(kind, *qubits))
+
+
+def test_apply_accepts_lowercase_kinds():
+    t = st.apply(st.apply(st.init_zero(2), "h", 0), "cnot", 0, 1)
+    assert st.stabilizer_strings(t) == ["+XX", "+ZZ"]
 
 
 def test_sixty_four_qubit_register():
@@ -216,9 +325,10 @@ def test_sixty_four_qubit_register():
 
 # -- row-by-row reference -----------------------------------------------------
 #
-# The engine's measurement kernels update every row in one array expression.
-# The functions below are the row-at-a-time Aaronson-Gottesman procedures they
-# replaced; the property tests require bit-identical results from both.
+# The engine's measurement kernels update every row at once, one packed column
+# per qubit.  The functions below are the row-at-a-time Aaronson-Gottesman
+# procedures on the (2n, n) bit arrays; the property tests require
+# bit-identical results from both.
 
 
 def ref_product_phase(x1, z1, r1, x2, z2, r2):
@@ -230,33 +340,32 @@ def ref_product_phase(x1, z1, r1, x2, z2, r2):
 
 def ref_deterministic_outcome(t, q):
     n = t.num_qubits
+    x, z, phase = t.x, t.z, t.phase
     sx = np.zeros(n, dtype=np.uint8)
     sz = np.zeros(n, dtype=np.uint8)
     sr = 0
     for i in range(n):
-        if t.x[i, q]:
-            sr = ref_product_phase(t.x[n + i], t.z[n + i], t.phase[n + i], sx, sz, sr)
-            sx ^= t.x[n + i]
-            sz ^= t.z[n + i]
+        if x[i, q]:
+            sr = ref_product_phase(x[n + i], z[n + i], phase[n + i], sx, sz, sr)
+            sx ^= x[n + i]
+            sz ^= z[n + i]
     return sr
 
 
 def ref_collapse(t, q, outcome):
     n = t.num_qubits
-    p = n + int(np.nonzero(t.x[n:, q])[0][0])
-    out = t.copy()
+    x, z, phase = t.x.copy(), t.z.copy(), t.phase.copy()
+    p = n + int(np.nonzero(x[n:, q])[0][0])
     for h in range(2 * n):
-        if h != p and out.x[h, q]:
-            out.phase[h] = ref_product_phase(
-                out.x[p], out.z[p], out.phase[p], out.x[h], out.z[h], out.phase[h]
-            )
-            out.x[h] ^= out.x[p]
-            out.z[h] ^= out.z[p]
-    out.x[p - n], out.z[p - n], out.phase[p - n] = out.x[p], out.z[p], out.phase[p]
-    out.x[p], out.z[p] = 0, 0
-    out.z[p, q] = 1
-    out.phase[p] = outcome
-    return out
+        if h != p and x[h, q]:
+            phase[h] = ref_product_phase(x[p], z[p], phase[p], x[h], z[h], phase[h])
+            x[h] ^= x[p]
+            z[h] ^= z[p]
+    x[p - n], z[p - n], phase[p - n] = x[p], z[p], phase[p]
+    x[p], z[p] = 0, 0
+    z[p, q] = 1
+    phase[p] = outcome
+    return st.StabilizerTableau.from_arrays(x, z, phase)
 
 
 def ref_is_random(t, q):
@@ -266,9 +375,10 @@ def ref_is_random(t, q):
 def ref_validate(t):
     """Pairwise invariant check with the engine's messages, first offending pair first."""
     n = t.num_qubits
+    x, z = t.x, t.z
 
     def sym(i, j):
-        return int((t.x[i] & t.z[j]).sum() + (t.x[j] & t.z[i]).sum()) % 2
+        return int((x[i] & z[j]).sum() + (x[j] & z[i]).sum()) % 2
 
     for i in range(n, 2 * n):
         for j in range(i + 1, 2 * n):
@@ -280,7 +390,7 @@ def ref_validate(t):
                 raise BellSimError(
                     f"destabilizer {i} has wrong commutation with stabilizer {j - n}"
                 )
-    if ref_gf2_rank(np.concatenate([t.x, t.z], axis=1)) != 2 * n:
+    if ref_gf2_rank(np.concatenate([x, z], axis=1)) != 2 * n:
         raise BellSimError("tableau rows are linearly dependent over GF(2)")
 
 
@@ -408,11 +518,12 @@ def test_measurement_matches_reference_at_64_qubits(program, bits):
 def test_validate_agrees_with_pairwise_reference_on_bit_flips(case):
     num_qubits, program, array, row, col = case
     t = run_against_reference(num_qubits, program)
-    broken = t.copy()
+    arrays = {"x": t.x.copy(), "z": t.z.copy(), "phase": t.phase.copy()}
     if array == "phase":
-        broken.phase[row] ^= 1
+        arrays["phase"][row] ^= 1
     else:
-        getattr(broken, array)[row, col] ^= 1
+        arrays[array][row, col] ^= 1
+    broken = st.StabilizerTableau.from_arrays(**arrays)
     try:
         ref_validate(broken)
         expected = None
@@ -424,3 +535,28 @@ def test_validate_agrees_with_pairwise_reference_on_bit_flips(case):
         with pytest.raises(BellSimError) as caught:
             st.validate(broken)
         assert str(caught.value) == expected
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hs.integers(1, 64).flatmap(lambda n: hs.tuples(hs.just(n), programs(n, 120))))
+def test_from_arrays_round_trips(case):
+    num_qubits, program = case
+    t = st.init_zero(num_qubits)
+    for code, q, other, bit in program:
+        kind = STEP_KINDS[code]
+        if kind in ("MEASURE", "FORCE"):
+            _, _, t = st.measure_z(t, q, FixedBit(bit))
+        elif kind in ("CNOT", "CZ"):
+            if q != other:
+                t = st.apply(t, kind, q, other)
+        else:
+            t = st.apply(t, kind, q)
+    copy = st.StabilizerTableau.from_arrays(t.x, t.z, t.phase)
+    assert copy.num_qubits == num_qubits
+    assert_same_tableau(copy, t)
+    assert st.stabilizer_strings(copy) == st.stabilizer_strings(t)
+    for q in range(num_qubits):
+        bit = q % 2
+        outcome, deterministic, t = st.measure_z(t, q, FixedBit(bit))
+        assert st.measure_z(copy, q, FixedBit(bit))[:2] == (outcome, deterministic)
+        copy = st.StabilizerTableau.from_arrays(t.x, t.z, t.phase)
