@@ -105,12 +105,13 @@ def bits_argument(text: str) -> tuple[int, int]:
 
 
 def _read_text(path: str) -> str:
-    """Circuit text from a file or stdin; bytes that are not UTF-8 are a parse error."""
+    """Circuit text from a file or stdin (``-``), both read as bytes and
+    decoded as strict UTF-8; bytes that are not UTF-8 are a parse error."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -126,9 +126,12 @@ def parse_angle(token: str) -> float:
     """
     m = _PI_RE.match(token)
     if m:
-        value = math.pi * int(m.group(2) or 1)
-        if m.group(3):
-            value /= int(m.group(3))
+        try:
+            value = math.pi * int(m.group(2) or 1)
+            if m.group(3):
+                value /= int(m.group(3))
+        except OverflowError:
+            raise ValueError(f"angle {token!r} is outside the float range") from None
         return -value if m.group(1) == "-" else value
     value = float(token)
     if not math.isfinite(value):
@@ -303,35 +306,41 @@ class RunRecord:
 def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list, object]:
     """The one gate-and-measure loop: ``(outcomes, infos, final_state)``.
 
-    A :class:`~bellsim.statevector.StateVector` runs on the dense engine;
-    a tableau runs on the stabilizer engine, with quarter-turn rotations
-    expanded into Clifford gates.  ``infos`` holds each measurement's
-    second return value: its probability (dense) or whether it was
-    deterministic (tableau).  ``forced`` gives the outcomes in order and
-    nothing is drawn; otherwise each engine draws from ``rng`` under its
-    own contract.  Engine functions are looked up on every call.
+    A :class:`~bellsim.statevector.StateVector` runs on the dense engine,
+    which updates one copy of the amplitudes in place and validates once,
+    at the end; a tableau runs on the stabilizer engine, with quarter-turn
+    rotations expanded into Clifford gates.  ``infos`` holds each
+    measurement's second return value: its probability (dense) or whether
+    it was deterministic (tableau).  ``forced`` gives the outcomes in order
+    and nothing is drawn; otherwise each engine draws from ``rng`` under
+    its own contract.  Stabilizer functions are looked up on every call.
     """
     dense = isinstance(state, sv.StateVector)
+    if dense:
+        n, amps = state.num_qubits, state.amplitudes.copy()
     outcomes: list[int] = []
     infos: list = []
     for ins in circuit.instructions:
         q = ins.qubit_args[0]
         if ins.opcode == "MEASURE":
-            if forced is None:
-                outcome, info, state = (sv.measure_qubit if dense else st.measure_z)(state, q, rng)
+            outcome = None if forced is None else forced[len(outcomes)]
+            if dense:
+                outcome, info = sv._collapse(amps, n, q, outcome, rng)
+            elif forced is None:
+                outcome, info, state = st.measure_z(state, q, rng)
             else:
-                outcome = forced[len(outcomes)]
-                project = sv.project_qubit if dense else st.measure_z_forced
-                info, state = project(state, q, outcome)
+                info, state = st.measure_z_forced(state, q, outcome)
             outcomes.append(outcome)
             infos.append(info)
         elif dense:
-            state = sv.apply_gate(state, sv.GateOp(ins.opcode, ins.qubit_args, ins.angle))
+            sv._apply(amps, n, ins.opcode, ins.qubit_args, ins.angle)
         elif ins.opcode in _ROTATIONS:
             for kind in rotation_to_cliffords(ins.opcode, ins.angle):
                 state = st.apply(state, kind, q)
         else:
             state = st.apply(state, ins.opcode, *ins.qubit_args)
+    if dense:
+        state = sv.StateVector(n, amps)
     return outcomes, infos, state
 
 

@@ -126,7 +126,7 @@ def init_zero(num_qubits: int) -> StabilizerTableau:
 
 
 def _check_qubit(t: StabilizerTableau, q: int) -> None:
-    if not 0 <= q < t.num_qubits:
+    if not (sv._is_index(q) and 0 <= q < t.num_qubits):
         raise QubitIndexError(f"qubit {q} out of range for {t.num_qubits}-qubit tableau")
 
 
@@ -186,14 +186,6 @@ _KERNELS = {
 CLIFFORD_GATE_KINDS = frozenset(_KERNELS)
 
 
-def _in_range(n: int, qubits: tuple[int, ...]) -> bool:
-    """Whether ``qubits`` are distinct indices in 0..n-1 (one or two of them)."""
-    if len(qubits) == 1:
-        return 0 <= qubits[0] < n
-    a, b = qubits
-    return a != b and 0 <= a < n and 0 <= b < n
-
-
 def apply_clifford(t: StabilizerTableau, op: sv.GateOp) -> StabilizerTableau:
     """Apply one Clifford gate and return the updated tableau.
 
@@ -219,7 +211,7 @@ def apply(t: StabilizerTableau, kind: str, *qubits: int) -> StabilizerTableau:
     raise for the same gate.
     """
     kernel = _KERNELS.get(kind)
-    if kernel is None or len(qubits) != kernel[1] or not _in_range(t.num_qubits, qubits):
+    if kernel is None or len(qubits) != kernel[1] or not sv._in_range(t.num_qubits, qubits):
         return apply_clifford(t, sv.gate(kind, *qubits))
     out = t.copy()
     kernel[0](out, *qubits)
@@ -383,10 +375,10 @@ _PAULI_NAMES = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 def _apply_pauli_row(xrow, zrow, sign, amps: np.ndarray) -> np.ndarray:
     n = len(xrow)
-    out = amps
+    out = amps.copy()
     for j, bits in enumerate(zip(xrow.tolist(), zrow.tolist())):
         if bits != (0, 0):
-            out = sv._apply_matrix(out, sv.FIXED_GATES[_PAULI_NAMES[bits]], (j,), n)
+            sv._apply(out, n, _PAULI_NAMES[bits], (j,))
     return -out if sign else out
 
 

@@ -12,6 +12,12 @@ Conventions
   mutate their input.
 * Measurement randomness comes from a caller-supplied
   :class:`numpy.random.Generator`; identical seeds give identical runs.
+* One set of kernels updates a flat amplitude array in place through
+  reshape views: ``(2**q, 2, 2**(n-q-1))`` for a gate or measurement on
+  qubit ``q``, ``(2**lo, 2, 2**(hi-lo-1), 2, 2**(n-hi-1))`` for CNOT and
+  CZ.  The public functions copy, run a kernel and validate the result;
+  :func:`bellsim.dsl.run` runs a whole circuit on one copy and validates
+  once, at the end.
 """
 
 from __future__ import annotations
@@ -51,14 +57,12 @@ FIXED_GATES: dict[str, np.ndarray] = {
 
 ROTATION_GATES = ("RX", "RY", "RZ")
 
-TWO_QUBIT_GATES: dict[str, np.ndarray] = {
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
-}
+TWO_QUBIT_GATES = ("CNOT", "CZ")
 
 GATE_KINDS = frozenset(FIXED_GATES) | frozenset(ROTATION_GATES) | frozenset(TWO_QUBIT_GATES)
+
+# Diagonal one-qubit gates: the phase they put on the qubit's 1-half.
+_PHASES = {kind: complex(FIXED_GATES[kind][1, 1]) for kind in ("Z", "S", "SDG", "T", "TDG")}
 
 
 def rotation_matrix(kind: str, angle: float) -> np.ndarray:
@@ -94,23 +98,21 @@ class GateOp:
             raise QubitIndexError(
                 f"{self.kind} takes {arity} qubit(s), got {len(self.qubits)}"
             )
+        if not all(_is_index(q) and q >= 0 for q in self.qubits):
+            raise QubitIndexError(f"qubits must be non-negative integers, got {self.qubits}")
+        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if len(set(self.qubits)) != len(self.qubits):
             raise QubitIndexError(f"{self.kind} requires distinct qubits, got {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise QubitIndexError(f"negative qubit index in {self.qubits}")
         takes_angle = self.kind in ROTATION_GATES
         if takes_angle and self.angle is None:
             raise InputError(f"{self.kind} requires an angle")
         if not takes_angle and self.angle is not None:
             raise InputError(f"{self.kind} does not take an angle")
 
-    def matrix(self) -> np.ndarray:
-        if self.kind in FIXED_GATES:
-            return FIXED_GATES[self.kind]
-        if self.kind in TWO_QUBIT_GATES:
-            return TWO_QUBIT_GATES[self.kind]
-        assert self.angle is not None
-        return rotation_matrix(self.kind, self.angle)
+
+def _is_index(q) -> bool:
+    """Whether ``q`` is an integer qubit index; ``bool`` and floats are not."""
+    return isinstance(q, (int, np.integer)) and not isinstance(q, bool)
 
 
 def gate(kind: str, *qubits: int, angle: float | None = None) -> GateOp:
@@ -220,25 +222,93 @@ def prepare_named(
     raise InputError(f"unknown state name {name!r}")
 
 
-def _check_qubit(state: StateVector, q: int) -> None:
-    if not 0 <= q < state.num_qubits:
-        raise QubitIndexError(f"qubit {q} out of range for {state.num_qubits}-qubit state")
+def _check_qubit(n: int, q) -> None:
+    if not (_is_index(q) and 0 <= q < n):
+        raise QubitIndexError(f"qubit {q!r} out of range for {n}-qubit state")
 
 
-def _apply_matrix(amps: np.ndarray, mat: np.ndarray, axes: tuple[int, ...], n: int) -> np.ndarray:
-    k = len(axes)
-    tensor = amps.reshape([2] * n)
-    mat_t = mat.reshape([2] * (2 * k))
-    out = np.tensordot(mat_t, tensor, axes=(list(range(k, 2 * k)), list(axes)))
-    out = np.moveaxis(out, range(k), axes)
-    return np.ascontiguousarray(out).reshape(-1)
+# -- kernels: update a flat, writable amplitude array in place -----------------
+
+_ARITY = {kind: 2 if kind in TWO_QUBIT_GATES else 1 for kind in GATE_KINDS}
+
+
+def _in_range(n: int, qubits: tuple[int, ...]) -> bool:
+    """Whether ``qubits`` are distinct ``int`` indices in 0..n-1 (one or two of them)."""
+    if len(qubits) == 1:
+        q = qubits[0]
+        return type(q) is int and 0 <= q < n
+    a, b = qubits
+    return type(a) is int and type(b) is int and a != b and 0 <= a < n and 0 <= b < n
+
+
+def _one_qubit(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
+    """Apply the 2x2 matrix ``m`` to qubit ``q`` with one matmul on its two
+    halves laid out as rows: a matmul batched over the 2**q blocks of the
+    view pays per block, which costs more than the copy once blocks are short."""
+    v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
+    halves = v.transpose(1, 0, 2).reshape(2, -1)
+    v[...] = (m @ halves).reshape(2, 1 << q, -1).transpose(1, 0, 2)
+
+
+def _apply(amps: np.ndarray, n: int, kind: str, qubits: tuple, angle: float | None = None) -> None:
+    """Apply one gate; a malformed one raises what :class:`GateOp` raises."""
+    if (
+        _ARITY.get(kind) != len(qubits)
+        or (angle is None) == (kind in ROTATION_GATES)
+        or not _in_range(n, qubits)
+    ):
+        qubits = GateOp(kind, tuple(qubits), angle).qubits
+        if not _in_range(n, qubits):
+            raise QubitIndexError(f"qubits {qubits} are not distinct indices in 0..{n - 1}")
+    if kind in TWO_QUBIT_GATES:
+        c, t = qubits
+        lo, hi = (c, t) if c < t else (t, c)
+        v = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
+        if kind == "CZ":
+            v[:, 1, :, 1] *= -1.0
+        elif c < t:
+            v[:, 1] = v[:, 1, :, ::-1]
+        else:
+            v[:, :, :, 1] = v[:, ::-1, :, 1]
+        return
+    q = qubits[0]
+    v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
+    if kind in _PHASES:
+        v[:, 1] *= _PHASES[kind]
+    elif kind == "X":
+        v[...] = v[:, ::-1]
+    elif kind == "RZ":
+        v *= rotation_matrix(kind, angle).diagonal()[:, None]
+    else:
+        _one_qubit(amps, n, q, FIXED_GATES[kind] if angle is None else rotation_matrix(kind, angle))
+
+
+def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, float]:
+    """Measure qubit ``q`` (``outcome`` None: one ``rng.random()`` draw,
+    outcome 1 when it is below P(1)) or project it onto ``outcome``;
+    returns the outcome and its probability."""
+    _check_qubit(n, q)
+    v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
+    if outcome is None:
+        outcome = 1 if rng.random() < np.vdot(v[:, 1], v[:, 1]).real else 0
+    elif outcome not in (0, 1):
+        raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
+    outcome = int(outcome)
+    kept = v[:, outcome]
+    prob = float(np.vdot(kept, kept).real)
+    if prob < PROJECTION_EPS:
+        raise ProjectionError(
+            f"outcome {outcome} on qubit {q} has probability {prob:.3e}, below {PROJECTION_EPS}"
+        )
+    v[:, 1 - outcome] = 0.0
+    kept /= math.sqrt(prob)
+    return outcome, prob
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate and return the resulting state."""
-    for q in op.qubits:
-        _check_qubit(state, q)
-    amps = _apply_matrix(state.amplitudes, op.matrix(), op.qubits, state.num_qubits)
+    amps = state.amplitudes.copy()
+    _apply(amps, state.num_qubits, op.kind, op.qubits, op.angle)
     return StateVector(state.num_qubits, amps)
 
 
@@ -253,18 +323,8 @@ def project_qubit(state: StateVector, q: int, outcome: int) -> tuple[float, Stat
     Returns ``(probability, collapsed_state)``.  Raises
     :class:`ProjectionError` when the outcome probability is below 1e-12.
     """
-    _check_qubit(state, q)
-    if outcome not in (0, 1):
-        raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
-    tensor = state.tensor().copy()
-    sel = np.moveaxis(tensor, q, 0)
-    prob = float(np.sum(np.abs(sel[outcome]) ** 2))
-    if prob < PROJECTION_EPS:
-        raise ProjectionError(
-            f"outcome {outcome} on qubit {q} has probability {prob:.3e}, below {PROJECTION_EPS}"
-        )
-    sel[1 - outcome] = 0.0
-    amps = tensor.reshape(-1) / math.sqrt(prob)
+    amps = state.amplitudes.copy()
+    _, prob = _collapse(amps, state.num_qubits, q, outcome, None)
     return prob, StateVector(state.num_qubits, amps)
 
 
@@ -276,12 +336,9 @@ def measure_qubit(
     Returns ``(outcome, probability_of_that_outcome, collapsed_state)``.
     Consumes exactly one uniform draw from ``rng``.
     """
-    _check_qubit(state, q)
-    sel = np.moveaxis(state.tensor(), q, 0)
-    p1 = float(np.sum(np.abs(sel[1]) ** 2))
-    outcome = 1 if rng.random() < p1 else 0
-    prob, collapsed = project_qubit(state, q, outcome)
-    return outcome, prob, collapsed
+    amps = state.amplitudes.copy()
+    outcome, prob = _collapse(amps, state.num_qubits, q, None, rng)
+    return outcome, prob, StateVector(state.num_qubits, amps)
 
 
 def _check_observable(obs: np.ndarray) -> np.ndarray:
@@ -303,18 +360,19 @@ def expectation(
     obs_a = _check_observable(obs_a)
     obs_b = _check_observable(obs_b)
     i, j = qubits
-    _check_qubit(state, i)
-    _check_qubit(state, j)
+    _check_qubit(state.num_qubits, i)
+    _check_qubit(state.num_qubits, j)
     if i == j:
         raise QubitIndexError("expectation requires two distinct qubits")
-    amps = _apply_matrix(state.amplitudes, obs_a, (i,), state.num_qubits)
-    amps = _apply_matrix(amps, obs_b, (j,), state.num_qubits)
+    amps = state.amplitudes.copy()
+    _one_qubit(amps, state.num_qubits, i, obs_a)
+    _one_qubit(amps, state.num_qubits, j, obs_b)
     return float(np.vdot(state.amplitudes, amps).real)
 
 
 def reduced_density(state: StateVector, q: int) -> np.ndarray:
     """Partial trace down to qubit ``q``: a 2x2 density matrix."""
-    _check_qubit(state, q)
+    _check_qubit(state.num_qubits, q)
     mat = np.moveaxis(state.tensor(), q, 0).reshape(2, -1)
     return mat @ mat.conj().T
 

@@ -3,9 +3,14 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bellsim
 from bellsim import chsh
 from bellsim import statevector as sv
 from bellsim.cli import main
@@ -18,6 +23,11 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def byte_stdin(data):
+    """A stand-in for ``sys.stdin`` that, like the real one, has a byte buffer."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def out_value(out, key):
@@ -234,7 +244,7 @@ def test_classify_nonclifford_file(tmp_path, capsys):
 
 
 def test_classify_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("qubits 1\nh 0\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin(b"qubits 1\nh 0\n"))
     code, out, _ = run_cli(capsys, ["classify", "-"])
     assert code == 0
     assert out == "StabilizerSimulable\n"
@@ -295,7 +305,7 @@ def test_missing_file_exits_one(capsys):
     ],
 )
 def test_negative_seed_is_a_usage_error(argv, monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("qubits 1\nmeasure 0\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin(b"qubits 1\nmeasure 0\n"))
     with pytest.raises(SystemExit) as caught:
         main([*argv, "--seed", "-1"])
     assert caught.value.code == 2
@@ -319,6 +329,34 @@ def test_run_rejects_file_that_is_not_utf8(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err == "parse error: line 2, column 11: byte 0xe9 is not UTF-8 text\n"
+
+
+NOT_UTF8_ON_STDIN = [
+    (b"qubits 1\n\xff\n", "parse error: line 2, column 1: byte 0xff is not UTF-8 text\n"),
+    (b"qubits 1\nh 0 # \xff\n", "parse error: line 2, column 7: byte 0xff is not UTF-8 text\n"),
+]
+
+
+@pytest.mark.parametrize("data, message", NOT_UTF8_ON_STDIN)
+def test_stdin_that_is_not_utf8_is_a_parse_error(data, message, monkeypatch, capsys):
+    for command in ("run", "classify"):
+        monkeypatch.setattr("sys.stdin", byte_stdin(data))
+        code, out, err = run_cli(capsys, [command, "-"])
+        assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("data, message", NOT_UTF8_ON_STDIN)
+def test_stdin_of_a_cli_process_is_read_as_bytes(data, message):
+    # A real process decodes its text stdin with surrogateescape in the C and
+    # UTF-8 locales, which would turn the byte into a lone surrogate.
+    src = str(Path(bellsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bellsim.cli", "run", "-"],
+        input=data, capture_output=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", message)
 
 
 def test_chsh_scan_rejects_resolution_above_the_cap(tmp_path, monkeypatch, capsys):

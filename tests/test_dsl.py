@@ -48,7 +48,9 @@ def test_parse_angle_tokens():
 
 
 def test_parse_angle_rejects_garbage():
-    for token in ("banana", "nan", "inf", "-inf", "pi/0", "pi/", "2pi/", "pipi"):
+    huge = "9" * 400  # pi-tokens beyond the float range
+    for token in ("banana", "nan", "inf", "-inf", "pi/0", "pi/", "2pi/", "pipi",
+                  f"{huge}pi", f"-{huge}pi/2", f"pi/{huge}"):
         with pytest.raises(ValueError):
             dsl.parse_angle(token)
 

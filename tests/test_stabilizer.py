@@ -298,6 +298,13 @@ def test_tableau_arrays_are_read_only():
         ("H", (-1,), QubitIndexError),
         ("CZ", (0, 2), QubitIndexError),
         ("CNOT", (-1, 0), QubitIndexError),
+        ("H", (0.5,), QubitIndexError),
+        ("H", (1.0,), QubitIndexError),
+        ("X", (True,), QubitIndexError),
+        ("CNOT", (0, True), QubitIndexError),
+        ("CZ", (0.0, 1), QubitIndexError),
+        ("H", ("0",), QubitIndexError),
+        ("T", (0.5,), QubitIndexError),
     ],
 )
 def test_apply_error_classes(kind, qubits, error):

@@ -1,10 +1,14 @@
 """Dense statevector engine tests."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from bellsim import dsl
 from bellsim import statevector as sv
 from bellsim.errors import (
     DimensionError,
@@ -282,3 +286,213 @@ def test_fidelity_density_density():
 
 def test_tensor_view_shape():
     assert sv.zero_state(3).tensor().shape == (2, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "kind, qubits, angle, error",
+    [
+        ("FOO", (0,), None, InputError),
+        ("RZ", (0,), None, InputError),
+        ("H", (0,), 1.0, InputError),
+        ("H", (0, 1), None, QubitIndexError),
+        ("CNOT", (0,), None, QubitIndexError),
+        ("CZ", (0, 1, 2), None, QubitIndexError),
+        ("CNOT", (1, 1), None, QubitIndexError),
+        ("H", (2,), None, QubitIndexError),
+        ("RX", (2,), 0.5, QubitIndexError),
+        ("H", (-1,), None, QubitIndexError),
+        ("CZ", (0, 2), None, QubitIndexError),
+        ("CNOT", (-1, 0), None, QubitIndexError),
+        ("H", (0.5,), None, QubitIndexError),
+        ("H", (1.0,), None, QubitIndexError),
+        ("X", (True,), None, QubitIndexError),
+        ("CNOT", (0, True), None, QubitIndexError),
+        ("CZ", (0.0, 1), None, QubitIndexError),
+        ("H", ("0",), None, QubitIndexError),
+    ],
+)
+def test_apply_error_classes(kind, qubits, angle, error):
+    state = sv.zero_state(2)
+    with pytest.raises(error):
+        sv.apply(state, kind, *qubits, angle=angle)
+    circuit = dsl.Circuit(2, (dsl.Instruction(kind, qubits, angle),))
+    with pytest.raises(error):
+        dsl._execute(circuit, state, None)
+
+
+@pytest.mark.parametrize("q", [2, -1, 0.5, 1.0, True, "0", None])
+def test_measure_error_classes(q):
+    state = sv.zero_state(2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(QubitIndexError):
+        sv.measure_qubit(state, q, rng)
+    with pytest.raises(QubitIndexError):
+        sv.project_qubit(state, q, 0)
+    circuit = dsl.Circuit(2, (dsl.Instruction("MEASURE", (q,)),))
+    with pytest.raises(QubitIndexError):
+        dsl._execute(circuit, state, rng)
+
+
+def test_numpy_integer_qubits_are_accepted():
+    state = sv.apply(sv.zero_state(2), "H", np.int64(1))
+    assert sv.gate("CNOT", np.int32(1), np.int64(0)).qubits == (1, 0)
+    np.testing.assert_allclose(state.amplitudes, [SQRT1_2, SQRT1_2, 0, 0], atol=1e-15)
+
+
+# -- kernel oracle ---------------------------------------------------------------
+#
+# The kernels update reshape views of the amplitude array in place.  The
+# reference below builds every gate as a full 2**n x 2**n matrix from Kronecker
+# products of 2x2 factors written out here, independent of the engine's tables.
+
+R2 = 1.0 / math.sqrt(2.0)
+REF_FIXED = {
+    "H": [[R2, R2], [R2, -R2]],
+    "X": [[0, 1], [1, 0]],
+    "Y": [[0, -1j], [1j, 0]],
+    "Z": [[1, 0], [0, -1]],
+    "S": [[1, 0], [0, 1j]],
+    "SDG": [[1, 0], [0, -1j]],
+    "T": [[1, 0], [0, cmath.exp(1j * math.pi / 4)]],
+    "TDG": [[1, 0], [0, cmath.exp(-1j * math.pi / 4)]],
+}
+KET = {0: np.diag([1.0, 0.0]), 1: np.diag([0.0, 1.0])}
+ONE_QUBIT_KINDS = (*REF_FIXED, "RX", "RY", "RZ")
+ALL_KINDS = (*ONE_QUBIT_KINDS, "CNOT", "CZ")
+
+
+def ref_two_by_two(kind, angle):
+    if kind in REF_FIXED:
+        return np.array(REF_FIXED[kind], dtype=complex)
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    if kind == "RX":
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if kind == "RY":
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.diag([cmath.exp(-0.5j * angle), cmath.exp(0.5j * angle)])
+
+
+def ref_embed(n, factors):
+    """Kronecker product over qubits 0..n-1 (qubit 0 leftmost) of ``factors[q]``, else I."""
+    full = np.eye(1)
+    for q in range(n):
+        full = np.kron(full, factors.get(q, np.eye(2)))
+    return full
+
+
+def ref_gate(n, kind, qubits, angle=None):
+    if kind == "CNOT":
+        c, t = qubits
+        return ref_embed(n, {c: KET[0]}) + ref_embed(n, {c: KET[1], t: ref_two_by_two("X", None)})
+    if kind == "CZ":
+        a, b = qubits
+        return np.eye(2**n) - 2 * ref_embed(n, {a: KET[1], b: KET[1]})
+    return ref_embed(n, {qubits[0]: ref_two_by_two(kind, angle)})
+
+
+def placements(n, kind):
+    """Every qubit, or every ordered pair of distinct qubits (control above and below)."""
+    if kind in ("CNOT", "CZ"):
+        return [(a, b) for a in range(n) for b in range(n) if a != b]
+    return [(q,) for q in range(n)]
+
+
+states = hs.tuples(hs.integers(1, 6), hs.integers(0, 2**32 - 1)).map(
+    lambda case: random_state(*case)
+)
+angles = hs.floats(-4 * math.pi, 4 * math.pi, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(states, hs.sampled_from(ALL_KINDS), angles)
+def test_gate_kernels_match_kronecker_reference(state, kind, angle):
+    n = state.num_qubits
+    before = state.amplitudes.copy()
+    angle = angle if kind in sv.ROTATION_GATES else None
+    for qubits in placements(n, kind):
+        got = sv.apply(state, kind, *qubits, angle=angle).amplitudes
+        want = ref_gate(n, kind, qubits, angle) @ before
+        assert np.abs(got - want).max() < 1e-12, (kind, qubits)
+    assert np.array_equal(state.amplitudes, before)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(states, hs.integers(0, 2**32 - 1))
+def test_measure_kernels_match_projector_reference(state, seed):
+    n = state.num_qubits
+    before = state.amplitudes.copy()
+    for q in range(n):
+        probs = {}
+        for outcome in (0, 1):
+            projected = ref_embed(n, {q: KET[outcome]}) @ before
+            probs[outcome] = float(np.vdot(projected, projected).real)
+            if probs[outcome] < sv.PROJECTION_EPS:
+                with pytest.raises(ProjectionError):
+                    sv.project_qubit(state, q, outcome)
+                continue
+            prob, collapsed = sv.project_qubit(state, q, outcome)
+            assert abs(prob - probs[outcome]) < 1e-12
+            want = projected / math.sqrt(probs[outcome])
+            assert np.abs(collapsed.amplitudes - want).max() < 1e-12
+        want_outcome = 1 if np.random.default_rng(seed).random() < probs[1] else 0
+        outcome, prob, _ = sv.measure_qubit(state, q, np.random.default_rng(seed))
+        assert outcome == want_outcome
+        assert abs(prob - probs[outcome]) < 1e-12
+    assert np.array_equal(state.amplitudes, before)
+
+
+steps = hs.lists(
+    hs.tuples(
+        hs.sampled_from((*ALL_KINDS, "MEASURE", "MEASURE")),
+        hs.integers(0, 5),
+        hs.integers(1, 5),
+        angles,
+        hs.integers(0, 1),
+    ),
+    max_size=30,
+)
+
+
+def public_chain(circuit, state, rng, forced):
+    """The circuit through the public pure functions, one call per instruction."""
+    outcomes, probs = [], []
+    for ins in circuit.instructions:
+        if ins.opcode != "MEASURE":
+            state = sv.apply_gate(state, sv.GateOp(ins.opcode, ins.qubit_args, ins.angle))
+        elif forced is None:
+            outcome, prob, state = sv.measure_qubit(state, ins.qubit_args[0], rng)
+            outcomes.append(outcome)
+            probs.append(prob)
+        else:
+            prob, state = sv.project_qubit(state, ins.qubit_args[0], forced[len(outcomes)])
+            outcomes.append(forced[len(outcomes)])
+            probs.append(prob)
+    return outcomes, probs, state
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(states, steps, hs.integers(0, 2**32 - 1))
+def test_execute_matches_public_functions_draw_for_draw(state, steps, seed):
+    n = state.num_qubits
+    instructions = []
+    for kind, q, shift, angle, _ in steps:
+        q %= n
+        if kind in ("CNOT", "CZ"):
+            if n > 1:
+                instructions.append(dsl.Instruction(kind, (q, (q + 1 + shift % (n - 1)) % n)))
+        else:
+            angle = angle if kind in sv.ROTATION_GATES else None
+            instructions.append(dsl.Instruction(kind, (q,), angle))
+    circuit = dsl.Circuit(n, tuple(instructions))
+    before = state.amplitudes.copy()
+    got = dsl._execute(circuit, state, np.random.default_rng(seed))
+    want = public_chain(circuit, state, np.random.default_rng(seed), None)
+    assert got[0] == want[0] and got[1] == want[1]
+    assert np.array_equal(got[2].amplitudes, want[2].amplitudes)
+    # Replaying the drawn outcomes as forced ones gives the same run without draws.
+    forced = dsl._execute(circuit, state, None, got[0])
+    assert forced[0] == got[0] and forced[1] == got[1]
+    assert np.array_equal(forced[2].amplitudes, got[2].amplitudes)
+    assert public_chain(circuit, state, None, got[0])[1] == got[1]
+    assert np.array_equal(state.amplitudes, before)
+    assert not state.amplitudes.flags.writeable
