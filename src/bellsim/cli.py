@@ -230,10 +230,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"stabilizer={row}")
     if record.final_statevector is not None:
         state = record.final_statevector
-        for index, amp in enumerate(state.amplitudes):
+        for index, amp in enumerate(state.amplitudes.tolist()):
             if abs(amp) > 1e-12:
                 label = format(index, f"0{state.num_qubits}b")
-                print(f"amp[{label}]={amp.real:.9f}{amp.imag:+.9f}j")
+                # + 0.0 turns a part that prints as zero into +0.0, so no sign prints
+                print(f"amp[{label}]={round(amp.real, 9) + 0.0:.9f}{round(amp.imag, 9) + 0.0:+.9f}j")
     return 0
 
 

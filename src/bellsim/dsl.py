@@ -25,6 +25,9 @@ instruction is Clifford: the discrete set {h,x,y,z,s,sdg,cnot,cz,measure}
 plus any rotation by a multiple of pi/2, read from the angle's own cos
 and sin (|cos * sin| <= 1e-12).  t/tdg and all other rotation angles,
 huge floats such as 1e16 among them, are non-Clifford witnesses.
+
+:func:`run` executes a circuit on either engine with one loop that copies
+the starting amplitudes or tableau once and updates that copy in place.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ OPCODES: dict[str, tuple[int, bool]] = {
     "cz": (2, False),
     "measure": (1, False),
 }
+_OPCODE_TABLE = {name: (name.upper(), *spec) for name, spec in OPCODES.items()}
 
 _ALWAYS_CLIFFORD = frozenset({"H", "X", "Y", "Z", "S", "SDG", "CNOT", "CZ", "MEASURE"})
 _ROTATIONS = frozenset({"RX", "RY", "RZ"})
@@ -139,58 +143,66 @@ def parse_angle(token: str) -> float:
     return value
 
 
+def _column(body: str, k: int) -> int:
+    """1-based column of whitespace-separated token ``k``; only errors need it."""
+    return list(_TOKEN_RE.finditer(body))[k].start() + 1
+
+
 def parse(text: str) -> Circuit:
     """Parse circuit text into a :class:`Circuit`; raise located errors."""
     num_qubits: int | None = None
     instructions: list[Instruction] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0].rstrip("\r")
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(body)]
+        body = raw.split("#", 1)[0]
+        tokens = body.split()
         if not tokens:
             continue
-        word, col = tokens[0]
+        word = tokens[0]
+        col = len(body) - len(body.lstrip()) + 1
         if num_qubits is None:
             if word.lower() != "qubits":
                 raise HeaderError(lineno, col, "first statement must be a 'qubits N' header")
             if len(tokens) != 2:
                 raise HeaderError(lineno, col, "'qubits' header takes exactly one count")
-            count_tok, count_col = tokens[1]
+            count_tok = tokens[1]
             if not _INT_RE.match(count_tok) or int(count_tok) < 1:
-                raise HeaderError(
-                    lineno, count_col, f"qubit count must be a positive integer, got {count_tok!r}"
-                )
+                raise HeaderError(lineno, _column(body, 1),
+                                  f"qubit count must be a positive integer, got {count_tok!r}")
             num_qubits = int(count_tok)
             continue
-        name = word.lower()
-        if name not in OPCODES:
+        entry = _OPCODE_TABLE.get(word.lower())
+        if entry is None:
             raise UnknownOpcodeError(lineno, col, f"unknown opcode {word!r}")
-        arity, takes_angle = OPCODES[name]
-        operands = tokens[1:]
-        expected = arity + (1 if takes_angle else 0)
-        if len(operands) != expected:
+        opcode, arity, takes_angle = entry
+        expected = arity + takes_angle
+        if len(tokens) != expected + 1:
             raise ArityError(
-                lineno, col, f"{name} expects {expected} operand(s), got {len(operands)}"
+                lineno, col, f"{word.lower()} expects {expected} operand(s), got {len(tokens) - 1}"
             )
         qubits: list[int] = []
-        for tok, tok_col in operands[:arity]:
+        for k, tok in enumerate(tokens[1:arity + 1], start=1):
             if not _INT_RE.match(tok):
-                raise QubitRangeError(lineno, tok_col, f"malformed qubit index {tok!r}")
+                raise QubitRangeError(lineno, _column(body, k), f"malformed qubit index {tok!r}")
             q = int(tok)
             if not 0 <= q < num_qubits:
                 raise QubitRangeError(
-                    lineno, tok_col, f"qubit {q} out of range for {num_qubits} qubit(s)"
+                    lineno, _column(body, k), f"qubit {q} out of range for {num_qubits} qubit(s)"
                 )
             if q in qubits:
-                raise QubitRangeError(lineno, tok_col, f"duplicate qubit index {q}")
+                raise QubitRangeError(lineno, _column(body, k), f"duplicate qubit index {q}")
             qubits.append(q)
         angle: float | None = None
         if takes_angle:
-            tok, tok_col = operands[arity]
+            tok = tokens[-1]
             try:
                 angle = parse_angle(tok)
             except ValueError:
-                raise AngleError(lineno, tok_col, f"malformed angle {tok!r}") from None
-        instructions.append(Instruction(name.upper(), tuple(qubits), angle, lineno, col))
+                raise AngleError(lineno, _column(body, expected),
+                                 f"malformed angle {tok!r}") from None
+        ins = object.__new__(Instruction)  # the frozen __init__ would cost 2x this
+        ins.__dict__.update(opcode=opcode, qubit_args=tuple(qubits), angle=angle,
+                            line=lineno, column=col)
+        instructions.append(ins)
     if num_qubits is None:
         raise HeaderError(1, 1, "missing 'qubits N' header")
     return Circuit(num_qubits, tuple(instructions))
@@ -306,23 +318,26 @@ class RunRecord:
 def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list, object]:
     """The one gate-and-measure loop: ``(outcomes, infos, final_state)``.
 
-    A :class:`~bellsim.statevector.StateVector` runs on the dense engine,
-    which updates one copy of the amplitudes in place and validates once,
-    at the end; a tableau runs on the stabilizer engine, with quarter-turn
-    rotations expanded into Clifford gates.  ``infos`` holds each
-    measurement's second return value: its probability (dense) or whether
-    it was deterministic (tableau).  ``forced`` gives the outcomes in order
-    and nothing is drawn; otherwise each engine draws from ``rng`` under
-    its own contract.  Stabilizer functions are looked up on every call.
+    A :class:`~bellsim.statevector.StateVector` runs on the dense engine, a
+    tableau on the stabilizer engine with quarter-turn rotations expanded
+    into Clifford gates; the engine's kernels update one copy of the input
+    in place, and a dense state is validated once, at the end.  Tableau
+    measurements call the public ``st.measure_z`` and ``measure_z_forced``.
+    ``infos`` holds each measurement's second return value: its probability
+    (dense) or whether it was deterministic (tableau).  ``forced`` gives the
+    outcomes in order and nothing is drawn; otherwise each engine draws from
+    ``rng`` under its own contract.
     """
     dense = isinstance(state, sv.StateVector)
     if dense:
         n, amps = state.num_qubits, state.amplitudes.copy()
+    else:
+        state = state.copy()
     outcomes: list[int] = []
     infos: list = []
     for ins in circuit.instructions:
-        q = ins.qubit_args[0]
         if ins.opcode == "MEASURE":
+            q = ins.qubit_args[0]
             outcome = None if forced is None else forced[len(outcomes)]
             if dense:
                 outcome, info = sv._collapse(amps, n, q, outcome, rng)
@@ -334,11 +349,11 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
             infos.append(info)
         elif dense:
             sv._apply(amps, n, ins.opcode, ins.qubit_args, ins.angle)
-        elif ins.opcode in _ROTATIONS:
+        elif ins.opcode in _ROTATIONS and ins.angle is not None:
             for kind in rotation_to_cliffords(ins.opcode, ins.angle):
-                state = st.apply(state, kind, q)
+                state = st._apply(state, kind, ins.qubit_args)
         else:
-            state = st.apply(state, ins.opcode, *ins.qubit_args)
+            state = st._apply(state, ins.opcode, ins.qubit_args)
     if dense:
         state = sv.StateVector(n, amps)
     return outcomes, infos, state

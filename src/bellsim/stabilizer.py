@@ -204,18 +204,22 @@ def apply_clifford(t: StabilizerTableau, op: sv.GateOp) -> StabilizerTableau:
     return out
 
 
+def _apply(t: StabilizerTableau, kind: str, qubits: tuple) -> StabilizerTableau:
+    """In-place :func:`apply`: returns ``t``, or apply_clifford's tableau if the check fails."""
+    kernel = _KERNELS.get(kind)
+    if kernel is None or len(qubits) != kernel[1] or not sv._in_range(t.num_qubits, qubits):
+        return apply_clifford(t, sv.gate(kind, *qubits))
+    kernel[0](t, *qubits)
+    return t
+
+
 def apply(t: StabilizerTableau, kind: str, *qubits: int) -> StabilizerTableau:
     """Apply one gate by name, ``apply(t, "CNOT", 0, 1)``, and return the new tableau.
 
     Raises the errors :func:`apply_clifford` and :class:`~bellsim.statevector.GateOp`
     raise for the same gate.
     """
-    kernel = _KERNELS.get(kind)
-    if kernel is None or len(qubits) != kernel[1] or not sv._in_range(t.num_qubits, qubits):
-        return apply_clifford(t, sv.gate(kind, *qubits))
-    out = t.copy()
-    kernel[0](out, *qubits)
-    return out
+    return _apply(t.copy(), kind, qubits)
 
 
 # -- measurement kernels -----------------------------------------------------------

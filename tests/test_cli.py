@@ -272,6 +272,27 @@ def test_run_statevector_circuit(tmp_path, capsys):
     assert any(line.startswith("amp[1]=") for line in out.splitlines())
 
 
+@pytest.mark.parametrize(
+    "text, amp",
+    [
+        ("qubits 1\nx 0\nz 0\n", "amp[1]=-1.000000000+0.000000000j"),
+        # exact -0.0 parts: Y then Z gives (-0-1j), Y then SDG gives (1-0j)
+        ("qubits 1\ny 0\nz 0\n", "amp[1]=0.000000000-1.000000000j"),
+        ("qubits 1\ny 0\nsdg 0\n", "amp[1]=1.000000000+0.000000000j"),
+        # parts of -2.5e-10, below half the last printed digit
+        ("qubits 1\nrx 0 5e-10\n", "amp[1]=0.000000000+0.000000000j"),
+        ("qubits 1\nry 0 -5e-10\n", "amp[1]=0.000000000+0.000000000j"),
+        # the float nearest -5e-10 lies just below it; numpy's round would give -0.0
+        ("qubits 1\nrx 0 1e-9\n", "amp[1]=0.000000000-0.000000001j"),
+    ],
+)
+def test_run_prints_no_signed_zeros(text, amp, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", byte_stdin(text.encode()))
+    code, out, _ = run_cli(capsys, ["run", "-", "--engine", "statevector"])
+    assert code == 0
+    assert out.splitlines()[-1] == amp
+
+
 def test_run_stabilizer_engine_rejects_nonclifford(tmp_path, capsys):
     path = tmp_path / "magic.qc"
     path.write_text("qubits 1\nt 0\n")

@@ -1,7 +1,9 @@
 """Circuit language tests: parsing, formatting, classification, execution."""
 
+import dataclasses
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +86,16 @@ def test_instruction_equality_ignores_location():
     assert a != dsl.Instruction("X", (0,), None, line=5, column=3)
 
 
+def test_parsed_instructions_are_frozen_dataclasses():
+    ins = dsl.parse("qubits 2\n  cnot 1 0\n").instructions[0]
+    built = dsl.Instruction("CNOT", (1, 0), None, line=9, column=9)
+    assert ins == built and hash(ins) == hash(built)
+    assert repr(ins) == "Instruction(opcode='CNOT', qubit_args=(1, 0), angle=None, line=2, column=3)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ins.opcode = "CZ"
+    assert dataclasses.astuple(ins) == ("CNOT", (1, 0), None, 2, 3)
+
+
 def test_parse_error_locations_and_kinds():
     cases = [
         ("h 0\n", dsl.HeaderError, 1, 1),
@@ -119,6 +131,145 @@ def test_valid_corpus_parses_and_round_trips():
     for path in files:
         circuit = dsl.parse(path.read_text())
         assert dsl.parse(dsl.format_circuit(circuit)) == circuit, path.name
+
+
+# -- parser location suite -------------------------------------------------------
+#
+# Circuits are generated as token lists and rendered with assorted whitespace,
+# case and comments.  The reference locates tokens with an \S+ regex on the text
+# before '#', independent of how the parser splits lines.
+
+BLANKS = " \t\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"
+SPACING = hs.text(alphabet=BLANKS, max_size=3)
+GAP = hs.text(alphabet=BLANKS, min_size=1, max_size=3)
+COMMENT = hs.text(alphabet=hs.characters(blacklist_characters="\n"), max_size=12)
+BAD_OPCODES = ("warp", "hh", "Measur", "qubits", "cnot2", "rz0", "\xe9", "h0")
+BAD_INDICES = ("1x", "q0", "1.0", "--1", "0x1", "\u0663", "1_0", "+")
+BAD_ANGLES = ("banana", "nan", "-inf", "1e999", "pi/0", "2pi/", "pipi", "0x1p3", "1..0")
+FAULTS = ("opcode", "arity", "malformed", "range", "duplicate", "angle")
+ROTATIONS = ("RX", "RY", "RZ")
+
+
+def reference_tokens(line):
+    """``(token, 1-based column)`` of every \\S+ run before a '#'."""
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line.split("#", 1)[0])]
+
+
+def mixed_case(draw, word):
+    return "".join(c.upper() if draw(hs.booleans()) else c for c in word)
+
+
+def index_token(draw, q):
+    return draw(hs.sampled_from((str(q), f"+{q}", f"0{q}")))
+
+
+def angle_token(draw):
+    return draw(hs.one_of(
+        hs.sampled_from(("pi", "-pi/2", "+pi/4", "3PI/4", "Pi", "1E-3", "-0.0")),
+        hs.floats(allow_nan=False, allow_infinity=False).map(repr),
+    ))
+
+
+def comment_tail(draw):
+    return draw(hs.sampled_from(("", "#"))) and "#" + draw(COMMENT)
+
+
+def inject_fault(draw, fault, n, tokens, name, qubits):
+    """Break one statement's tokens; return ``(class, token index, message)``."""
+    arity = len(qubits)
+    if fault == "duplicate" and arity < 2:
+        fault = "range"
+    if fault == "angle" and name not in ROTATIONS:
+        fault = "arity"
+    if fault == "opcode":
+        tokens[0] = draw(hs.sampled_from(BAD_OPCODES))
+        return dsl.UnknownOpcodeError, 0, f"unknown opcode {tokens[0]!r}"
+    if fault == "arity":
+        if draw(hs.booleans()):
+            tokens.append(index_token(draw, 0))
+        else:
+            tokens.pop(draw(hs.integers(1, len(tokens) - 1)))
+        operands = arity + (name in ROTATIONS)
+        message = f"{name.lower()} expects {operands} operand(s), got {len(tokens) - 1}"
+        return dsl.ArityError, 0, message
+    if fault == "angle":
+        tokens[-1] = draw(hs.sampled_from(BAD_ANGLES))
+        return dsl.AngleError, arity + 1, f"malformed angle {tokens[-1]!r}"
+    if fault == "duplicate":
+        tokens[2] = index_token(draw, qubits[0])
+        return dsl.QubitRangeError, 2, f"duplicate qubit index {qubits[0]}"
+    j = draw(hs.integers(1, arity))
+    if fault == "malformed":
+        tokens[j] = draw(hs.sampled_from(BAD_INDICES))
+        return dsl.QubitRangeError, j, f"malformed qubit index {tokens[j]!r}"
+    q = draw(hs.sampled_from((n, n + 1, 10**6, -1)))
+    tokens[j] = str(q)
+    return dsl.QubitRangeError, j, f"qubit {q} out of range for {n} qubit(s)"
+
+
+@hs.composite
+def located_circuits(draw, fault=None):
+    """``(text, [((opcode, qubits, angle token), line), ...], error)``: the
+    error is None without a fault, else ``(class, line, column, message)``."""
+    n = draw(hs.integers(1, 70))
+    statements = [[mixed_case(draw, "qubits"), index_token(draw, n)]]
+    expected = []
+    opcodes = sorted(op for op, (arity, _) in dsl.OPCODES.items() if arity <= n)
+    for _ in range(draw(hs.integers(0 if fault is None else 1, 10))):
+        name = draw(hs.sampled_from(opcodes))
+        arity, takes_angle = dsl.OPCODES[name]
+        qubits = draw(hs.lists(hs.integers(0, n - 1), min_size=arity, max_size=arity,
+                               unique=True))
+        tokens = [mixed_case(draw, name)] + [index_token(draw, q) for q in qubits]
+        if takes_angle:
+            tokens.append(angle_token(draw))
+        statements.append(tokens)
+        expected.append((name.upper(), tuple(qubits), tokens[-1] if takes_angle else None))
+    error = k = None
+    if fault is not None:
+        fits = {"duplicate": lambda e: len(e[1]) == 2, "angle": lambda e: e[2] is not None}
+        spots = [i for i, e in enumerate(expected, 1) if fits.get(fault, bool)(e)]
+        k = draw(hs.sampled_from(spots or range(1, len(expected) + 1)))
+        error = inject_fault(draw, fault, n, statements[k], *expected[k - 1][:2])
+    lines = ["#" + draw(COMMENT) for _ in range(draw(hs.integers(0, 2)))]
+    located = []
+    for tokens in statements:
+        for _ in range(draw(hs.integers(0, 2))):  # blank and comment-only lines
+            lines.append(draw(SPACING) + comment_tail(draw))
+        seps = [draw(SPACING)] + [draw(GAP) for _ in tokens[1:]]
+        line = "".join(sep + tok for sep, tok in zip(seps, tokens))
+        lines.append(line + draw(SPACING) + comment_tail(draw))
+        located.append(len(lines))
+    if error is not None:
+        kind, token, message = error
+        lineno = located[k]
+        error = (kind, lineno, reference_tokens(lines[lineno - 1])[token][1], message)
+    text = "\n".join(lines) + draw(hs.sampled_from(("", "\n", "\r\n")))
+    return text, list(zip(expected, located[1:])), error
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(located_circuits())
+def test_parse_locations_match_the_regex_reference(case):
+    text, expected, _ = case
+    circuit = dsl.parse(text)
+    lines = text.split("\n")
+    assert len(circuit.instructions) == len(expected)
+    for ins, ((opcode, qubits, angle), lineno) in zip(circuit.instructions, expected):
+        assert (ins.opcode, ins.qubit_args) == (opcode, qubits)
+        assert repr(ins.angle) == repr(None if angle is None else dsl.parse_angle(angle))
+        assert (ins.line, ins.column) == (lineno, reference_tokens(lines[lineno - 1])[0][1])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hs.sampled_from(FAULTS).flatmap(lambda fault: located_circuits(fault)))
+def test_parse_errors_match_the_regex_reference(case):
+    text, _, (kind, line, column, message) = case
+    with pytest.raises(dsl.ParseError) as excinfo:
+        dsl.parse(text)
+    err = excinfo.value
+    assert (type(err), err.line, err.column) == (kind, line, column)
+    assert str(err) == f"line {line}, column {column}: {message}"
 
 
 # Angles whose text form is easy to get wrong: signed zero, subnormals, the
@@ -341,6 +492,66 @@ def test_engines_agree_through_execute_with_forced_outcomes(case, bits):
         assert det or abs(prob - 0.5) < 1e-10
     overlap = abs(np.vdot(st.to_statevector(tableau).amplitudes, state.amplitudes))
     assert abs(overlap - 1.0) < 1e-10
+
+
+def public_chain(circuit, t, rng, forced=None):
+    """The tableau loop as a chain of public calls, each returning a new tableau."""
+    outcomes, deterministic = [], []
+    for ins in circuit.instructions:
+        q = ins.qubit_args[0]
+        if ins.opcode == "MEASURE":
+            if forced is None:
+                outcome, det, t = st.measure_z(t, q, rng)
+            else:
+                outcome = forced[len(outcomes)]
+                det, t = st.measure_z_forced(t, q, outcome)
+            outcomes.append(outcome)
+            deterministic.append(det)
+        elif ins.opcode in ("RX", "RY", "RZ"):
+            for kind in dsl.rotation_to_cliffords(ins.opcode, ins.angle):
+                t = st.apply(t, kind, q)
+        else:
+            t = st.apply(t, ins.opcode, *ins.qubit_args)
+    return outcomes, deterministic, t
+
+
+def tableau_bits(t):
+    return t.x.tolist(), t.z.tolist(), t.phase.tolist()
+
+
+def seeded_steps(n, seed, length):
+    """``clifford_circuit`` steps drawn from a seed: drawing the seed rather
+    than each step keeps the circuits long enough to entangle the register."""
+    rng = np.random.default_rng(seed)
+    return [
+        (CLIFFORD_KINDS[int(rng.integers(len(CLIFFORD_KINDS)))], int(rng.integers(n)),
+         int(rng.integers(1, max(n, 2))), int(rng.integers(-4, 8)))
+        for _ in range(length)
+    ]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(hs.integers(1, 64), hs.integers(0, 2**32 - 1), hs.integers(0, 400))
+def test_tableau_execute_matches_public_calls_draw_for_draw(n, seed, length):
+    steps = seeded_steps(n, seed, length)
+    # Start from an entangled tableau, so an in-place update of it would show.
+    half = len(steps) // 2
+    _, _, start = public_chain(clifford_circuit(n, steps[:half]), st.init_zero(n),
+                               np.random.default_rng(seed))
+    before = tableau_bits(start)
+    circuit = clifford_circuit(n, steps[half:])
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    outcomes, deterministic, tableau = dsl._execute(circuit, start, rng)
+    want = public_chain(circuit, start, ref_rng)
+    assert (outcomes, deterministic) == want[:2]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert st.stabilizer_strings(tableau) == st.stabilizer_strings(want[2])
+    assert tableau_bits(tableau) == tableau_bits(want[2])
+    forced = dsl._execute(circuit, start, None, outcomes)
+    want = public_chain(circuit, start, None, outcomes)
+    assert forced[0] == outcomes and forced[1] == deterministic == want[1]
+    assert tableau_bits(forced[2]) == tableau_bits(want[2])
+    assert tableau_bits(start) == before
 
 
 def test_run_measures_flipped_qubit_on_both_engines():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from bellsim import dsl
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import (
@@ -305,6 +306,8 @@ def test_tableau_arrays_are_read_only():
         ("CZ", (0.0, 1), QubitIndexError),
         ("H", ("0",), QubitIndexError),
         ("T", (0.5,), QubitIndexError),
+        ("H", (), QubitIndexError),
+        ("RX", (0, 1), QubitIndexError),
     ],
 )
 def test_apply_error_classes(kind, qubits, error):
@@ -313,6 +316,27 @@ def test_apply_error_classes(kind, qubits, error):
         st.apply(t, kind, *qubits)
     with pytest.raises(error):
         st.apply_clifford(t, sv.gate(kind, *qubits))
+    # _execute runs gates in place; a rejected one must raise the same error
+    angle = 0.5 * np.pi if kind == "RX" else None
+    circuit = dsl.Circuit(2, (dsl.Instruction(kind, qubits, angle),))
+    with pytest.raises(error):
+        dsl._execute(circuit, t, None)
+    assert_same_tableau(t, st.init_zero(2))
+
+
+def test_numpy_integer_qubits_run_on_the_tableau():
+    steps = [("H", (0,), None), ("CNOT", (0, 1), None), ("RX", (2,), -0.5 * np.pi),
+             ("CZ", (2, 1), None), ("MEASURE", (1,), None), ("MEASURE", (2,), None)]
+    plain = dsl.Circuit(3, tuple(dsl.Instruction(k, q, a) for k, q, a in steps))
+    numpy = dsl.Circuit(3, tuple(
+        dsl.Instruction(k, tuple(np.int64(i) if i % 2 else np.int32(i) for i in q), a)
+        for k, q, a in steps
+    ))
+    for seed in range(8):
+        want = dsl._execute(plain, st.init_zero(3), np.random.default_rng(seed))
+        got = dsl._execute(numpy, st.init_zero(3), np.random.default_rng(seed))
+        assert got[:2] == want[:2]
+        assert st.stabilizer_strings(got[2]) == st.stabilizer_strings(want[2])
 
 
 def test_apply_accepts_lowercase_kinds():

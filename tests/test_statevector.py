@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bellsim import dsl
+from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import (
     DimensionError,
@@ -328,9 +329,17 @@ def test_measure_error_classes(q):
         sv.measure_qubit(state, q, rng)
     with pytest.raises(QubitIndexError):
         sv.project_qubit(state, q, 0)
-    circuit = dsl.Circuit(2, (dsl.Instruction("MEASURE", (q,)),))
+    tableau = st.init_zero(2)
     with pytest.raises(QubitIndexError):
-        dsl._execute(circuit, state, rng)
+        st.measure_z(tableau, q, rng)
+    with pytest.raises(QubitIndexError):
+        st.measure_z_forced(tableau, q, 0)
+    circuit = dsl.Circuit(2, (dsl.Instruction("MEASURE", (q,)),))
+    for start in (state, tableau):
+        with pytest.raises(QubitIndexError):
+            dsl._execute(circuit, start, rng)
+        with pytest.raises(QubitIndexError):
+            dsl._execute(circuit, start, None, [0])
 
 
 def test_numpy_integer_qubits_are_accepted():
