@@ -24,7 +24,8 @@ LF line endings.  ``parse(format_circuit(c)) == c`` for every circuit
 instruction is Clifford: the discrete set {h,x,y,z,s,sdg,cnot,cz,measure}
 plus any rotation by a multiple of pi/2, read from the angle's own cos
 and sin (|cos * sin| <= 1e-12).  t/tdg and all other rotation angles,
-huge floats such as 1e16 among them, are non-Clifford witnesses.
+huge floats such as 1e16 among them, are non-Clifford witnesses, and so
+is a hand-built rotation whose angle is NaN, inf or missing.
 
 :func:`run` executes a circuit on either engine with one loop that copies
 the starting amplitudes or tableau once and updates that copy in place.
@@ -40,31 +41,17 @@ import numpy as np
 
 from . import stabilizer as st
 from . import statevector as sv
-from .errors import BellSimError, ConfigError, NonCliffordGate
+from .errors import BellSimError, ConfigError, InputError, NonCliffordGate, QubitIndexError
 
 CLIFFORD_ANGLE_ATOL = 1e-12
 
 # opcode -> (number of qubit operands, takes an angle operand)
 OPCODES: dict[str, tuple[int, bool]] = {
-    "h": (1, False),
-    "x": (1, False),
-    "y": (1, False),
-    "z": (1, False),
-    "s": (1, False),
-    "sdg": (1, False),
-    "t": (1, False),
-    "tdg": (1, False),
-    "rx": (1, True),
-    "ry": (1, True),
-    "rz": (1, True),
-    "cnot": (2, False),
-    "cz": (2, False),
-    "measure": (1, False),
+    **{kind.lower(): spec for kind, spec in sv.GATES.items()}, "measure": (1, False),
 }
 _OPCODE_TABLE = {name: (name.upper(), *spec) for name, spec in OPCODES.items()}
 
-_ALWAYS_CLIFFORD = frozenset({"H", "X", "Y", "Z", "S", "SDG", "CNOT", "CZ", "MEASURE"})
-_ROTATIONS = frozenset({"RX", "RY", "RZ"})
+_ALWAYS_CLIFFORD = st.CLIFFORD_GATE_KINDS | {"MEASURE"}
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _PI_RE = re.compile(r"^([+-]?)([0-9]+)?pi(?:/([1-9][0-9]*))?$", re.IGNORECASE)
@@ -221,11 +208,13 @@ def format_circuit(circuit: Circuit) -> str:
 
 
 def _quarter_turns(angle: float) -> int | None:
-    """k mod 4 when ``angle`` is k quarter turns, else None.
+    """k mod 4 when ``angle`` is k quarter turns, else None (also for NaN and inf).
 
     Judged by the angle's own cos and sin, exact for any float, not by
     angle / (pi/2), whose fraction is lost for huge angles.
     """
+    if not math.isfinite(angle):
+        return None
     c, s = math.cos(angle), math.sin(angle)
     if abs(c * s) > CLIFFORD_ANGLE_ATOL:
         return None
@@ -235,12 +224,7 @@ def _quarter_turns(angle: float) -> int | None:
 
 
 def is_clifford_instruction(ins: Instruction) -> bool:
-    if ins.opcode in _ALWAYS_CLIFFORD:
-        return True
-    if ins.opcode in _ROTATIONS:
-        assert ins.angle is not None
-        return _quarter_turns(ins.angle) is not None
-    return False
+    return ins.opcode in _ALWAYS_CLIFFORD or _clifford_kinds(ins.opcode, ins.angle) is not None
 
 
 STABILIZER_SIMULABLE = "StabilizerSimulable"
@@ -288,6 +272,17 @@ _ROTATION_SEQUENCES: dict[str, tuple[tuple[str, ...], ...]] = {
 }
 
 
+_AS_ITSELF = {kind: (kind,) for kind in st.CLIFFORD_GATE_KINDS}  # a Clifford gate's own sequence
+
+
+def _clifford_kinds(opcode: str, angle: float | None) -> tuple[str, ...] | None:
+    """The Clifford gates (in time order) that run a gate on the tableau, or None."""
+    if opcode in _ROTATION_SEQUENCES:
+        k = None if angle is None else _quarter_turns(angle)
+        return None if k is None else _ROTATION_SEQUENCES[opcode][k]
+    return _AS_ITSELF.get(opcode)
+
+
 def rotation_to_cliffords(opcode: str, angle: float) -> tuple[str, ...]:
     """Clifford gate sequence (time order) equal to the rotation up to phase.
 
@@ -320,8 +315,9 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
 
     A :class:`~bellsim.statevector.StateVector` runs on the dense engine, a
     tableau on the stabilizer engine with quarter-turn rotations expanded
-    into Clifford gates; the engine's kernels update one copy of the input
-    in place, and a dense state is validated once, at the end.  Tableau
+    into Clifford gates.  :func:`~bellsim.statevector.check_gate` checks each
+    gate once, then the engine's unchecked kernels update one copy of the
+    input in place; a dense state is validated once, at the end.  Tableau
     measurements call the public ``st.measure_z`` and ``measure_z_forced``.
     ``infos`` holds each measurement's second return value: its probability
     (dense) or whether it was deterministic (tableau).  ``forced`` gives the
@@ -329,15 +325,21 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
     ``rng`` under its own contract.
     """
     dense = isinstance(state, sv.StateVector)
+    n = state.num_qubits
     if dense:
-        n, amps = state.num_qubits, state.amplitudes.copy()
+        amps = state.amplitudes.copy()
     else:
-        state = state.copy()
+        state, kernels = state.copy(), st._KERNELS
     outcomes: list[int] = []
     infos: list = []
     for ins in circuit.instructions:
-        if ins.opcode == "MEASURE":
-            q = ins.qubit_args[0]
+        op, qubits, angle = ins.opcode, ins.qubit_args, ins.angle
+        if op == "MEASURE":
+            if len(qubits) != 1:
+                raise QubitIndexError(f"MEASURE takes 1 qubit, got {len(qubits)}")
+            if angle is not None:
+                raise InputError("MEASURE does not take an angle")
+            q = qubits[0]
             outcome = None if forced is None else forced[len(outcomes)]
             if dense:
                 outcome, info = sv._collapse(amps, n, q, outcome, rng)
@@ -348,12 +350,17 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
             outcomes.append(outcome)
             infos.append(info)
         elif dense:
-            sv._apply(amps, n, ins.opcode, ins.qubit_args, ins.angle)
-        elif ins.opcode in _ROTATIONS and ins.angle is not None:
-            for kind in rotation_to_cliffords(ins.opcode, ins.angle):
-                state = st._apply(state, kind, ins.qubit_args)
+            sv._apply(amps, n, op, sv.check_gate(op, qubits, angle, n), angle)
         else:
-            state = st._apply(state, ins.opcode, ins.qubit_args)
+            # one lookup for a gate without an angle, as in most Clifford circuits
+            kinds = _AS_ITSELF.get(op) if angle is None else _clifford_kinds(op, angle)
+            if kinds is None:  # a malformed gate raises its check's error first
+                sv.check_gate(op, qubits, angle)
+                raise NonCliffordGate(f"{op} is not a Clifford gate" if angle is None
+                                      else f"{op} angle {angle!r} is not a multiple of pi/2")
+            qubits = sv.check_gate(op, qubits, angle, n)
+            for kind in kinds:
+                kernels[kind](state, *qubits)
     if dense:
         state = sv.StateVector(n, amps)
     return outcomes, infos, state

@@ -130,7 +130,7 @@ def _check_qubit(t: StabilizerTableau, q: int) -> None:
         raise QubitIndexError(f"qubit {q} out of range for {t.num_qubits}-qubit tableau")
 
 
-# -- gate kernels: update one tableau in place ----------------------------------
+# -- gate kernels: update one tableau in place, unchecked (callers run sv.check_gate) --
 
 def _h(t: StabilizerTableau, q: int) -> None:
     x, z = t._x, t._z
@@ -176,11 +176,9 @@ def _cz(t: StabilizerTableau, a: int, b: int) -> None:
     z[b] ^= x[a]
 
 
-# kind -> (kernel, number of qubits)
 _KERNELS = {
-    "H": (_h, 1), "S": (_s, 1), "SDG": (_sdg, 1),
-    "X": (_pauli_x, 1), "Y": (_pauli_y, 1), "Z": (_pauli_z, 1),
-    "CNOT": (_cnot, 2), "CZ": (_cz, 2),
+    "H": _h, "S": _s, "SDG": _sdg, "X": _pauli_x, "Y": _pauli_y, "Z": _pauli_z,
+    "CNOT": _cnot, "CZ": _cz,
 }
 
 CLIFFORD_GATE_KINDS = frozenset(_KERNELS)
@@ -190,36 +188,28 @@ def apply_clifford(t: StabilizerTableau, op: sv.GateOp) -> StabilizerTableau:
     """Apply one Clifford gate and return the updated tableau.
 
     Raises :class:`NonCliffordGate` for any gate kind outside
-    H/S/SDG/X/Y/Z/CNOT/CZ (including T and the continuous rotations).
+    H/S/SDG/X/Y/Z/CNOT/CZ (including T and the continuous rotations), then
+    :func:`~bellsim.statevector.check_gate`'s errors for this tableau.
     """
-    if op.kind not in CLIFFORD_GATE_KINDS:
+    kernel = _KERNELS.get(op.kind)
+    if kernel is None:
         raise NonCliffordGate(
             f"gate {op.kind} cannot be applied to a stabilizer tableau; "
             f"supported kinds: {sorted(CLIFFORD_GATE_KINDS)}"
         )
-    for q in op.qubits:
-        _check_qubit(t, q)
+    qubits = sv.check_gate(op.kind, op.qubits, op.angle, t.num_qubits)
     out = t.copy()
-    _KERNELS[op.kind][0](out, *op.qubits)
+    kernel(out, *qubits)
     return out
-
-
-def _apply(t: StabilizerTableau, kind: str, qubits: tuple) -> StabilizerTableau:
-    """In-place :func:`apply`: returns ``t``, or apply_clifford's tableau if the check fails."""
-    kernel = _KERNELS.get(kind)
-    if kernel is None or len(qubits) != kernel[1] or not sv._in_range(t.num_qubits, qubits):
-        return apply_clifford(t, sv.gate(kind, *qubits))
-    kernel[0](t, *qubits)
-    return t
 
 
 def apply(t: StabilizerTableau, kind: str, *qubits: int) -> StabilizerTableau:
     """Apply one gate by name, ``apply(t, "CNOT", 0, 1)``, and return the new tableau.
 
-    Raises the errors :func:`apply_clifford` and :class:`~bellsim.statevector.GateOp`
+    Raises what :func:`~bellsim.statevector.gate` and :func:`apply_clifford`
     raise for the same gate.
     """
-    return _apply(t.copy(), kind, qubits)
+    return apply_clifford(t, sv.gate(kind, *qubits))
 
 
 # -- measurement kernels -----------------------------------------------------------

@@ -55,11 +55,15 @@ FIXED_GATES: dict[str, np.ndarray] = {
     "TDG": np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex),
 }
 
-ROTATION_GATES = ("RX", "RY", "RZ")
+# kind -> (number of qubits, takes an angle): the gate set of the circuit
+# language and of both engines, checked by :func:`check_gate`.
+GATES: dict[str, tuple[int, bool]] = {
+    **{kind: (1, False) for kind in FIXED_GATES},
+    "RX": (1, True), "RY": (1, True), "RZ": (1, True),
+    "CNOT": (2, False), "CZ": (2, False),
+}
 
-TWO_QUBIT_GATES = ("CNOT", "CZ")
-
-GATE_KINDS = frozenset(FIXED_GATES) | frozenset(ROTATION_GATES) | frozenset(TWO_QUBIT_GATES)
+ROTATION_GATES = tuple(kind for kind, (_, takes_angle) in GATES.items() if takes_angle)
 
 # Diagonal one-qubit gates: the phase they put on the qubit's 1-half.
 _PHASES = {kind: complex(FIXED_GATES[kind][1, 1]) for kind in ("Z", "S", "SDG", "T", "TDG")}
@@ -78,12 +82,11 @@ def rotation_matrix(kind: str, angle: float) -> np.ndarray:
     raise InputError(f"unknown rotation kind {kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateOp:
     """A single gate application: kind, target qubits, optional angle.
 
-    ``angle`` must be present exactly for the rotation kinds RX/RY/RZ.
-    Two-qubit kinds require two distinct qubit indices.
+    Checked on construction by :func:`check_gate`, without a qubit count.
     """
 
     kind: str
@@ -91,23 +94,42 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
-            raise InputError(f"unknown gate kind {self.kind!r}")
-        arity = 2 if self.kind in TWO_QUBIT_GATES else 1
-        if len(self.qubits) != arity:
-            raise QubitIndexError(
-                f"{self.kind} takes {arity} qubit(s), got {len(self.qubits)}"
-            )
-        if not all(_is_index(q) and q >= 0 for q in self.qubits):
-            raise QubitIndexError(f"qubits must be non-negative integers, got {self.qubits}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if len(set(self.qubits)) != len(self.qubits):
-            raise QubitIndexError(f"{self.kind} requires distinct qubits, got {self.qubits}")
-        takes_angle = self.kind in ROTATION_GATES
-        if takes_angle and self.angle is None:
-            raise InputError(f"{self.kind} requires an angle")
-        if not takes_angle and self.angle is not None:
-            raise InputError(f"{self.kind} does not take an angle")
+        object.__setattr__(self, "qubits", tuple(check_gate(self.kind, self.qubits, self.angle)))
+
+
+def check_gate(kind: str, qubits, angle: float | None, n: int | None = None):
+    """Check one gate against :data:`GATES`; return its qubits as ints.
+
+    In this order: :class:`InputError` for an unknown kind;
+    :class:`QubitIndexError` for the wrong qubit count, an index that is
+    not a non-negative integer (``bool`` and floats are not) or a repeated
+    one; :class:`InputError` for an angle missing, not finite or not taken;
+    last, when ``n`` is given, :class:`QubitIndexError` for an index >= n.
+    """
+    spec = GATES.get(kind)
+    if spec is None:
+        raise InputError(f"unknown gate kind {kind!r}")
+    arity, takes_angle = spec
+    if len(qubits) != arity:
+        raise QubitIndexError(f"{kind} takes {arity} qubit(s), got {len(qubits)}")
+    for q in qubits:
+        if type(q) is not int or q < 0:
+            if not all(_is_index(q) and q >= 0 for q in qubits):
+                raise QubitIndexError(f"qubits must be non-negative integers, got {qubits}")
+            qubits = tuple(map(int, qubits))
+            break
+    if arity == 2 and qubits[0] == qubits[1]:
+        raise QubitIndexError(f"{kind} requires distinct qubits, got {qubits}")
+    if takes_angle:
+        if angle is None:
+            raise InputError(f"{kind} requires an angle")
+        if not math.isfinite(angle):
+            raise InputError(f"{kind} angle must be finite, got {angle!r}")
+    elif angle is not None:
+        raise InputError(f"{kind} does not take an angle")
+    if n is not None and (qubits[0] >= n or qubits[-1] >= n):
+        raise QubitIndexError(f"qubits {qubits} out of range for {n} qubit(s)")
+    return qubits
 
 
 def _is_index(q) -> bool:
@@ -229,18 +251,6 @@ def _check_qubit(n: int, q) -> None:
 
 # -- kernels: update a flat, writable amplitude array in place -----------------
 
-_ARITY = {kind: 2 if kind in TWO_QUBIT_GATES else 1 for kind in GATE_KINDS}
-
-
-def _in_range(n: int, qubits: tuple[int, ...]) -> bool:
-    """Whether ``qubits`` are distinct ``int`` indices in 0..n-1 (one or two of them)."""
-    if len(qubits) == 1:
-        q = qubits[0]
-        return type(q) is int and 0 <= q < n
-    a, b = qubits
-    return type(a) is int and type(b) is int and a != b and 0 <= a < n and 0 <= b < n
-
-
 def _one_qubit(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
     """Apply the 2x2 matrix ``m`` to qubit ``q`` with one matmul on its two
     halves laid out as rows: a matmul batched over the 2**q blocks of the
@@ -251,16 +261,8 @@ def _one_qubit(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
 
 
 def _apply(amps: np.ndarray, n: int, kind: str, qubits: tuple, angle: float | None = None) -> None:
-    """Apply one gate; a malformed one raises what :class:`GateOp` raises."""
-    if (
-        _ARITY.get(kind) != len(qubits)
-        or (angle is None) == (kind in ROTATION_GATES)
-        or not _in_range(n, qubits)
-    ):
-        qubits = GateOp(kind, tuple(qubits), angle).qubits
-        if not _in_range(n, qubits):
-            raise QubitIndexError(f"qubits {qubits} are not distinct indices in 0..{n - 1}")
-    if kind in TWO_QUBIT_GATES:
+    """Apply one gate that :func:`check_gate` accepts for ``n`` qubits; nothing is checked here."""
+    if len(qubits) == 2:
         c, t = qubits
         lo, hi = (c, t) if c < t else (t, c)
         v = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
@@ -307,8 +309,9 @@ def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, floa
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate and return the resulting state."""
+    qubits = check_gate(op.kind, op.qubits, op.angle, state.num_qubits)
     amps = state.amplitudes.copy()
-    _apply(amps, state.num_qubits, op.kind, op.qubits, op.angle)
+    _apply(amps, state.num_qubits, op.kind, qubits, op.angle)
     return StateVector(state.num_qubits, amps)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as hs
 from bellsim import dsl
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
-from bellsim.errors import ConfigError, NonCliffordGate
+from bellsim.errors import ConfigError, InputError, NonCliffordGate
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -399,6 +399,17 @@ def test_quarter_turn_rule_accepts_small_multiples():
         for token in (f"{k}pi/2", repr(k * math.pi / 2.0)):
             circuit = dsl.parse(f"qubits 1\nry 0 {token}\n")
             assert dsl.classify(circuit).simulable, token
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, None])
+def test_non_finite_and_missing_rotation_angles_are_rejected(angle):
+    circuit = dsl.Circuit(1, (dsl.Instruction("RY", (0,), angle, line=2, column=1),))
+    assert dsl.classify(circuit).witnesses == ((2, 1),)
+    with pytest.raises(InputError):
+        dsl.run(circuit)
+    for start in (sv.zero_state(1), st.init_zero(1)):
+        with pytest.raises(InputError):
+            dsl._execute(circuit, start, None)
 
 
 PAULIS = {name: sv.FIXED_GATES[name] for name in ("X", "Y", "Z")}

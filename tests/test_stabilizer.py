@@ -324,6 +324,56 @@ def test_apply_error_classes(kind, qubits, error):
     assert_same_tableau(t, st.init_zero(2))
 
 
+@pytest.mark.parametrize(
+    "kind, qubits, angle, error",
+    [
+        ("RZ", (5,), 0.0, QubitIndexError),
+        ("RX", (0, 1), 0.0, QubitIndexError),
+        ("H", (0,), 1.0, InputError),
+        ("RY", (5,), 0.3, NonCliffordGate),
+        ("RY", (0.5,), 0.3, QubitIndexError),
+        ("RZ", (0,), np.nan, InputError),
+    ],
+)
+def test_execute_error_classes_with_angles(kind, qubits, angle, error):
+    # the rows of test_apply_error_classes with an angle, which st.apply cannot take
+    circuit = dsl.Circuit(2, (dsl.Instruction(kind, qubits, angle),))
+    t = st.init_zero(2)
+    with pytest.raises(error):
+        dsl._execute(circuit, t, None)
+    assert_same_tableau(t, st.init_zero(2))
+
+
+QUBIT_VALUES = (-1, 0, 1, 5, np.int64(1), True, 0.5, "0")
+ANGLES = (None, 0.0, -0.0, np.pi / 2, 0.3, 1e300, np.nan, np.inf)
+
+
+def _final_state_or_error(circuit, start):
+    try:
+        return dsl._execute(circuit, start, np.random.default_rng(0))[2]
+    except BellSimError as exc:
+        return exc
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    hs.sampled_from((*sv.GATES, "MEASURE", "FOO", "rz")),
+    hs.lists(hs.sampled_from(QUBIT_VALUES), max_size=3).map(tuple),
+    hs.sampled_from(ANGLES),
+)
+def test_engines_accept_and_reject_the_same_instructions(opcode, qubits, angle):
+    # each engine is the other's oracle for one hand-built instruction
+    circuit = dsl.Circuit(2, (dsl.Instruction(opcode, qubits, angle),))
+    dense = _final_state_or_error(circuit, sv.zero_state(2))
+    tableau = _final_state_or_error(circuit, st.init_zero(2))
+    clifford = dsl.classify(circuit).simulable
+    if isinstance(dense, BellSimError):
+        assert type(tableau) in ((type(dense),) if clifford else (type(dense), NonCliffordGate))
+    elif clifford:
+        assert not isinstance(tableau, BellSimError), tableau
+        assert abs(sv.fidelity(st.to_statevector(tableau), dense) - 1.0) <= 1e-12
+
+
 def test_numpy_integer_qubits_run_on_the_tableau():
     steps = [("H", (0,), None), ("CNOT", (0, 1), None), ("RX", (2,), -0.5 * np.pi),
              ("CZ", (2, 1), None), ("MEASURE", (1,), None), ("MEASURE", (2,), None)]

@@ -310,6 +310,8 @@ def test_tensor_view_shape():
         ("CNOT", (0, True), None, QubitIndexError),
         ("CZ", (0.0, 1), None, QubitIndexError),
         ("H", ("0",), None, QubitIndexError),
+        ("RZ", (0,), math.nan, InputError),
+        ("RX", (0,), math.inf, InputError),
     ],
 )
 def test_apply_error_classes(kind, qubits, angle, error):
@@ -339,6 +341,19 @@ def test_measure_error_classes(q):
         with pytest.raises(QubitIndexError):
             dsl._execute(circuit, start, rng)
         with pytest.raises(QubitIndexError):
+            dsl._execute(circuit, start, None, [0])
+
+
+@pytest.mark.parametrize(
+    "qubits, angle, error",
+    [((0, 1), None, QubitIndexError), ((), None, QubitIndexError), ((0,), 1.0, InputError)],
+)
+def test_measure_instruction_error_classes(qubits, angle, error):
+    circuit = dsl.Circuit(2, (dsl.Instruction("MEASURE", qubits, angle),))
+    for start in (sv.zero_state(2), st.init_zero(2)):
+        with pytest.raises(error):
+            dsl._execute(circuit, start, np.random.default_rng(0))
+        with pytest.raises(error):
             dsl._execute(circuit, start, None, [0])
 
 
