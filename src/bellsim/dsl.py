@@ -51,8 +51,6 @@ OPCODES: dict[str, tuple[int, bool]] = {
 }
 _OPCODE_TABLE = {name: (name.upper(), *spec) for name, spec in OPCODES.items()}
 
-_ALWAYS_CLIFFORD = st.CLIFFORD_GATE_KINDS | {"MEASURE"}
-
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _PI_RE = re.compile(r"^([+-]?)([0-9]+)?pi(?:/([1-9][0-9]*))?$", re.IGNORECASE)
 _TOKEN_RE = re.compile(r"\S+")
@@ -224,7 +222,8 @@ def _quarter_turns(angle: float) -> int | None:
 
 
 def is_clifford_instruction(ins: Instruction) -> bool:
-    return ins.opcode in _ALWAYS_CLIFFORD or _clifford_kinds(ins.opcode, ins.angle) is not None
+    op = ins.opcode
+    return op in _AS_ITSELF or op == "MEASURE" or _rotation_kinds(op, ins.angle) is not None
 
 
 STABILIZER_SIMULABLE = "StabilizerSimulable"
@@ -275,12 +274,11 @@ _ROTATION_SEQUENCES: dict[str, tuple[tuple[str, ...], ...]] = {
 _AS_ITSELF = {kind: (kind,) for kind in st.CLIFFORD_GATE_KINDS}  # a Clifford gate's own sequence
 
 
-def _clifford_kinds(opcode: str, angle: float | None) -> tuple[str, ...] | None:
-    """The Clifford gates (in time order) that run a gate on the tableau, or None."""
-    if opcode in _ROTATION_SEQUENCES:
-        k = None if angle is None else _quarter_turns(angle)
-        return None if k is None else _ROTATION_SEQUENCES[opcode][k]
-    return _AS_ITSELF.get(opcode)
+def _rotation_kinds(opcode: str, angle: float | None) -> tuple[str, ...] | None:
+    """The Clifford gates (in time order) equal to a quarter-turn rotation, or None."""
+    sequences = _ROTATION_SEQUENCES.get(opcode)
+    k = None if sequences is None or angle is None else _quarter_turns(angle)
+    return None if k is None else sequences[k]
 
 
 def rotation_to_cliffords(opcode: str, angle: float) -> tuple[str, ...]:
@@ -289,10 +287,10 @@ def rotation_to_cliffords(opcode: str, angle: float) -> tuple[str, ...]:
     Only valid when the angle is an integer multiple of pi/2 (the
     classifier's test); anything else raises :class:`NonCliffordGate`.
     """
-    k = _quarter_turns(angle)
-    if k is None:
+    kinds = _rotation_kinds(opcode, angle)
+    if kinds is None:
         raise NonCliffordGate(f"{opcode} angle {angle!r} is not a multiple of pi/2")
-    return _ROTATION_SEQUENCES[opcode][k]
+    return kinds
 
 
 @dataclass
@@ -352,12 +350,12 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
         elif dense:
             sv._apply(amps, n, op, sv.check_gate(op, qubits, angle, n), angle)
         else:
-            # one lookup for a gate without an angle, as in most Clifford circuits
-            kinds = _AS_ITSELF.get(op) if angle is None else _clifford_kinds(op, angle)
+            kinds = _AS_ITSELF.get(op) or _rotation_kinds(op, angle)
             if kinds is None:  # a malformed gate raises its check's error first
                 sv.check_gate(op, qubits, angle)
-                raise NonCliffordGate(f"{op} is not a Clifford gate" if angle is None
-                                      else f"{op} angle {angle!r} is not a multiple of pi/2")
+                if angle is None:
+                    raise NonCliffordGate(f"{op} is not a Clifford gate")
+                rotation_to_cliffords(op, angle)  # raises NonCliffordGate
             qubits = sv.check_gate(op, qubits, angle, n)
             for kind in kinds:
                 kernels[kind](state, *qubits)

@@ -82,7 +82,7 @@ def rotation_matrix(kind: str, angle: float) -> np.ndarray:
     raise InputError(f"unknown rotation kind {kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GateOp:
     """A single gate application: kind, target qubits, optional angle.
 
