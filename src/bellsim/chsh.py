@@ -47,12 +47,6 @@ SETTING_NAMES = ("alpha1", "alpha2", "chi1", "chi2")
 
 _PAULI_XY = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]]], dtype=complex)
 
-# Fixed-pair search: a periodic chi2 grid, then a zoom on every local peak;
-# each step samples 9 points across the bracket and keeps a quarter of it.
-_CHI_GRID = 1024
-_ZOOM = np.linspace(-1.0, 1.0, 9)
-_ZOOM_STEPS = 12
-
 # Largest scan_s resolution: an uncapped grid grows as resolution**2
 # (200000 points per axis would need about 300 GiB).
 _SCAN_MAX_RESOLUTION = 1001
@@ -61,10 +55,13 @@ _SCAN_MAX_RESOLUTION = 1001
 def wrap_angle(theta: float) -> float:
     """Map a finite angle to the canonical interval [-pi, pi].
 
-    NaN and +/-inf raise :class:`InputError`.
+    NaN, +/-inf and a value that is not a real number raise :class:`InputError`.
     """
-    theta = float(theta)
-    if not math.isfinite(theta):
+    try:
+        finite = math.isfinite(theta)
+    except TypeError:
+        raise InputError(f"angle must be a real number, got {theta!r}") from None
+    if not finite:
         raise InputError(f"angle must be finite, got {theta!r}")
     return math.remainder(theta, math.tau)
 
@@ -136,7 +133,10 @@ def _xy_block(state: sv.StateVector) -> np.ndarray:
 
 def _directions(angles, sign: float) -> np.ndarray:
     """Rows (cos t, sign * sin t): a-vectors for sign +1, b-vectors for -1."""
-    t = np.atleast_1d(np.asarray(angles, dtype=float))
+    try:
+        t = np.atleast_1d(np.asarray(angles, dtype=float))
+    except (TypeError, ValueError):
+        raise InputError(f"angles must be real numbers, got {angles!r}") from None
     if not np.isfinite(t).all():
         raise InputError("angles must be finite")
     return np.stack([np.cos(t), sign * np.sin(t)], axis=-1)
@@ -197,10 +197,10 @@ def scan_s(
     """Sweep alpha2 and chi2 over [-pi, pi] at the given resolution.
 
     Both axes are inclusive linspaces with ``resolution`` points;
-    ``resolution`` must lie in 2..1001, which keeps the grid's few
-    float arrays near 8 MB each.
+    ``resolution`` must be an integer in 2..1001, which keeps the grid's
+    few float arrays near 8 MB each.
     """
-    if not 2 <= resolution <= _SCAN_MAX_RESOLUTION:
+    if not (sv._is_index(resolution) and 2 <= resolution <= _SCAN_MAX_RESOLUTION):
         raise ConfigError(
             f"scan resolution must lie in 2..{_SCAN_MAX_RESOLUTION}, got {resolution}"
         )
@@ -226,11 +226,17 @@ def maximize_s(
     M = U diag(m1, m2) V^T; it is reached at a2 = U[:, 0], a1 = U[:, 1],
     b1, b2 = cos(t) V[:, 0] +/- sin(t) V[:, 1] with tan(t) = m2 / m1.
 
-    ``fixed``, when given, pins (alpha1, chi1).  For each chi2 the best
-    alpha2 points a2 along M(b1 + b2), which leaves a smooth periodic
-    function of chi2: it is sampled on a 1024-point grid and every local
-    peak is refined to about 1e-10 rad, so near-equal peaks cannot hide
-    the global one.
+    ``fixed``, when given, is the pair (alpha1, chi1) to pin.  With
+    v = M^T a1 and w = M(b1 + b2), the best a2 is w / |w|, leaving
+    S(chi2) = a1.M b1 - v.b2 + |w|.  Squared, S' = 0 reads
+    (w.w')**2 = (v.b2')**2 |w|**2; as b1 + b2 = 2 cos((chi2 - chi1)/2) u,
+    u = b((chi1 + chi2)/2), dividing out the cos**2 (a double root at the
+    kink b2 = -b1, never a peak) leaves Q = ((Mu).(M b2'))**2 -
+    (v.b2')**2 |Mu|**2, a trigonometric polynomial of degree 3.  Its 7
+    coefficients follow from 8 samples, and the 6 roots of z**3 Q, z =
+    exp(i chi2), are companion-matrix eigenvalues (Boyd, J. Eng. Math. 56,
+    203 (2006)).  Their angles, the angle of -v (the peak where Q vanishes
+    identically) and -pi are scored exactly, and the first best is kept.
 
     Where every angle ties (M = 0, or M(b1 + b2) = 0 for alpha2), the
     angle returned is -pi.
@@ -252,26 +258,27 @@ def maximize_s(
             )
         return best, s_factor(state, best).s_value
 
-    alpha1, chi1 = (wrap_angle(v) for v in fixed)
+    try:
+        alpha1, chi1 = fixed
+    except (TypeError, ValueError):
+        raise InputError(f"fixed must be a pair (alpha1, chi1), got {fixed!r}") from None
+    alpha1, chi1 = wrap_angle(alpha1), wrap_angle(chi1)
     a1 = _directions(alpha1, 1.0)[0]
     b1 = _directions(chi1, -1.0)[0]
+    v = a1 @ m
 
     def curve(chis: np.ndarray) -> np.ndarray:
         """S at each chi2, with alpha2 at its best."""
         b2 = _directions(chis, -1.0).T
         return a1 @ m @ (b1[:, None] - b2) + np.linalg.norm(m @ (b1[:, None] + b2), axis=0)
 
-    grid = np.linspace(-math.pi, math.pi, _CHI_GRID, endpoint=False)
-    s_grid = curve(grid)
-    centres = grid[(s_grid >= np.roll(s_grid, 1)) & (s_grid >= np.roll(s_grid, -1))]
-    width = math.tau / _CHI_GRID
-    for _ in range(_ZOOM_STEPS):
-        trial = centres[:, None] + width * _ZOOM
-        s_trial = curve(trial.ravel()).reshape(trial.shape)
-        centres = trial[np.arange(len(centres)), s_trial.argmax(axis=1)]
-        width /= 4.0
-    candidates = np.concatenate((grid, centres))
-    chi2 = float(candidates[np.concatenate((s_grid, curve(centres))).argmax()])
+    t = np.arange(8) * (math.tau / 8)
+    mu = m @ _directions((t + chi1) / 2, -1.0).T
+    b2_prime = _directions(t + math.pi / 2, -1.0).T  # d b2 / d chi2
+    q = (mu * (m @ b2_prime)).sum(0) ** 2 - (v @ b2_prime) ** 2 * (mu * mu).sum(0)
+    coeffs = np.exp(-1j * np.outer(np.arange(3, -4, -1), t)) @ q / 8
+    chis = np.concatenate(([-math.pi, _angle(-v, -1.0)], np.angle(np.roots(coeffs))))
+    chi2 = float(chis[curve(chis).argmax()])
     a2 = m @ (b1 + _directions(chi2, -1.0)[0])
     best = MeasurementSettings(alpha1, _angle(a2, 1.0), chi1, chi2)
     return best, s_factor(state, best).s_value

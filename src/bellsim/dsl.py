@@ -223,7 +223,10 @@ def _quarter_turns(angle: float) -> int | None:
 
 def is_clifford_instruction(ins: Instruction) -> bool:
     op = ins.opcode
-    return op in _AS_ITSELF or op == "MEASURE" or _rotation_kinds(op, ins.angle) is not None
+    try:
+        return op in _AS_ITSELF or op == "MEASURE" or _rotation_kinds(op, ins.angle) is not None
+    except TypeError:  # an unhashable opcode or an angle that is not a real number
+        return False
 
 
 STABILIZER_SIMULABLE = "StabilizerSimulable"
@@ -350,7 +353,10 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
         elif dense:
             sv._apply(amps, n, op, sv.check_gate(op, qubits, angle, n), angle)
         else:
-            kinds = _AS_ITSELF.get(op) or _rotation_kinds(op, angle)
+            try:
+                kinds = _AS_ITSELF.get(op) or _rotation_kinds(op, angle)
+            except TypeError:  # as in is_clifford_instruction; check_gate says which
+                kinds = None
             if kinds is None:  # a malformed gate raises its check's error first
                 sv.check_gate(op, qubits, angle)
                 if angle is None:

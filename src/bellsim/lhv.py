@@ -189,7 +189,10 @@ def sample_lhv(
     ``setting_pair`` is (i, j) with i, j in {1, 2}: side A uses setting
     alpha_i, side B uses chi_j.  Consumes one uniform draw from ``rng``.
     """
-    i, j = setting_pair
+    try:
+        i, j = setting_pair
+    except (TypeError, ValueError):
+        raise InputError(f"setting_pair must be a pair (i, j), got {setting_pair!r}") from None
     if i not in (1, 2) or j not in (1, 2):
         raise InputError(f"setting_pair entries must be 1 or 2, got {setting_pair!r}")
     cumulative = np.cumsum(model.weights)

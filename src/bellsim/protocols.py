@@ -105,8 +105,11 @@ def resolve_stabilizer_input(name: str) -> tuple[str, ...]:
 
     Accepts 0, 1, +, -, +i, -i (and word aliases like plus, minus-i).
     Any other state name raises :class:`NonCliffordGate`: it has no
-    stabilizer-engine preparation.
+    stabilizer-engine preparation; a name that is not a string raises
+    :class:`InputError`.
     """
+    if not isinstance(name, str):
+        raise InputError(f"input name must be a string, got {name!r}")
     key = name.strip().lower()
     key = _INPUT_ALIASES.get(key, key)
     if key not in STABILIZER_INPUTS:
@@ -190,7 +193,10 @@ def superdense_code(bits: tuple[int, int], rng: np.random.Generator) -> Protocol
     Decoding is deterministic: the measured bits always equal the input
     ``bits``, and no randomness is drawn.  Runs on the stabilizer engine.
     """
-    b1, b2 = bits
+    try:
+        b1, b2 = bits
+    except (TypeError, ValueError):
+        raise InputError(f"bits must be a pair, got {bits!r}") from None
     if b1 not in (0, 1) or b2 not in (0, 1):
         raise InputError(f"bits must be 0 or 1, got {bits!r}")
     outcomes, deterministic, _ = dsl._execute(_SUPERDENSE[b1, b2], st.init_zero(2), rng)
@@ -233,10 +239,10 @@ def bb84_simulate(
     differs from the one the qubit was last prepared in.  Rounds where
     sender and receiver bases match are sifted; qber is the error
     fraction among them (0.0 when none), and the report's classical bits
-    are the receiver's sifted key.  ``num_rounds`` outside 1..1,000,000
-    raises :class:`ConfigError`.
+    are the receiver's sifted key.  ``num_rounds`` that is not an integer
+    in 1..1,000,000 raises :class:`ConfigError`.
     """
-    if not 1 <= num_rounds <= _BB84_MAX_ROUNDS:
+    if not (sv._is_index(num_rounds) and 1 <= num_rounds <= _BB84_MAX_ROUNDS):
         raise ConfigError(f"num_rounds must lie in 1..{_BB84_MAX_ROUNDS}, got {num_rounds}")
     bits = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)
     bases = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)

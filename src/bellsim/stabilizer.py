@@ -119,9 +119,9 @@ class StabilizerTableau:
 
 def init_zero(num_qubits: int) -> StabilizerTableau:
     """Tableau stabilizing |00...0>."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
+    if not (sv._is_index(num_qubits) and 1 <= num_qubits <= MAX_QUBITS):
         raise SizeError(f"stabilizer engine supports 1..{MAX_QUBITS} qubits, got {num_qubits}")
-    n = num_qubits
+    n = int(num_qubits)
     return StabilizerTableau(n, [1 << j for j in range(n)], [1 << (n + j) for j in range(n)], 0)
 
 

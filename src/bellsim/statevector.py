@@ -103,13 +103,14 @@ def check_gate(kind: str, qubits, angle: float | None, n: int | None = None):
     In this order: :class:`InputError` for an unknown kind;
     :class:`QubitIndexError` for the wrong qubit count, an index that is
     not a non-negative integer (``bool`` and floats are not) or a repeated
-    one; :class:`InputError` for an angle missing, not finite or not taken;
-    last, when ``n`` is given, :class:`QubitIndexError` for an index >= n.
+    one; :class:`InputError` for an angle missing, not a real number, not
+    finite or not taken; last, when ``n`` is given,
+    :class:`QubitIndexError` for an index >= n.
     """
-    spec = GATES.get(kind)
-    if spec is None:
-        raise InputError(f"unknown gate kind {kind!r}")
-    arity, takes_angle = spec
+    try:
+        arity, takes_angle = GATES[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise InputError(f"unknown gate kind {kind!r}") from None
     if len(qubits) != arity:
         raise QubitIndexError(f"{kind} takes {arity} qubit(s), got {len(qubits)}")
     for q in qubits:
@@ -123,7 +124,11 @@ def check_gate(kind: str, qubits, angle: float | None, n: int | None = None):
     if takes_angle:
         if angle is None:
             raise InputError(f"{kind} requires an angle")
-        if not math.isfinite(angle):
+        try:
+            finite = math.isfinite(angle)
+        except TypeError:
+            raise InputError(f"{kind} angle must be a real number, got {angle!r}") from None
+        if not finite:
             raise InputError(f"{kind} angle must be finite, got {angle!r}")
     elif angle is not None:
         raise InputError(f"{kind} does not take an angle")
@@ -133,13 +138,13 @@ def check_gate(kind: str, qubits, angle: float | None, n: int | None = None):
 
 
 def _is_index(q) -> bool:
-    """Whether ``q`` is an integer qubit index; ``bool`` and floats are not."""
+    """Whether ``q`` is an integer index or size; ``bool`` and floats are not."""
     return isinstance(q, (int, np.integer)) and not isinstance(q, bool)
 
 
 def gate(kind: str, *qubits: int, angle: float | None = None) -> GateOp:
     """Shorthand constructor: ``gate("CNOT", 0, 1)``, ``gate("RZ", 0, angle=x)``."""
-    return GateOp(kind.upper(), tuple(qubits), angle)
+    return GateOp(kind.upper() if isinstance(kind, str) else kind, tuple(qubits), angle)
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,7 @@ class StateVector:
     """An n-qubit pure state with unit norm.
 
     The amplitude array is copied on construction and frozen read-only.
+    ``num_qubits`` must be an integer in 1..12 (:class:`SizeError`).
     Length must be exactly ``2**num_qubits`` and the norm must be 1 within
     1e-10; violations raise :class:`DimensionError` / :class:`NormalizationError`.
     Non-finite amplitudes (NaN, inf) raise :class:`InputError`.
@@ -156,7 +162,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
+        if not (_is_index(self.num_qubits) and 1 <= self.num_qubits <= MAX_QUBITS):
             raise SizeError(
                 f"statevector engine supports 1..{MAX_QUBITS} qubits, got {self.num_qubits}"
             )
@@ -188,7 +194,7 @@ class StateVector:
 
 def zero_state(num_qubits: int) -> StateVector:
     """The all-zeros computational basis state on ``num_qubits`` qubits."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
+    if not (_is_index(num_qubits) and 1 <= num_qubits <= MAX_QUBITS):
         raise SizeError(f"statevector engine supports 1..{MAX_QUBITS} qubits, got {num_qubits}")
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[0] = 1.0
@@ -208,13 +214,18 @@ def bell_phi_plus() -> StateVector:
 def product_state(factors: "list[tuple[complex, complex]]") -> StateVector:
     """Tensor product of single-qubit states given as (amp0, amp1) pairs.
 
-    Each factor must be normalized within 1e-10 on its own.
+    Each factor must be normalized within 1e-10 on its own; one that is
+    not a pair of complex numbers raises :class:`InputError`.
     """
     if not factors:
         raise DimensionError("product_state needs at least one factor")
     amps = np.array([1.0], dtype=complex)
-    for i, (a0, a1) in enumerate(factors):
-        f = np.array([a0, a1], dtype=complex)
+    for i, factor in enumerate(factors):
+        try:
+            a0, a1 = factor
+            f = np.array([a0, a1], dtype=complex)
+        except (TypeError, ValueError):
+            raise InputError(f"factor {i} is not a pair of complex numbers: {factor!r}") from None
         nrm = float(np.linalg.norm(f))
         if abs(nrm - 1.0) > NORM_ATOL:
             raise NormalizationError(f"factor {i} has norm {nrm!r}, expected 1")
@@ -362,7 +373,10 @@ def expectation(
     """Exact expectation value <psi| A_i (x) B_j |psi> for 2x2 Hermitian A, B."""
     obs_a = _check_observable(obs_a)
     obs_b = _check_observable(obs_b)
-    i, j = qubits
+    try:
+        i, j = qubits
+    except (TypeError, ValueError):
+        raise QubitIndexError(f"expectation takes a pair of qubits, got {qubits!r}") from None
     _check_qubit(state.num_qubits, i)
     _check_qubit(state.num_qubits, j)
     if i == j:

@@ -241,9 +241,12 @@ def test_maximize_is_deterministic():
 def test_maximize_validates_inputs():
     with pytest.raises(DimensionError):
         chsh.maximize_s(sv.zero_state(1))
+    for fixed in ((0.0, 1.0, 2.0), (0.0,), 0.5, ("a", "b")):
+        with pytest.raises(InputError):
+            chsh.maximize_s(sv.bell_psi_plus(), fixed=fixed)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", 1j, None])
 def test_non_finite_angles_are_rejected(bad):
     with pytest.raises(InputError):
         chsh.wrap_angle(bad)
@@ -285,9 +288,7 @@ def test_free_maximum_is_horodecki_closed_form(state):
     assert abs(chsh.s_factor(state, best).s_value - s_star) < 1e-12
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(two_qubit_states, angles, angles)
-def test_fixed_pair_maximum_beats_dense_grid(state, alpha1, chi1):
+def chi2_grid_maximum(state, alpha1, chi1):
     # For each chi2 the best alpha2 gives a2.v its largest value |v|
     # (Cauchy-Schwarz), so a chi2 grid alone bounds the maximum from below.
     m = xy_block(state)
@@ -296,7 +297,50 @@ def test_fixed_pair_maximum_beats_dense_grid(state, alpha1, chi1):
     chi2 = np.linspace(-math.pi, math.pi, 20001)
     b2 = np.stack([np.cos(chi2), -np.sin(chi2)])
     grid = a1 @ m @ (b1[:, None] - b2) + np.linalg.norm(m @ (b1[:, None] + b2), axis=0)
+    return float(grid.max())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(two_qubit_states, angles, angles)
+def test_fixed_pair_maximum_beats_dense_grid(state, alpha1, chi1):
     best, s_fixed = chsh.maximize_s(state, fixed=(alpha1, chi1))
     assert (best.alpha1, best.chi1) == (alpha1, chi1)
-    assert s_fixed >= float(grid.max()) - 1e-12
+    assert s_fixed >= chi2_grid_maximum(state, alpha1, chi1) - 1e-12
     assert s_fixed <= chsh.maximize_s(state)[1] + 1e-12
+
+
+R = 1.0 / math.sqrt(2.0)
+STABILIZER_FACTORS = {
+    "0": (1.0, 0.0), "1": (0.0, 1.0), "+": (R, R), "-": (R, -R),
+    "+i": (R, 1j * R), "-i": (R, -1j * R),
+}
+QUARTER_TURNS = (-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi)
+
+
+@pytest.mark.parametrize("first", STABILIZER_FACTORS)
+@pytest.mark.parametrize("second", STABILIZER_FACTORS)
+def test_fixed_pair_maximum_on_stabilizer_products(first, second):
+    # Degenerate inputs: M has rank 0 or 1 and its singular vectors lie on
+    # the axes, so S(chi2) can be flat or piecewise a pure cosine in chi2.
+    # Perturbed copies split the roots that coincide there into clusters.
+    product = np.kron(STABILIZER_FACTORS[first], STABILIZER_FACTORS[second])
+    rng = np.random.default_rng(7)
+    for eps in (0.0, 1e-3, 1e-4):
+        amps = product + eps * (rng.normal(size=4) + 1j * rng.normal(size=4))
+        state = sv.StateVector(2, amps / np.linalg.norm(amps))
+        for alpha1 in QUARTER_TURNS:
+            for chi1 in QUARTER_TURNS:
+                _, s_fixed = chsh.maximize_s(state, fixed=(alpha1, chi1))
+                grid = chi2_grid_maximum(state, alpha1, chi1)
+                assert s_fixed >= grid - 1e-12, (eps, alpha1, chi1)
+
+
+def test_fixed_pair_pinned_cases():
+    best, s_star = chsh.maximize_s(sv.bell_psi_plus(), fixed=(math.pi / 2, -math.pi / 4))
+    assert abs(s_star - TSIRELSON) < 1e-12
+    assert abs(best.alpha2) < 1e-8
+    assert abs(best.chi2 - math.pi / 4) < 1e-8
+    best, _ = chsh.maximize_s(sv.zero_state(2), fixed=(0.3, -1.2))
+    assert (best.alpha2, best.chi2) == (-math.pi, -math.pi)
+    plus_plus = sv.product_state([(R, R), (R, R)])
+    assert abs(chsh.maximize_s(plus_plus, fixed=(math.pi, 0.0))[1] - 2.0) < 1e-12

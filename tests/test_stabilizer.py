@@ -345,7 +345,7 @@ def test_execute_error_classes_with_angles(kind, qubits, angle, error):
 
 
 QUBIT_VALUES = (-1, 0, 1, 5, np.int64(1), True, 0.5, "0")
-ANGLES = (None, 0.0, -0.0, np.pi / 2, 0.3, 1e300, np.nan, np.inf)
+ANGLES = (None, 0.0, -0.0, np.pi / 2, 0.3, 1e300, np.nan, np.inf, "0.3", 1j)
 
 
 def _final_state_or_error(circuit, start):
@@ -357,7 +357,7 @@ def _final_state_or_error(circuit, start):
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(
-    hs.sampled_from((*sv.GATES, "MEASURE", "FOO", "rz")),
+    hs.sampled_from((*sv.GATES, "MEASURE", "FOO", "rz", 1, ["H"])),
     hs.lists(hs.sampled_from(QUBIT_VALUES), max_size=3).map(tuple),
     hs.sampled_from(ANGLES),
 )

@@ -312,6 +312,10 @@ def test_tensor_view_shape():
         ("H", ("0",), None, QubitIndexError),
         ("RZ", (0,), math.nan, InputError),
         ("RX", (0,), math.inf, InputError),
+        (1, (0,), None, InputError),
+        (["H"], (0,), None, InputError),
+        ("RZ", (0,), "0.3", InputError),
+        ("RZ", (0,), 1j, InputError),
     ],
 )
 def test_apply_error_classes(kind, qubits, angle, error):
