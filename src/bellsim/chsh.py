@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevector as sv
-from .errors import ConfigError, DimensionError, InputError
+from .errors import ConfigError, DimensionError, InputError, finite_array, finite_real, is_int, pair
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -57,17 +57,12 @@ def wrap_angle(theta: float) -> float:
 
     NaN, +/-inf and a value that is not a real number raise :class:`InputError`.
     """
-    try:
-        finite = math.isfinite(theta)
-    except TypeError:
-        raise InputError(f"angle must be a real number, got {theta!r}") from None
-    if not finite:
-        raise InputError(f"angle must be finite, got {theta!r}")
-    return math.remainder(theta, math.tau)
+    return math.remainder(finite_real(theta, "angle"), math.tau)
 
 
 def observable_a(alpha: float) -> np.ndarray:
     """Side-A observable at analyzer angle ``alpha`` (Hermitian, eigenvalues +/-1)."""
+    alpha = finite_real(alpha, "alpha")
     return np.array(
         [[0.0, np.exp(-1j * alpha)], [np.exp(1j * alpha), 0.0]], dtype=complex
     )
@@ -75,6 +70,7 @@ def observable_a(alpha: float) -> np.ndarray:
 
 def observable_b(chi: float) -> np.ndarray:
     """Side-B observable at analyzer angle ``chi`` (Hermitian, eigenvalues +/-1)."""
+    chi = finite_real(chi, "chi")
     return np.array(
         [[0.0, np.exp(1j * chi)], [np.exp(-1j * chi), 0.0]], dtype=complex
     )
@@ -82,12 +78,12 @@ def observable_b(chi: float) -> np.ndarray:
 
 def psi_plus_correlation(alpha: float, chi: float) -> float:
     """Closed-form correlation for (|01> + |10>)/sqrt(2): cos(alpha + chi)."""
-    return math.cos(alpha + chi)
+    return math.cos(wrap_angle(alpha) + wrap_angle(chi))
 
 
 def phi_plus_correlation(alpha: float, chi: float) -> float:
     """Closed-form correlation for (|00> + |11>)/sqrt(2): cos(alpha - chi)."""
-    return math.cos(alpha - chi)
+    return math.cos(wrap_angle(alpha) - wrap_angle(chi))
 
 
 @dataclass(frozen=True)
@@ -133,12 +129,7 @@ def _xy_block(state: sv.StateVector) -> np.ndarray:
 
 def _directions(angles, sign: float) -> np.ndarray:
     """Rows (cos t, sign * sin t): a-vectors for sign +1, b-vectors for -1."""
-    try:
-        t = np.atleast_1d(np.asarray(angles, dtype=float))
-    except (TypeError, ValueError):
-        raise InputError(f"angles must be real numbers, got {angles!r}") from None
-    if not np.isfinite(t).all():
-        raise InputError("angles must be finite")
+    t = finite_array(angles, float, InputError, "angles").reshape(-1)
     return np.stack([np.cos(t), sign * np.sin(t)], axis=-1)
 
 
@@ -158,7 +149,7 @@ def correlation(state: sv.StateVector, alpha: float, chi: float) -> float:
 def correlation_matrix(
     state: sv.StateVector, alphas: np.ndarray, chis: np.ndarray
 ) -> np.ndarray:
-    """Correlations for every (alpha, chi) pair: shape (len(alphas), len(chis))."""
+    """Correlations for every (alpha, chi) pair: shape (number of alphas, number of chis)."""
     m = _xy_block(state)
     return _directions(alphas, 1.0) @ m @ _directions(chis, -1.0).T
 
@@ -200,7 +191,7 @@ def scan_s(
     ``resolution`` must be an integer in 2..1001, which keeps the grid's
     few float arrays near 8 MB each.
     """
-    if not (sv._is_index(resolution) and 2 <= resolution <= _SCAN_MAX_RESOLUTION):
+    if not is_int(resolution, 2, _SCAN_MAX_RESOLUTION):
         raise ConfigError(
             f"scan resolution must lie in 2..{_SCAN_MAX_RESOLUTION}, got {resolution}"
         )
@@ -258,11 +249,7 @@ def maximize_s(
             )
         return best, s_factor(state, best).s_value
 
-    try:
-        alpha1, chi1 = fixed
-    except (TypeError, ValueError):
-        raise InputError(f"fixed must be a pair (alpha1, chi1), got {fixed!r}") from None
-    alpha1, chi1 = wrap_angle(alpha1), wrap_angle(chi1)
+    alpha1, chi1 = map(wrap_angle, pair(fixed, InputError, "fixed (alpha1, chi1)"))
     a1 = _directions(alpha1, 1.0)[0]
     b1 = _directions(chi1, -1.0)[0]
     v = a1 @ m

@@ -42,6 +42,7 @@ import numpy as np
 from . import stabilizer as st
 from . import statevector as sv
 from .errors import BellSimError, ConfigError, InputError, NonCliffordGate, QubitIndexError
+from .errors import finite_real, is_int
 
 CLIFFORD_ANGLE_ATOL = 1e-12
 
@@ -134,7 +135,9 @@ def _column(body: str, k: int) -> int:
 
 
 def parse(text: str) -> Circuit:
-    """Parse circuit text into a :class:`Circuit`; raise located errors."""
+    """Parse circuit text (a ``str``) into a :class:`Circuit`; raise located errors."""
+    if not isinstance(text, str):
+        raise InputError(f"circuit text must be a string, got {type(text).__name__}")
     num_qubits: int | None = None
     instructions: list[Instruction] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -206,13 +209,11 @@ def format_circuit(circuit: Circuit) -> str:
 
 
 def _quarter_turns(angle: float) -> int | None:
-    """k mod 4 when ``angle`` is k quarter turns, else None (also for NaN and inf).
+    """k mod 4 when the finite ``angle`` is k quarter turns, else None.
 
     Judged by the angle's own cos and sin, exact for any float, not by
     angle / (pi/2), whose fraction is lost for huge angles.
     """
-    if not math.isfinite(angle):
-        return None
     c, s = math.cos(angle), math.sin(angle)
     if abs(c * s) > CLIFFORD_ANGLE_ATOL:
         return None
@@ -222,11 +223,7 @@ def _quarter_turns(angle: float) -> int | None:
 
 
 def is_clifford_instruction(ins: Instruction) -> bool:
-    op = ins.opcode
-    try:
-        return op in _AS_ITSELF or op == "MEASURE" or _rotation_kinds(op, ins.angle) is not None
-    except TypeError:  # an unhashable opcode or an angle that is not a real number
-        return False
+    return ins.opcode == "MEASURE" or _clifford_kinds(ins.opcode, ins.angle) is not None
 
 
 STABILIZER_SIMULABLE = "StabilizerSimulable"
@@ -247,8 +244,8 @@ class SimulabilityClass:
     def __post_init__(self) -> None:
         if self.value not in (STABILIZER_SIMULABLE, REQUIRES_STATEVECTOR):
             raise ConfigError(f"unknown simulability class {self.value!r}")
-        if self.simulable == bool(self.witnesses):
-            raise ConfigError("witness list inconsistent with simulability class")
+        if not isinstance(self.witnesses, tuple) or self.simulable == bool(self.witnesses):
+            raise ConfigError("witnesses must be a tuple consistent with the simulability class")
 
     @property
     def simulable(self) -> bool:
@@ -259,8 +256,8 @@ def classify(circuit: Circuit) -> SimulabilityClass:
     """Decide stabilizer simulability instruction by instruction."""
     witnesses = tuple(
         (ins.line, ins.column)
-        for ins in circuit.instructions
-        if not is_clifford_instruction(ins)
+        for ins in circuit.instructions  # not is_clifford_instruction(ins), one call less
+        if ins.opcode != "MEASURE" and _clifford_kinds(ins.opcode, ins.angle) is None
     )
     value = STABILIZER_SIMULABLE if not witnesses else REQUIRES_STATEVECTOR
     return SimulabilityClass(value=value, witnesses=witnesses)
@@ -277,20 +274,25 @@ _ROTATION_SEQUENCES: dict[str, tuple[tuple[str, ...], ...]] = {
 _AS_ITSELF = {kind: (kind,) for kind in st.CLIFFORD_GATE_KINDS}  # a Clifford gate's own sequence
 
 
-def _rotation_kinds(opcode: str, angle: float | None) -> tuple[str, ...] | None:
-    """The Clifford gates (in time order) equal to a quarter-turn rotation, or None."""
-    sequences = _ROTATION_SEQUENCES.get(opcode)
-    k = None if sequences is None or angle is None else _quarter_turns(angle)
-    return None if k is None else sequences[k]
+def _clifford_kinds(opcode: str, angle: float | None) -> tuple[str, ...] | None:
+    """The Clifford gates (in time order) equal to a gate; None if none or if malformed."""
+    try:
+        kinds = _AS_ITSELF.get(opcode)
+        if kinds is not None or opcode not in _ROTATION_SEQUENCES:
+            return kinds
+        k = _quarter_turns(finite_real(angle, "angle"))
+    except (TypeError, InputError):  # an unhashable opcode; a missing, non-real or non-finite angle
+        return None
+    return None if k is None else _ROTATION_SEQUENCES[opcode][k]
 
 
 def rotation_to_cliffords(opcode: str, angle: float) -> tuple[str, ...]:
     """Clifford gate sequence (time order) equal to the rotation up to phase.
 
-    Only valid when the angle is an integer multiple of pi/2 (the
-    classifier's test); anything else raises :class:`NonCliffordGate`.
+    Only valid for a Clifford kind (its own sequence) or an angle that is an integer
+    multiple of pi/2 (the classifier's test); else raises :class:`NonCliffordGate`.
     """
-    kinds = _rotation_kinds(opcode, angle)
+    kinds = _clifford_kinds(opcode, angle)
     if kinds is None:
         raise NonCliffordGate(f"{opcode} angle {angle!r} is not a multiple of pi/2")
     return kinds
@@ -353,10 +355,7 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
         elif dense:
             sv._apply(amps, n, op, sv.check_gate(op, qubits, angle, n), angle)
         else:
-            try:
-                kinds = _AS_ITSELF.get(op) or _rotation_kinds(op, angle)
-            except TypeError:  # as in is_clifford_instruction; check_gate says which
-                kinds = None
+            kinds = _clifford_kinds(op, angle)
             if kinds is None:  # a malformed gate raises its check's error first
                 sv.check_gate(op, qubits, angle)
                 if angle is None:
@@ -383,6 +382,8 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
     """
     if engine not in ("auto", "statevector", "stabilizer"):
         raise ConfigError(f"engine must be auto, statevector or stabilizer, got {engine!r}")
+    if not is_int(seed, 0, math.inf):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     report = classify(circuit)
     if engine == "stabilizer" and not report.simulable:
         spots = ", ".join(f"line {ln} column {col}" for ln, col in report.witnesses)

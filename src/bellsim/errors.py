@@ -1,10 +1,13 @@
-"""Exception hierarchy shared by all bellsim modules.
+"""Exception hierarchy shared by all bellsim modules, and the guards that raise it.
 
 Every error raised by this package derives from :class:`BellSimError` so
 callers can catch one type at the boundary.  Parse errors for the circuit
 language live in :mod:`bellsim.dsl` (they carry source locations) but they
 subclass :class:`BellSimError` as well.
 """
+
+import math
+import numbers
 
 
 class BellSimError(Exception):
@@ -53,3 +56,43 @@ class ConfigError(BellSimError):
 
 class IoError(BellSimError):
     """A file could not be read or written."""
+
+
+def is_int(value, lo, hi) -> bool:
+    """Whether ``value`` is an int or numpy integer, not ``bool``, in ``lo..hi``."""
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return lo <= value <= hi
+    return False
+
+
+def finite_real(value, what: str) -> float:
+    """``value`` as a float; :class:`InputError` unless a finite ``numbers.Real`` (not complex)."""
+    if type(value) is not float:
+        if not isinstance(value, numbers.Real):
+            raise InputError(f"{what} must be a real number, got {value!r}")
+        value = float(value)
+    if not math.isfinite(value):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def pair(value, error: type, what: str) -> tuple:
+    """The two items of ``value``; anything else raises ``error``."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise error(f"{what} must be a pair, got {value!r}") from None
+    return first, second
+
+
+def finite_array(value, dtype: type, error: type, what: str):
+    """``value`` as an array of finite ``dtype`` numbers (float or complex); else ``error``."""
+    import numpy as np
+    try:
+        arr = np.asarray(value)
+        ok = arr.dtype.kind in ("biufc" if dtype is complex else "biuf") and np.isfinite(arr).all()
+    except (TypeError, ValueError):  # ragged nesting
+        ok = False
+    if not ok:
+        raise error(f"{what} must be finite numbers of type {dtype.__name__}, got {value!r}")
+    return arr.astype(dtype, copy=False)

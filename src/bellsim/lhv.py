@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ModelError
+from .errors import InputError, ModelError, finite_array, is_int, pair
 
 CLASSICAL_BOUND = 2.0
 
@@ -46,9 +46,9 @@ class DeterministicStrategy:
     b2: int
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a2", "b1", "b2"):
-            if getattr(self, name) not in (-1, 1):
-                raise ModelError(f"strategy outcome {name} must be +1 or -1")
+        for value in (self.a1, self.a2, self.b1, self.b2):
+            if not is_int(value, -1, 1) or value == 0:
+                raise ModelError(f"strategy outcomes must be +1 or -1, got {value!r}")
 
     def correlations(self) -> tuple[int, int, int, int]:
         """(E11, E12, E21, E22) produced by this strategy alone."""
@@ -103,11 +103,9 @@ class LhvModel:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
+        w = finite_array(self.weights, float, ModelError, "model weights").reshape(-1).copy()
         if w.shape[0] != len(STRATEGIES):
             raise ModelError(f"expected {len(STRATEGIES)} weights, got {w.shape[0]}")
-        if not np.isfinite(w).all():
-            raise ModelError("model weights must be finite")
         if float(w.min()) < -_WEIGHT_NEG_ATOL:
             raise ModelError(f"negative weight {float(w.min())!r} in model")
         w = np.clip(w, 0.0, None)
@@ -135,8 +133,11 @@ def chsh_variants(targets: "tuple[float, float, float, float]") -> tuple[float, 
 
     Local realizability of a correlation tuple is equivalent to all eight
     being at most 2 (the facet description of the local polytope).
+    ``targets`` that are not 4 finite real numbers raise :class:`InputError`.
     """
-    e = np.asarray(targets, dtype=float)
+    e = finite_array(targets, float, InputError, "target correlations").reshape(-1)
+    if e.shape[0] != 4:
+        raise InputError(f"expected 4 target correlations, got {e.shape[0]}")
     base = float(e.sum())
     out = []
     for term in e:
@@ -158,16 +159,13 @@ def fit_lhv(targets: "tuple[float, float, float, float]") -> LhvModel | None:
     targets up to rounding, or within 1e-9 for targets up to 1e-9
     outside the polytope, which are first scaled onto its boundary.
     """
+    variants = chsh_variants(targets)  # checks for 4 finite real numbers
     e = np.asarray(targets, dtype=float).reshape(-1)
-    if e.shape[0] != 4:
-        raise InputError(f"expected 4 target correlations, got {e.shape[0]}")
-    if not np.isfinite(e).all():
-        raise InputError("target correlations must be finite")
     if float(np.abs(e).max()) > 1.0 + _FIT_TOL:
         raise InputError(
             f"correlations must lie in [-1, 1], got max magnitude {float(np.abs(e).max())!r}"
         )
-    if max(chsh_variants(tuple(e))) > 2.0 + _FIT_TOL:
+    if max(variants) > 2.0 + _FIT_TOL:
         return None
 
     c = _HADAMARD @ e / 4.0
@@ -189,11 +187,8 @@ def sample_lhv(
     ``setting_pair`` is (i, j) with i, j in {1, 2}: side A uses setting
     alpha_i, side B uses chi_j.  Consumes one uniform draw from ``rng``.
     """
-    try:
-        i, j = setting_pair
-    except (TypeError, ValueError):
-        raise InputError(f"setting_pair must be a pair (i, j), got {setting_pair!r}") from None
-    if i not in (1, 2) or j not in (1, 2):
+    i, j = pair(setting_pair, InputError, "setting_pair")
+    if not (is_int(i, 1, 2) and is_int(j, 1, 2)):
         raise InputError(f"setting_pair entries must be 1 or 2, got {setting_pair!r}")
     cumulative = np.cumsum(model.weights)
     idx = int(np.searchsorted(cumulative, rng.random(), side="right"))

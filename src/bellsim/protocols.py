@@ -37,7 +37,7 @@ import numpy as np
 from . import dsl
 from . import stabilizer as st
 from . import statevector as sv
-from .errors import ConfigError, InputError, NonCliffordGate
+from .errors import ConfigError, InputError, NonCliffordGate, is_int, pair
 
 TELEPORT_FORCE_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -146,10 +146,9 @@ def teleport_statevector(
     """
     if input_state.num_qubits != 1:
         raise InputError(f"teleportation input must be 1 qubit, got {input_state.num_qubits}")
-    if force_outcomes is not None and len(force_outcomes) != 2:
-        raise InputError(f"force_outcomes must be a pair (m0, m1), got {force_outcomes!r}")
+    forced = None if force_outcomes is None else pair(force_outcomes, InputError, "force_outcomes")
     amps = np.kron(input_state.amplitudes, sv.zero_state(2).amplitudes)
-    bits, _, state = dsl._execute(_TELEPORT, sv.StateVector(3, amps), rng, force_outcomes)
+    bits, _, state = dsl._execute(_TELEPORT, sv.StateVector(3, amps), rng, forced)
     rho = sv.reduced_density(state, 2)
     report = ProtocolReport(
         protocol="teleport",
@@ -193,11 +192,8 @@ def superdense_code(bits: tuple[int, int], rng: np.random.Generator) -> Protocol
     Decoding is deterministic: the measured bits always equal the input
     ``bits``, and no randomness is drawn.  Runs on the stabilizer engine.
     """
-    try:
-        b1, b2 = bits
-    except (TypeError, ValueError):
-        raise InputError(f"bits must be a pair, got {bits!r}") from None
-    if b1 not in (0, 1) or b2 not in (0, 1):
+    b1, b2 = pair(bits, InputError, "bits")
+    if not (is_int(b1, 0, 1) and is_int(b2, 0, 1)):
         raise InputError(f"bits must be 0 or 1, got {bits!r}")
     outcomes, deterministic, _ = dsl._execute(_SUPERDENSE[b1, b2], st.init_zero(2), rng)
     return ProtocolReport(
@@ -242,7 +238,7 @@ def bb84_simulate(
     are the receiver's sifted key.  ``num_rounds`` that is not an integer
     in 1..1,000,000 raises :class:`ConfigError`.
     """
-    if not (sv._is_index(num_rounds) and 1 <= num_rounds <= _BB84_MAX_ROUNDS):
+    if not is_int(num_rounds, 1, _BB84_MAX_ROUNDS):
         raise ConfigError(f"num_rounds must lie in 1..{_BB84_MAX_ROUNDS}, got {num_rounds}")
     bits = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)
     bases = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)

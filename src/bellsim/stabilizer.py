@@ -42,7 +42,7 @@ import numpy as np
 from . import statevector as sv
 from .errors import (
     BellSimError, DimensionError, InputError, NonCliffordGate, ProjectionError, QubitIndexError,
-    SizeError,
+    SizeError, finite_array, is_int,
 )
 
 MAX_QUBITS = 64
@@ -57,7 +57,7 @@ def _unpack(words: list[int], num_bits: int) -> np.ndarray:
 
 def _pack(bits: np.ndarray) -> list[int]:
     """Inverse of :func:`_unpack`: one int per row of a binary matrix."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
+    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
@@ -90,7 +90,7 @@ class StabilizerTableau:
         for entries other than 0 and 1.  The invariants are not checked;
         :func:`validate` does that.
         """
-        x, z, phase = (np.asarray(a) for a in (x, z, phase))
+        x, z, phase = (finite_array(a, float, InputError, "tableau arrays") for a in (x, z, phase))
         n = x.shape[1] if x.ndim == 2 else -1
         if x.shape != (2 * n, n) or z.shape != x.shape or phase.shape != (2 * n,):
             raise DimensionError("tableau arrays have inconsistent shapes")
@@ -119,14 +119,14 @@ class StabilizerTableau:
 
 def init_zero(num_qubits: int) -> StabilizerTableau:
     """Tableau stabilizing |00...0>."""
-    if not (sv._is_index(num_qubits) and 1 <= num_qubits <= MAX_QUBITS):
+    if not is_int(num_qubits, 1, MAX_QUBITS):
         raise SizeError(f"stabilizer engine supports 1..{MAX_QUBITS} qubits, got {num_qubits}")
     n = int(num_qubits)
     return StabilizerTableau(n, [1 << j for j in range(n)], [1 << (n + j) for j in range(n)], 0)
 
 
 def _check_qubit(t: StabilizerTableau, q: int) -> None:
-    if not (sv._is_index(q) and 0 <= q < t.num_qubits):
+    if not is_int(q, 0, t.num_qubits - 1):
         raise QubitIndexError(f"qubit {q} out of range for {t.num_qubits}-qubit tableau")
 
 
@@ -331,7 +331,7 @@ def measure_z_forced(t: StabilizerTableau, q: int, outcome: int) -> tuple[bool, 
     of probability zero raises :class:`ProjectionError`.
     """
     _check_qubit(t, q)
-    if outcome not in (0, 1):
+    if not is_int(outcome, 0, 1):
         raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
     if _is_random(t, q):
         return False, _collapsed(t, q, outcome)
@@ -356,7 +356,7 @@ _BASIS_CHANGE = {"Z": (), "X": ("H",), "Y": ("SDG", "H")}
 
 def pauli_expectation(t: StabilizerTableau, q: int, pauli: str) -> float:
     """Expectation value of X, Y or Z on qubit ``q``: exactly -1, 0 or +1."""
-    if pauli not in _BASIS_CHANGE:
+    if not isinstance(pauli, str) or pauli not in _BASIS_CHANGE:
         raise InputError(f"pauli must be X, Y or Z, got {pauli!r}")
     rotated = t
     for kind in _BASIS_CHANGE[pauli]:

@@ -37,6 +37,7 @@ from .errors import (
     QubitIndexError,
     SizeError,
 )
+from .errors import finite_array, finite_real, is_int, pair
 
 MAX_QUBITS = 12
 NORM_ATOL = 1e-10
@@ -70,7 +71,11 @@ _PHASES = {kind: complex(FIXED_GATES[kind][1, 1]) for kind in ("Z", "S", "SDG", 
 
 
 def rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    """Return the 2x2 unitary for RX, RY or RZ at the given angle."""
+    """The 2x2 unitary for RX, RY or RZ at a finite real angle; else :class:`InputError`."""
+    return _rotation(kind, finite_real(angle, f"{kind} angle"))
+
+
+def _rotation(kind: str, angle: float) -> np.ndarray:
     c = math.cos(angle / 2.0)
     s = math.sin(angle / 2.0)
     if kind == "RX":
@@ -104,42 +109,35 @@ def check_gate(kind: str, qubits, angle: float | None, n: int | None = None):
     :class:`QubitIndexError` for the wrong qubit count, an index that is
     not a non-negative integer (``bool`` and floats are not) or a repeated
     one; :class:`InputError` for an angle missing, not a real number, not
-    finite or not taken; last, when ``n`` is given,
-    :class:`QubitIndexError` for an index >= n.
+    finite or not taken; last, when ``n`` is given, :class:`QubitIndexError`
+    for an index >= n or an ``n`` that is not a positive integer.
     """
     try:
         arity, takes_angle = GATES[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise InputError(f"unknown gate kind {kind!r}") from None
-    if len(qubits) != arity:
-        raise QubitIndexError(f"{kind} takes {arity} qubit(s), got {len(qubits)}")
+    try:
+        count = len(qubits)
+    except TypeError:
+        raise QubitIndexError(f"qubits must be a sequence of integers, got {qubits!r}") from None
+    if count != arity:
+        raise QubitIndexError(f"{kind} takes {arity} qubit(s), got {count}")
     for q in qubits:
         if type(q) is not int or q < 0:
-            if not all(_is_index(q) and q >= 0 for q in qubits):
+            if not all(is_int(q, 0, math.inf) for q in qubits):
                 raise QubitIndexError(f"qubits must be non-negative integers, got {qubits}")
             qubits = tuple(map(int, qubits))
             break
     if arity == 2 and qubits[0] == qubits[1]:
         raise QubitIndexError(f"{kind} requires distinct qubits, got {qubits}")
     if takes_angle:
-        if angle is None:
-            raise InputError(f"{kind} requires an angle")
-        try:
-            finite = math.isfinite(angle)
-        except TypeError:
-            raise InputError(f"{kind} angle must be a real number, got {angle!r}") from None
-        if not finite:
-            raise InputError(f"{kind} angle must be finite, got {angle!r}")
+        finite_real(angle, "gate angle")
     elif angle is not None:
         raise InputError(f"{kind} does not take an angle")
-    if n is not None and (qubits[0] >= n or qubits[-1] >= n):
-        raise QubitIndexError(f"qubits {qubits} out of range for {n} qubit(s)")
+    if n is not None and ((type(n) is not int and not is_int(n, 1, math.inf))
+                          or qubits[0] >= n or qubits[-1] >= n):
+        raise QubitIndexError(f"qubits {qubits} out of range for {n!r} qubit(s)")
     return qubits
-
-
-def _is_index(q) -> bool:
-    """Whether ``q`` is an integer index or size; ``bool`` and floats are not."""
-    return isinstance(q, (int, np.integer)) and not isinstance(q, bool)
 
 
 def gate(kind: str, *qubits: int, angle: float | None = None) -> GateOp:
@@ -162,11 +160,14 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not (_is_index(self.num_qubits) and 1 <= self.num_qubits <= MAX_QUBITS):
+        if not is_int(self.num_qubits, 1, MAX_QUBITS):
             raise SizeError(
                 f"statevector engine supports 1..{MAX_QUBITS} qubits, got {self.num_qubits}"
             )
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
+        amps = self.amplitudes
+        if type(amps) is not np.ndarray or amps.dtype != complex:  # else the norm test catches NaN
+            amps = finite_array(amps, complex, InputError, "state amplitudes")
+        amps = amps.reshape(-1).copy()
         if amps.shape[0] != 2**self.num_qubits:
             raise DimensionError(
                 f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} qubits, "
@@ -194,7 +195,7 @@ class StateVector:
 
 def zero_state(num_qubits: int) -> StateVector:
     """The all-zeros computational basis state on ``num_qubits`` qubits."""
-    if not (_is_index(num_qubits) and 1 <= num_qubits <= MAX_QUBITS):
+    if not is_int(num_qubits, 1, MAX_QUBITS):
         raise SizeError(f"statevector engine supports 1..{MAX_QUBITS} qubits, got {num_qubits}")
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[0] = 1.0
@@ -214,23 +215,21 @@ def bell_phi_plus() -> StateVector:
 def product_state(factors: "list[tuple[complex, complex]]") -> StateVector:
     """Tensor product of single-qubit states given as (amp0, amp1) pairs.
 
-    Each factor must be normalized within 1e-10 on its own; one that is
-    not a pair of complex numbers raises :class:`InputError`.
+    Each factor must be normalized within 1e-10 on its own; factors that
+    are not pairs of finite complex numbers raise :class:`InputError`.
     """
-    if not factors:
+    pairs = finite_array(factors, complex, InputError, "factors")
+    if not pairs.size:
         raise DimensionError("product_state needs at least one factor")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InputError(f"factors must be pairs of complex numbers, got {factors!r}")
     amps = np.array([1.0], dtype=complex)
-    for i, factor in enumerate(factors):
-        try:
-            a0, a1 = factor
-            f = np.array([a0, a1], dtype=complex)
-        except (TypeError, ValueError):
-            raise InputError(f"factor {i} is not a pair of complex numbers: {factor!r}") from None
+    for i, f in enumerate(pairs):
         nrm = float(np.linalg.norm(f))
         if abs(nrm - 1.0) > NORM_ATOL:
             raise NormalizationError(f"factor {i} has norm {nrm!r}, expected 1")
         amps = np.kron(amps, f)
-    return StateVector(len(factors), amps)
+    return StateVector(len(pairs), amps)
 
 
 def prepare_named(
@@ -249,14 +248,12 @@ def prepare_named(
     if name == "phi_plus":
         return bell_phi_plus()
     if name == "product":
-        if factors is None:
-            raise InputError("product preparation needs factors")
         return product_state(factors)
     raise InputError(f"unknown state name {name!r}")
 
 
 def _check_qubit(n: int, q) -> None:
-    if not (_is_index(q) and 0 <= q < n):
+    if not is_int(q, 0, n - 1):
         raise QubitIndexError(f"qubit {q!r} out of range for {n}-qubit state")
 
 
@@ -291,20 +288,20 @@ def _apply(amps: np.ndarray, n: int, kind: str, qubits: tuple, angle: float | No
     elif kind == "X":
         v[...] = v[:, ::-1]
     elif kind == "RZ":
-        v *= rotation_matrix(kind, angle).diagonal()[:, None]
+        v *= _rotation(kind, angle).diagonal()[:, None]
     else:
-        _one_qubit(amps, n, q, FIXED_GATES[kind] if angle is None else rotation_matrix(kind, angle))
+        _one_qubit(amps, n, q, FIXED_GATES[kind] if angle is None else _rotation(kind, angle))
 
 
 def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, float]:
-    """Measure qubit ``q`` (``outcome`` None: one ``rng.random()`` draw,
-    outcome 1 when it is below P(1)) or project it onto ``outcome``;
+    """Measure qubit ``q`` (``outcome`` None and an ``rng``: one ``rng.random()``
+    draw, outcome 1 when it is below P(1)) or project it onto ``outcome``;
     returns the outcome and its probability."""
     _check_qubit(n, q)
     v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
-    if outcome is None:
+    if outcome is None and rng is not None:
         outcome = 1 if rng.random() < np.vdot(v[:, 1], v[:, 1]).real else 0
-    elif outcome not in (0, 1):
+    elif not is_int(outcome, 0, 1):
         raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
     outcome = int(outcome)
     kept = v[:, outcome]
@@ -356,7 +353,7 @@ def measure_qubit(
 
 
 def _check_observable(obs: np.ndarray) -> np.ndarray:
-    obs = np.asarray(obs, dtype=complex)
+    obs = finite_array(obs, complex, ObservableError, "observable")
     if obs.shape != (2, 2):
         raise ObservableError(f"observable must be 2x2, got shape {obs.shape}")
     if float(np.max(np.abs(obs - obs.conj().T))) > 1e-10:
@@ -373,10 +370,7 @@ def expectation(
     """Exact expectation value <psi| A_i (x) B_j |psi> for 2x2 Hermitian A, B."""
     obs_a = _check_observable(obs_a)
     obs_b = _check_observable(obs_b)
-    try:
-        i, j = qubits
-    except (TypeError, ValueError):
-        raise QubitIndexError(f"expectation takes a pair of qubits, got {qubits!r}") from None
+    i, j = pair(qubits, QubitIndexError, "expectation qubits")
     _check_qubit(state.num_qubits, i)
     _check_qubit(state.num_qubits, j)
     if i == j:
@@ -426,11 +420,9 @@ def fidelity(a: "StateVector | np.ndarray", b: "StateVector | np.ndarray") -> fl
 def _check_density(rho: np.ndarray) -> np.ndarray:
     """A 2x2 density matrix: finite, Hermitian, unit trace and positive
     semidefinite, each within 1e-10; anything else raises InputError."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = finite_array(rho, complex, InputError, "density matrix")
     if rho.shape != (2, 2):
         raise DimensionError(f"density matrix must be 2x2, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise InputError("density matrix must be finite")
     if float(np.max(np.abs(rho - rho.conj().T))) > NORM_ATOL:
         raise InputError("density matrix is not Hermitian within 1e-10")
     if abs(np.trace(rho) - 1.0) > NORM_ATOL:

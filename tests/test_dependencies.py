@@ -1,9 +1,11 @@
 """The runtime dependency list is numpy alone: SciPy must never load.
 
 The stabilizer kernels call ``int.bit_count``, so the supported Python
-floor must stay at 3.10 or higher.
+floor must stay at 3.10 or higher.  ``errors.py``, whose guards every
+module imports, needs only the standard library at import time.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -50,3 +52,19 @@ def test_requires_python_floor_has_int_bit_count():
     match = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)[^"]*"\s*$', text, re.MULTILINE)
     assert match, "pyproject.toml must declare requires-python as >=X.Y"
     assert (int(match.group(1)), int(match.group(2))) >= (3, 10)
+
+
+def test_errors_module_imports_no_numpy_at_module_level():
+    tree = ast.parse((Path(SRC) / "bellsim" / "errors.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in tree.body if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name and name.split(".")[0] == "numpy"]
+
+
+def test_no_module_references_the_removed_index_helper():
+    for path in sorted((Path(SRC) / "bellsim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "_is_index" not in names, path.name
