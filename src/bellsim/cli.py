@@ -32,41 +32,35 @@ from . import chsh, dsl, lhv, protocols
 from . import statevector as sv
 from .errors import BellSimError, IoError, NonCliffordGate
 
-_NAMED_TWO_QUBIT = {
-    "psi-plus": sv.bell_psi_plus,
-    "psi_plus": sv.bell_psi_plus,
-    "phi-plus": sv.bell_phi_plus,
-    "phi_plus": sv.bell_phi_plus,
-}
+_NAMED_TWO_QUBIT = {"psi-plus": sv.bell_psi_plus, "phi-plus": sv.bell_phi_plus}
 
 
-def _parse_complex(token: str) -> complex:
-    return complex(token.strip().replace(" ", ""))
+def _state(text: str, num_qubits: int) -> sv.StateVector:
+    """The state with the comma-separated amplitudes in ``text`` (e.g. ``0.6,0.8j``).
+
+    :class:`~bellsim.statevector.StateVector` checks their count, finiteness and norm.
+    """
+    return sv.StateVector(num_qubits, [complex(part.replace(" ", "")) for part in text.split(",")])
 
 
 def state_argument(text: str) -> sv.StateVector:
     """Two-qubit state spec: psi-plus, phi-plus, product:<f0;f1>, or 4 amplitudes.
 
-    Product factors are semicolon-separated single-qubit amplitude pairs,
-    e.g. ``product:1,0;0.6,0.8``.  Raw amplitudes are comma-separated,
-    e.g. ``0,0.7071067811865476,0.7071067811865476,0``.
+    Names ignore case and may use ``_`` for ``-``.  Product factors are
+    semicolon-separated single-qubit amplitude pairs, e.g.
+    ``product:1,0;0.6,0.8``.  Raw amplitudes are comma-separated, e.g.
+    ``0,0.7071067811865476,0.7071067811865476,0``.
     """
     try:
-        key = text.strip().lower()
+        key = text.strip().lower().replace("_", "-")
         if key in _NAMED_TWO_QUBIT:
             return _NAMED_TWO_QUBIT[key]()
         if key.startswith("product:"):
-            factors = []
-            for part in text.strip()[len("product:"):].split(";"):
-                a0, a1 = part.split(",")
-                factors.append((_parse_complex(a0), _parse_complex(a1)))
+            factors = [_state(part, 1).amplitudes for part in text.split(":", 1)[1].split(";")]
             if len(factors) != 2:
                 raise ValueError("product state needs exactly two factors")
             return sv.product_state(factors)
-        amps = [_parse_complex(part) for part in text.split(",")]
-        if len(amps) != 4:
-            raise ValueError(f"expected 4 amplitudes, got {len(amps)}")
-        return sv.StateVector(2, np.array(amps, dtype=complex))
+        return _state(text, 2)
     except (ValueError, BellSimError) as exc:
         raise argparse.ArgumentTypeError(f"bad state {text!r}: {exc}") from None
 
@@ -176,24 +170,13 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
     if args.engine == "stabilizer":
         report = protocols.teleport_stabilizer(args.input, rng)
     else:
-        text = args.input.strip()
-        if "," in text:
-            try:
-                a0, a1 = (_parse_complex(p) for p in text.split(","))
-                state = sv.StateVector(1, np.array([a0, a1], dtype=complex))
-            except (ValueError, BellSimError) as exc:
-                print(f"error: bad input state {args.input!r}: {exc}", file=sys.stderr)
-                return 2
-        else:
-            try:
-                state = protocols.stabilizer_input_state(text)
-            except NonCliffordGate:
-                print(
-                    f"error: bad input state {args.input!r}: expected 0, 1, +, -, +i, -i "
-                    "or amplitudes a0,a1",
-                    file=sys.stderr,
-                )
-                return 2
+        named = "," not in args.input
+        try:
+            state = protocols.stabilizer_input_state(args.input) if named else _state(args.input, 1)
+        except (ValueError, BellSimError) as exc:
+            reason = "expected 0, 1, +, -, +i, -i or amplitudes a0,a1" if named else exc
+            print(f"error: bad input state {args.input!r}: {reason}", file=sys.stderr)
+            return 2
         report, _ = protocols.teleport_statevector(state, rng)
     _print_report(report)
     return 0
@@ -247,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chsh-eval", help="S-factor at four analyzer angles")
-    p.add_argument("--state", type=state_argument, default=sv.bell_psi_plus())
+    p.add_argument("--state", type=state_argument, default="psi-plus")
     p.add_argument("--alpha1", type=angle_argument, required=True)
     p.add_argument("--chi1", type=angle_argument, required=True)
     p.add_argument("--alpha2", type=angle_argument, required=True)
@@ -255,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chsh_eval)
 
     p = sub.add_parser("chsh-scan", help="CSV sweep of S over (alpha2, chi2)")
-    p.add_argument("--state", type=state_argument, default=sv.bell_psi_plus())
+    p.add_argument("--state", type=state_argument, default="psi-plus")
     p.add_argument("--alpha1", type=angle_argument, default="pi/2")
     p.add_argument("--chi1", type=angle_argument, default="-pi/4")
     p.add_argument(

@@ -70,7 +70,10 @@ def finite_real(value, what: str) -> float:
     if type(value) is not float:
         if not isinstance(value, numbers.Real):
             raise InputError(f"{what} must be a real number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            raise InputError(f"{what} must be finite, got an int too large for a float") from None
     if not math.isfinite(value):
         raise InputError(f"{what} must be finite, got {value!r}")
     return value

@@ -70,10 +70,8 @@ _INPUT_ALIASES = {
     "one": "1",
     "plus": "+",
     "minus": "-",
-    "plus_i": "+i",
     "plus-i": "+i",
     "i": "+i",
-    "minus_i": "-i",
     "minus-i": "-i",
 }
 
@@ -103,7 +101,7 @@ class ProtocolReport:
 def resolve_stabilizer_input(name: str) -> tuple[str, ...]:
     """Preparation gates for a named single-qubit stabilizer state.
 
-    Accepts 0, 1, +, -, +i, -i (and word aliases like plus, minus-i).
+    Accepts 0, 1, +, -, +i, -i (and word aliases like plus, minus-i or minus_i).
     Any other state name raises :class:`NonCliffordGate`: it has no
     stabilizer-engine preparation; a name that is not a string raises
     :class:`InputError`.
@@ -111,7 +109,7 @@ def resolve_stabilizer_input(name: str) -> tuple[str, ...]:
     if not isinstance(name, str):
         raise InputError(f"input name must be a string, got {name!r}")
     key = name.strip().lower()
-    key = _INPUT_ALIASES.get(key, key)
+    key = _INPUT_ALIASES.get(key.replace("_", "-"), key)
     if key not in STABILIZER_INPUTS:
         raise NonCliffordGate(
             f"input {name!r} is not one of the six single-qubit stabilizer states "

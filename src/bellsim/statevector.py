@@ -145,6 +145,11 @@ def gate(kind: str, *qubits: int, angle: float | None = None) -> GateOp:
     return GateOp(kind.upper() if isinstance(kind, str) else kind, tuple(qubits), angle)
 
 
+def _check_size(num_qubits) -> None:
+    if not is_int(num_qubits, 1, MAX_QUBITS):
+        raise SizeError(f"statevector engine supports 1..{MAX_QUBITS} qubits, got {num_qubits}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """An n-qubit pure state with unit norm.
@@ -160,10 +165,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not is_int(self.num_qubits, 1, MAX_QUBITS):
-            raise SizeError(
-                f"statevector engine supports 1..{MAX_QUBITS} qubits, got {self.num_qubits}"
-            )
+        _check_size(self.num_qubits)
         amps = self.amplitudes
         if type(amps) is not np.ndarray or amps.dtype != complex:  # else the norm test catches NaN
             amps = finite_array(amps, complex, InputError, "state amplitudes")
@@ -195,8 +197,7 @@ class StateVector:
 
 def zero_state(num_qubits: int) -> StateVector:
     """The all-zeros computational basis state on ``num_qubits`` qubits."""
-    if not is_int(num_qubits, 1, MAX_QUBITS):
-        raise SizeError(f"statevector engine supports 1..{MAX_QUBITS} qubits, got {num_qubits}")
+    _check_size(num_qubits)
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
@@ -223,6 +224,7 @@ def product_state(factors: "list[tuple[complex, complex]]") -> StateVector:
         raise DimensionError("product_state needs at least one factor")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise InputError(f"factors must be pairs of complex numbers, got {factors!r}")
+    _check_size(len(pairs))  # before the product is built
     amps = np.array([1.0], dtype=complex)
     for i, f in enumerate(pairs):
         nrm = float(np.linalg.norm(f))

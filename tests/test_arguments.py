@@ -9,8 +9,8 @@ from bellsim import chsh, dsl, lhv, protocols
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import (
-    ConfigError, InputError, ModelError, NonCliffordGate, ObservableError, ProjectionError,
-    QubitIndexError, SizeError,
+    ConfigError, DimensionError, InputError, ModelError, NonCliffordGate, ObservableError,
+    ProjectionError, QubitIndexError, SizeError,
 )
 
 X = sv.FIXED_GATES["X"]
@@ -45,6 +45,16 @@ BAD_CALLS = {
     "expectation one qubit": (
         lambda: sv.expectation(sv.bell_psi_plus(), X, X, (0,)), QubitIndexError
     ),
+    "expectation equal qubits": (
+        lambda: sv.expectation(sv.bell_psi_plus(), X, X, (1, 1)), QubitIndexError
+    ),
+    "fidelity 1 vs 2 qubits": (
+        lambda: sv.fidelity(sv.zero_state(1), sv.bell_psi_plus()), DimensionError
+    ),
+    "fidelity 2 qubits vs density": (
+        lambda: sv.fidelity(sv.bell_psi_plus(), np.eye(2) / 2), DimensionError
+    ),
+    "product_state empty": (lambda: sv.product_state([]), DimensionError),
     "product_state triple": (lambda: sv.product_state([(1, 0, 0)]), InputError),
     "product_state scalar": (lambda: sv.product_state([1]), InputError),
     "stabilizer input not a string": (lambda: protocols.resolve_stabilizer_input(1), InputError),

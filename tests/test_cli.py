@@ -149,6 +149,50 @@ def test_lhv_fit_has_no_tolerance_flag(capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_chsh_scan_into_a_missing_directory_exits_one(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "scan.csv"
+    code, out, err = run_cli(capsys, ["chsh-scan", "--resolution", "3", "--out", str(out_path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {str(out_path)!r}:")
+
+
+PHI_PLUS_AMPLITUDES = f"{1 / math.sqrt(2)!r},0,0,{1 / math.sqrt(2)!r}"
+
+
+@pytest.mark.parametrize("spec", ["PHI_PLUS", "phi_plus", "Phi-Plus", " phi-plus "])
+def test_state_names_ignore_case_and_take_underscore_for_dash(spec, capsys):
+    _, expected, _ = run_cli(capsys, ["chsh-eval", "--state", PHI_PLUS_AMPLITUDES, *TSIRELSON_ARGS])
+    code, out, err = run_cli(capsys, ["chsh-eval", "--state", spec, *TSIRELSON_ARGS])
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "product:1,0",
+        "product:1,0;1,0;1,0",
+        "product:1,0;1,0,0",
+        "1,0,0",
+        "1,0,0,0,0",
+        "nan,0,0,1",
+    ],
+)
+def test_malformed_state_spec_is_a_usage_error(spec, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["chsh-eval", "--state", spec, *TSIRELSON_ARGS])
+    captured = capsys.readouterr()
+    assert caught.value.code == 2
+    assert captured.out == ""
+    assert f"error: argument --state: bad state {spec!r}: " in captured.err
+
+
+@pytest.mark.parametrize("amplitudes", ["1,0,0", "nan,1"])
+def test_teleport_rejects_malformed_amplitudes_as_bad_state(amplitudes, capsys):
+    code, out, err = run_cli(capsys, ["teleport", "--input", amplitudes])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad input state {amplitudes!r}: ")
+
+
 def test_teleport_statevector_engine(capsys):
     code, out, _ = run_cli(capsys, ["teleport", "--input", "0.6,0.8", "--seed", "5"])
     assert code == 0

@@ -2,7 +2,9 @@
 
 The stabilizer kernels call ``int.bit_count``, so the supported Python
 floor must stay at 3.10 or higher.  ``errors.py``, whose guards every
-module imports, needs only the standard library at import time.
+module imports, needs only the standard library at import time.  Building
+the CLI's parser builds no state: a ``--state`` default is resolved only
+when a subcommand that takes it is parsed.
 """
 
 import ast
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import bellsim
+from bellsim import cli
+from bellsim import statevector as sv
 
 SRC = str(Path(bellsim.__file__).resolve().parents[1])
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -68,3 +72,12 @@ def test_no_module_references_the_removed_index_helper():
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "_is_index" not in names, path.name
+
+
+def test_building_the_cli_parser_builds_no_state(monkeypatch):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a StateVector was built")
+
+    monkeypatch.setattr(sv, "bell_psi_plus", no_state)
+    monkeypatch.setattr(sv.StateVector, "__post_init__", no_state)
+    assert cli.build_parser().parse_args(["lhv-bound"]).command == "lhv-bound"

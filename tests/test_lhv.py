@@ -145,6 +145,16 @@ def test_fit_scaled_targets_round_trip():
     np.testing.assert_allclose(fitted, targets, atol=1e-12)
 
 
+def test_fit_scales_targets_just_outside_the_polytope_onto_its_boundary():
+    # The largest CHSH variant, 2 (1 + 5e-10), rounds to the facet test's
+    # limit 2 + 1e-9, so the targets are accepted; sum |H E / 4| is
+    # 1 + 5e-10 > 1, so the witness is built from them scaled onto the boundary.
+    targets = tuple((1 + 5e-10) * t for t in (1.0, 0.0, 0.0, -1.0))
+    model = lhv.fit_lhv(targets)
+    assert model is not None
+    np.testing.assert_allclose(lhv.model_correlations(model), targets, rtol=0, atol=1e-9)
+
+
 def test_fit_round_trips_random_models():
     for seed in range(200):
         model = random_model(seed)

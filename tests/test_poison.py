@@ -49,6 +49,7 @@ SCALAR_POISONS = {
     "-1": -1,
     "1.5": 1.5,
     "1e308": 1e308,
+    "10**400": 10**400,
     "True": True,
     "None": None,
     "bytes": b"x",

@@ -43,6 +43,14 @@ def test_resolve_input_accepts_aliases():
     assert pr.resolve_stabilizer_input("1") == ("X",)
 
 
+def test_resolve_input_aliases_take_underscore_for_dash():
+    assert pr.resolve_stabilizer_input("plus_i") == ("H", "S")
+    assert pr.resolve_stabilizer_input("MINUS_I") == ("H", "SDG")
+    for name in ("_", "_i", "+_i"):  # "_" stands for "-" only inside a word alias
+        with pytest.raises(NonCliffordGate):
+            pr.resolve_stabilizer_input(name)
+
+
 def test_resolve_input_rejects_unpreparable_states():
     with pytest.raises(NonCliffordGate):
         pr.resolve_stabilizer_input("T|+>")

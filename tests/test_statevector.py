@@ -54,6 +54,15 @@ def test_product_state_rejects_unnormalized_factor():
         sv.product_state([(1.0, 1.0)])
 
 
+def test_product_state_checks_the_size_before_building_the_product(monkeypatch):
+    def no_kron(*args):
+        raise AssertionError("the product was built before the size was checked")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    with pytest.raises(SizeError):
+        sv.product_state([(1, 0)] * 13)
+
+
 def test_prepare_named_dispatch():
     assert sv.prepare_named("zero_n", num_qubits=2).num_qubits == 2
     np.testing.assert_allclose(
