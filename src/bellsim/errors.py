@@ -93,9 +93,8 @@ def finite_array(value, dtype: type, error: type, what: str):
     import numpy as np
     try:
         arr = np.asarray(value)
-        ok = arr.dtype.kind in ("biufc" if dtype is complex else "biuf") and np.isfinite(arr).all()
-    except (TypeError, ValueError):  # ragged nesting
-        ok = False
-    if not ok:
+    except ValueError:  # nested sequences of unequal lengths
+        raise error(f"{what} must be a rectangular array, got ragged {value!r}") from None
+    if arr.dtype.kind not in ("biufc" if dtype is complex else "biuf") or not np.isfinite(arr).all():
         raise error(f"{what} must be finite numbers of type {dtype.__name__}, got {value!r}")
     return arr.astype(dtype, copy=False)

@@ -24,6 +24,11 @@ Row invariants (checked by :func:`validate`):
 
 Together they make the 2n rows linearly independent over GF(2).
 
+One sign kernel answers every one-qubit Pauli question: a Pauli P that
+commutes with every stabilizer is, up to sign, the product of the
+stabilizers whose destabilizers anticommute with it, and that sign gives
+a deterministic z outcome, or <P>, without a change of basis.
+
 Supported gates: H, S, SDG, X, Y, Z, CNOT, CZ.  Anything else raises
 :class:`NonCliffordGate`.  Public operations return a new tableau and
 never mutate their input.  Measurement randomness comes from a
@@ -222,17 +227,18 @@ def _prefix_xor(v: int) -> int:
     return p
 
 
-def _deterministic_outcome(t: StabilizerTableau, q: int) -> int:
-    """Outcome of a z-measurement when no stabilizer anticommutes with Z_q.
+def _product_sign(t: StabilizerTableau, anti: int) -> int:
+    """Sign bit of +/-P, a one-qubit Pauli that commutes with every stabilizer.
 
-    The outcome is the sign of the product of the stabilizer rows n+i
-    whose destabilizer i anticommutes with Z_q, i.e. has an x bit on q.
-    Each selected row is multiplied onto the product of the selected rows
+    ``anti`` marks the rows that anticommute with P: ``x[q]`` for Z_q,
+    ``z[q]`` for X_q, ``x[q] ^ z[q]`` for Y_q.  +/-P is the product of
+    the stabilizer rows n+i whose destabilizer i is marked.  Each
+    selected row is multiplied onto the product of the selected rows
     before it, an XOR prefix over the column's bits, and the factors of i
     of all these products are counted per qubit with ``int.bit_count``.
     """
     n = t.num_qubits
-    sel = t._x[q] & ((1 << n) - 1)
+    sel = anti & ((1 << n) - 1)
     total = 0
     for xc, zc in zip(t._x, t._z):
         x1 = (xc >> n) & sel
@@ -242,8 +248,8 @@ def _deterministic_outcome(t: StabilizerTableau, q: int) -> int:
         x2 = _prefix_xor(x1)
         z2 = _prefix_xor(z1)
         x1z2 = x1 & z2
-        anti = (x2 & z1) ^ x1z2
-        total += anti.bit_count() + 2 * (anti & (x1 ^ x2 ^ z1 ^ z2 ^ x1z2)).bit_count()
+        odd = (x2 & z1) ^ x1z2
+        total += odd.bit_count() + 2 * (odd & (x1 ^ x2 ^ z1 ^ z2 ^ x1z2)).bit_count()
     return ((total >> 1) + ((t._r >> n) & sel).bit_count()) & 1
 
 
@@ -321,7 +327,7 @@ def measure_z(
     if _is_random(t, q):
         outcome = int(rng.integers(0, 2))
         return outcome, False, _collapsed(t, q, outcome)
-    return _deterministic_outcome(t, q), True, t
+    return _product_sign(t, t._x[q]), True, t
 
 
 def measure_z_forced(t: StabilizerTableau, q: int, outcome: int) -> tuple[bool, StabilizerTableau]:
@@ -335,7 +341,7 @@ def measure_z_forced(t: StabilizerTableau, q: int, outcome: int) -> tuple[bool, 
         raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
     if _is_random(t, q):
         return False, _collapsed(t, q, outcome)
-    if _deterministic_outcome(t, q) != outcome:
+    if _product_sign(t, t._x[q]) != outcome:
         raise ProjectionError(f"outcome {outcome} on qubit {q} has probability 0")
     return True, t
 
@@ -345,35 +351,22 @@ def outcome_probability(t: StabilizerTableau, q: int) -> float:
 
     Always exactly 0.0, 0.5 or 1.0 for a stabilizer state.
     """
-    _check_qubit(t, q)
-    if _is_random(t, q):
-        return 0.5
-    return float(_deterministic_outcome(t, q))
-
-
-_BASIS_CHANGE = {"Z": (), "X": ("H",), "Y": ("SDG", "H")}
+    return (1.0 - pauli_expectation(t, q, "Z")) / 2.0
 
 
 def pauli_expectation(t: StabilizerTableau, q: int, pauli: str) -> float:
     """Expectation value of X, Y or Z on qubit ``q``: exactly -1, 0 or +1."""
-    if not isinstance(pauli, str) or pauli not in _BASIS_CHANGE:
+    if not isinstance(pauli, str) or pauli not in ("X", "Y", "Z"):
         raise InputError(f"pauli must be X, Y or Z, got {pauli!r}")
-    rotated = t
-    for kind in _BASIS_CHANGE[pauli]:
-        rotated = apply(rotated, kind, q)
-    return 1.0 - 2.0 * outcome_probability(rotated, q)
+    _check_qubit(t, q)
+    x, z = t._x[q], t._z[q]
+    anti = x if pauli == "Z" else z if pauli == "X" else x ^ z
+    if anti >> t.num_qubits:
+        return 0.0
+    return 1.0 - 2.0 * _product_sign(t, anti)
 
 
 _PAULI_NAMES = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-
-
-def _apply_pauli_row(xrow, zrow, sign, amps: np.ndarray) -> np.ndarray:
-    n = len(xrow)
-    out = amps.copy()
-    for j, bits in enumerate(zip(xrow.tolist(), zrow.tolist())):
-        if bits != (0, 0):
-            sv._apply(out, n, _PAULI_NAMES[bits], (j,))
-    return -out if sign else out
 
 
 def to_statevector(t: StabilizerTableau) -> sv.StateVector:
@@ -394,13 +387,17 @@ def to_statevector(t: StabilizerTableau) -> sv.StateVector:
             _collapse(probe, q, 0)
             bit = 0
         else:
-            bit = _deterministic_outcome(probe, q)
+            bit = _product_sign(probe, probe._x[q])
         index = (index << 1) | bit
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
-    x, z, phase = t.x, t.z, t.phase
     for row in range(n, 2 * n):
-        amps = (amps + _apply_pauli_row(x[row], z[row], phase[row], amps)) / 2.0
+        out = -amps if t._r >> row & 1 else amps.copy()
+        for j in range(n):
+            bits = (t._x[j] >> row & 1, t._z[j] >> row & 1)
+            if bits != (0, 0):
+                sv._apply(out, n, _PAULI_NAMES[bits], (j,))
+        amps = (amps + out) / 2.0
     nrm = float(np.linalg.norm(amps))
     if nrm <= 0.0:  # pragma: no cover - impossible for a valid tableau
         raise BellSimError("support search produced a state outside the stabilized subspace")

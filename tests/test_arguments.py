@@ -139,6 +139,43 @@ def test_malformed_argument_raises_its_error_class(name):
         call()
 
 
+# Calls whose message must name what is wrong, not only carry the right class.
+BAD_MESSAGES = {
+    "product_state ragged factors": (
+        lambda: sv.product_state([(1, 0, 0), (1, 0)]), InputError,
+        "factors must be a rectangular array, got ragged",
+    ),
+    "product_state short factor": (
+        lambda: sv.product_state([[1, 0], [1]]), InputError,
+        "factors must be a rectangular array, got ragged",
+    ),
+    "StateVector ragged amplitudes": (
+        lambda: sv.StateVector(1, [[1], [0, 1]]), InputError,
+        "state amplitudes must be a rectangular array, got ragged",
+    ),
+    "fit_lhv ragged targets": (
+        lambda: lhv.fit_lhv([[1, 0], [0]]), InputError,
+        "target correlations must be a rectangular array, got ragged",
+    ),
+    "StateVector nan amplitude": (
+        lambda: sv.StateVector(1, [math.nan, 1]), InputError,
+        "state amplitudes must be finite numbers of type complex",
+    ),
+    "product_state text factor": (
+        lambda: sv.product_state([("a", 0), (1, 0)]), InputError,
+        "factors must be finite numbers of type complex",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_MESSAGES)
+def test_malformed_argument_message_names_the_problem(name):
+    call, error, message = BAD_MESSAGES[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
 def test_numpy_integer_sizes_are_accepted():
     assert sv.zero_state(np.int64(2)).num_qubits == 2
     assert st.stabilizer_strings(st.init_zero(np.int32(2))) == ["+ZI", "+IZ"]

@@ -142,6 +142,34 @@ def test_teleport_stabilizer_matches_ideal_bloch_vector():
         assert abs(report.metrics["output_z"] - bz) < 1e-12
 
 
+# The Bloch vector of each named input, which the receiver qubit must hold exactly.
+IDEAL_BLOCH = {
+    "0": (0.0, 0.0, 1.0),
+    "1": (0.0, 0.0, -1.0),
+    "+": (1.0, 0.0, 0.0),
+    "-": (-1.0, 0.0, 0.0),
+    "+i": (0.0, 1.0, 0.0),
+    "-i": (0.0, -1.0, 0.0),
+}
+
+
+def test_teleport_stabilizer_stays_on_the_tableau(monkeypatch):
+    def dense_detour(*args, **kwargs):
+        raise AssertionError("teleport_stabilizer left the tableau")
+
+    for module, name in (
+        (st, "to_statevector"), (sv, "reduced_density"), (sv, "fidelity"),
+        (pr, "stabilizer_input_state"),
+    ):
+        monkeypatch.setattr(module, name, dense_detour)
+    for name, (bx, by, bz) in IDEAL_BLOCH.items():
+        for seed in range(5):
+            metrics = pr.teleport_stabilizer(name, np.random.default_rng(seed)).metrics
+            assert list(metrics.items()) == [
+                ("fidelity", 1.0), ("output_x", bx), ("output_y", by), ("output_z", bz)
+            ], name
+
+
 def test_teleport_stabilizer_rejects_nonclifford_input():
     with pytest.raises(NonCliffordGate):
         pr.teleport_stabilizer("T|+>", np.random.default_rng(0))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from bellsim import dsl
@@ -641,3 +641,61 @@ def test_from_arrays_round_trips(case):
         outcome, deterministic, t = st.measure_z(t, q, FixedBit(bit))
         assert st.measure_z(copy, q, FixedBit(bit))[:2] == (outcome, deterministic)
         copy = st.StabilizerTableau.from_arrays(t.x, t.z, t.phase)
+
+
+def ref_pauli_expectation(t, q, pauli):
+    """<P> by rotating P onto Z (H for X, SDG then H for Y) and reading P(1)."""
+    for kind in {"X": ("H",), "Y": ("SDG", "H"), "Z": ()}[pauli]:
+        t = st.apply(t, kind, q)
+    return 1.0 - 2.0 * st.outcome_probability(t, q)
+
+
+def random_tableau(num_qubits, seed):
+    """A random Clifford state with a random half of its qubits measured in random Pauli bases.
+
+    Each measured qubit ends in an X, Y or Z eigenstate whose stabilizer is a
+    product of many tableau rows, so <X>, <Y> and <Z> all take -1, 0 and +1.
+    """
+    rng = np.random.default_rng(seed)
+    t = st.init_zero(num_qubits)
+    for _ in range(4 * num_qubits):
+        q, other = map(int, rng.integers(0, num_qubits, size=2))
+        if q != other and rng.random() < 0.5:
+            t = st.apply(t, ("CNOT", "CZ")[int(rng.integers(0, 2))], q, other)
+        else:
+            t = st.apply(t, ONE_QUBIT_CLIFFORDS[int(rng.integers(0, 6))], q)
+    for q in map(int, rng.permutation(num_qubits)[: (num_qubits + 1) // 2]):
+        to_z = ((), ("H",), ("SDG", "H"))[int(rng.integers(0, 3))]
+        for kind in to_z:
+            t = st.apply(t, kind, q)
+        _, _, t = st.measure_z(t, q, rng)
+        for kind in reversed(to_z):
+            t = st.apply(t, {"H": "H", "SDG": "S"}[kind], q)
+    return t
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(hs.integers(1, 64), hs.integers(0, 2**32 - 1))
+@example(sv.MAX_QUBITS, 0)
+@example(st.MAX_QUBITS, 0)
+def test_pauli_expectation_matches_basis_change_and_dense(num_qubits, seed):
+    t = random_tableau(num_qubits, seed)
+    dense = st.to_statevector(t) if num_qubits <= sv.MAX_QUBITS else None
+    for q in range(num_qubits):
+        for pauli in "XYZ":
+            value = st.pauli_expectation(t, q, pauli)
+            assert value == ref_pauli_expectation(t, q, pauli), (q, pauli)
+            if dense is not None:
+                flipped = sv.apply_gate(dense, sv.gate(pauli, q)).amplitudes
+                assert abs(np.vdot(dense.amplitudes, flipped) - value) < 1e-10, (q, pauli)
+
+
+@pytest.mark.parametrize("pauli", ["X", "Y", "Z"])
+@pytest.mark.parametrize("qubit", [2, -1, True, 0.5, None])
+def test_pauli_expectation_checks_the_qubit_like_measure_z(pauli, qubit):
+    t = st.apply(st.init_zero(2), "H", 0)
+    with pytest.raises(QubitIndexError, match="out of range for 2-qubit tableau"):
+        st.pauli_expectation(t, qubit, pauli)
+    with pytest.raises(InputError):  # the Pauli name is checked before the qubit
+        st.pauli_expectation(t, qubit, "W")
+    assert st.pauli_expectation(t, np.int64(0), pauli) == st.pauli_expectation(t, 0, pauli)
