@@ -247,7 +247,7 @@ def maximize_s(
                 chi1=_angle(half_sum + half_diff, -1.0),
                 chi2=_angle(half_sum - half_diff, -1.0),
             )
-        return best, s_factor(state, best).s_value
+        return best, 2.0 * radius
 
     alpha1, chi1 = map(wrap_angle, pair(fixed, InputError, "fixed (alpha1, chi1)"))
     a1 = _directions(alpha1, 1.0)[0]
@@ -265,7 +265,7 @@ def maximize_s(
     q = (mu * (m @ b2_prime)).sum(0) ** 2 - (v @ b2_prime) ** 2 * (mu * mu).sum(0)
     coeffs = np.exp(-1j * np.outer(np.arange(3, -4, -1), t)) @ q / 8
     chis = np.concatenate(([-math.pi, _angle(-v, -1.0)], np.angle(np.roots(coeffs))))
-    chi2 = float(chis[curve(chis).argmax()])
+    scores = curve(chis)
+    chi2 = float(chis[scores.argmax()])
     a2 = m @ (b1 + _directions(chi2, -1.0)[0])
-    best = MeasurementSettings(alpha1, _angle(a2, 1.0), chi1, chi2)
-    return best, s_factor(state, best).s_value
+    return MeasurementSettings(alpha1, _angle(a2, 1.0), chi1, chi2), float(scores.max())

@@ -28,7 +28,8 @@ huge floats such as 1e16 among them, are non-Clifford witnesses, and so
 is a hand-built rotation whose angle is NaN, inf or missing.
 
 :func:`run` executes a circuit on either engine with one loop that copies
-the starting amplitudes or tableau once and updates that copy in place.
+the starting amplitudes or tableau once and updates that copy in place;
+a random tableau measurement returns a fresh copy, updated from then on.
 """
 
 from __future__ import annotations
@@ -360,7 +361,7 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
                 sv.check_gate(op, qubits, angle)
                 if angle is None:
                     raise NonCliffordGate(f"{op} is not a Clifford gate")
-                rotation_to_cliffords(op, angle)  # raises NonCliffordGate
+                raise NonCliffordGate(f"{op} angle {angle!r} is not a multiple of pi/2")
             qubits = sv.check_gate(op, qubits, angle, n)
             for kind in kinds:
                 kernels[kind](state, *qubits)

@@ -192,7 +192,8 @@ def sample_lhv(
         raise InputError(f"setting_pair entries must be 1 or 2, got {setting_pair!r}")
     cumulative = np.cumsum(model.weights)
     idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    strategy = STRATEGIES[min(idx, len(STRATEGIES) - 1)]
+    # A draw at or above a weight sum just under 1 takes the last weighted strategy.
+    strategy = STRATEGIES[min(idx, int(np.flatnonzero(model.weights)[-1]))]
     a = strategy.a1 if i == 1 else strategy.a2
     b = strategy.b1 if j == 1 else strategy.b2
     return a, b

@@ -24,10 +24,11 @@ Row invariants (checked by :func:`validate`):
 
 Together they make the 2n rows linearly independent over GF(2).
 
-One sign kernel answers every one-qubit Pauli question: a Pauli P that
-commutes with every stabilizer is, up to sign, the product of the
-stabilizers whose destabilizers anticommute with it, and that sign gives
-a deterministic z outcome, or <P>, without a change of basis.
+One sign kernel answers every one-qubit Pauli question.  It returns None
+when a stabilizer anticommutes with the Pauli P (a random z outcome,
+<P> = 0); else P is, up to sign, the product of the stabilizers whose
+destabilizers anticommute with it, and that sign gives the deterministic
+z outcome, or <P>, without a change of basis.
 
 Supported gates: H, S, SDG, X, Y, Z, CNOT, CZ.  Anything else raises
 :class:`NonCliffordGate`.  Public operations return a new tableau and
@@ -227,8 +228,8 @@ def _prefix_xor(v: int) -> int:
     return p
 
 
-def _product_sign(t: StabilizerTableau, anti: int) -> int:
-    """Sign bit of +/-P, a one-qubit Pauli that commutes with every stabilizer.
+def _product_sign(t: StabilizerTableau, anti: int) -> int | None:
+    """Sign bit of +/-P, a one-qubit Pauli; None if a stabilizer anticommutes with P.
 
     ``anti`` marks the rows that anticommute with P: ``x[q]`` for Z_q,
     ``z[q]`` for X_q, ``x[q] ^ z[q]`` for Y_q.  +/-P is the product of
@@ -238,11 +239,12 @@ def _product_sign(t: StabilizerTableau, anti: int) -> int:
     of all these products are counted per qubit with ``int.bit_count``.
     """
     n = t.num_qubits
-    sel = anti & ((1 << n) - 1)
+    if anti >> n:
+        return None
     total = 0
     for xc, zc in zip(t._x, t._z):
-        x1 = (xc >> n) & sel
-        z1 = (zc >> n) & sel
+        x1 = (xc >> n) & anti
+        z1 = (zc >> n) & anti
         if not (x1 | z1):
             continue
         x2 = _prefix_xor(x1)
@@ -250,7 +252,7 @@ def _product_sign(t: StabilizerTableau, anti: int) -> int:
         x1z2 = x1 & z2
         odd = (x2 & z1) ^ x1z2
         total += odd.bit_count() + 2 * (odd & (x1 ^ x2 ^ z1 ^ z2 ^ x1z2)).bit_count()
-    return ((total >> 1) + ((t._r >> n) & sel).bit_count()) & 1
+    return ((total >> 1) + ((t._r >> n) & anti).bit_count()) & 1
 
 
 def _collapse(t: StabilizerTableau, q: int, outcome: int) -> None:
@@ -304,14 +306,19 @@ def _collapse(t: StabilizerTableau, q: int, outcome: int) -> None:
     t._r = (r & keep) | (bd if sign else 0) | (bp if outcome else 0)
 
 
-def _collapsed(t: StabilizerTableau, q: int, outcome: int) -> StabilizerTableau:
+def _measure(t: StabilizerTableau, q: int, outcome: int | None, rng) -> tuple:
+    """Measure ``q``: a random outcome is drawn from ``rng`` if ``outcome`` is None,
+    else forced.  A determined one returns the input tableau, a random one a copy."""
+    sign = _product_sign(t, t._x[q])
+    if sign is not None:
+        if outcome is not None and outcome != sign:
+            raise ProjectionError(f"outcome {outcome} on qubit {q} has probability 0")
+        return sign, True, t
+    if outcome is None:
+        outcome = int(rng.integers(0, 2))
     out = t.copy()
     _collapse(out, q, outcome)
-    return out
-
-
-def _is_random(t: StabilizerTableau, q: int) -> bool:
-    return bool(t._x[q] >> t.num_qubits)
+    return outcome, False, out
 
 
 def measure_z(
@@ -324,10 +331,7 @@ def measure_z(
     consumes none and returns the input tableau unchanged.
     """
     _check_qubit(t, q)
-    if _is_random(t, q):
-        outcome = int(rng.integers(0, 2))
-        return outcome, False, _collapsed(t, q, outcome)
-    return _product_sign(t, t._x[q]), True, t
+    return _measure(t, q, None, rng)
 
 
 def measure_z_forced(t: StabilizerTableau, q: int, outcome: int) -> tuple[bool, StabilizerTableau]:
@@ -339,11 +343,7 @@ def measure_z_forced(t: StabilizerTableau, q: int, outcome: int) -> tuple[bool, 
     _check_qubit(t, q)
     if not is_int(outcome, 0, 1):
         raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
-    if _is_random(t, q):
-        return False, _collapsed(t, q, outcome)
-    if _product_sign(t, t._x[q]) != outcome:
-        raise ProjectionError(f"outcome {outcome} on qubit {q} has probability 0")
-    return True, t
+    return _measure(t, q, outcome, None)[1:]
 
 
 def outcome_probability(t: StabilizerTableau, q: int) -> float:
@@ -355,18 +355,14 @@ def outcome_probability(t: StabilizerTableau, q: int) -> float:
 
 
 def pauli_expectation(t: StabilizerTableau, q: int, pauli: str) -> float:
-    """Expectation value of X, Y or Z on qubit ``q``: exactly -1, 0 or +1."""
-    if not isinstance(pauli, str) or pauli not in ("X", "Y", "Z"):
+    """Expectation value of X, Y or Z (any case) on qubit ``q``: exactly -1, 0 or +1."""
+    name = pauli.upper() if isinstance(pauli, str) else None
+    if name not in ("X", "Y", "Z"):
         raise InputError(f"pauli must be X, Y or Z, got {pauli!r}")
     _check_qubit(t, q)
     x, z = t._x[q], t._z[q]
-    anti = x if pauli == "Z" else z if pauli == "X" else x ^ z
-    if anti >> t.num_qubits:
-        return 0.0
-    return 1.0 - 2.0 * _product_sign(t, anti)
-
-
-_PAULI_NAMES = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+    sign = _product_sign(t, x if name == "Z" else z if name == "X" else x ^ z)
+    return 0.0 if sign is None else 1.0 - 2.0 * sign
 
 
 def to_statevector(t: StabilizerTableau) -> sv.StateVector:
@@ -383,20 +379,19 @@ def to_statevector(t: StabilizerTableau) -> sv.StateVector:
     probe = t.copy()
     index = 0
     for q in range(n):
-        if _is_random(probe, q):
+        bit = _product_sign(probe, probe._x[q])
+        if bit is None:
             _collapse(probe, q, 0)
             bit = 0
-        else:
-            bit = _product_sign(probe, probe._x[q])
         index = (index << 1) | bit
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
     for row in range(n, 2 * n):
         out = -amps if t._r >> row & 1 else amps.copy()
         for j in range(n):
-            bits = (t._x[j] >> row & 1, t._z[j] >> row & 1)
-            if bits != (0, 0):
-                sv._apply(out, n, _PAULI_NAMES[bits], (j,))
+            letter = "IXZY"[(t._x[j] >> row & 1) | (t._z[j] >> row & 1) << 1]
+            if letter != "I":
+                sv._apply(out, n, letter, (j,))
         amps = (amps + out) / 2.0
     nrm = float(np.linalg.norm(amps))
     if nrm <= 0.0:  # pragma: no cover - impossible for a valid tableau

@@ -166,9 +166,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         _check_size(self.num_qubits)
-        amps = self.amplitudes
-        if type(amps) is not np.ndarray or amps.dtype != complex:  # else the norm test catches NaN
-            amps = finite_array(amps, complex, InputError, "state amplitudes")
+        amps = finite_array(self.amplitudes, complex, InputError, "state amplitudes")
         amps = amps.reshape(-1).copy()
         if amps.shape[0] != 2**self.num_qubits:
             raise DimensionError(
@@ -176,8 +174,6 @@ class StateVector:
                 f"got {amps.shape[0]}"
             )
         nrm = float(np.linalg.norm(amps))
-        if not math.isfinite(nrm):
-            raise InputError(f"state amplitudes must be finite, got norm {nrm!r}")
         if abs(nrm - 1.0) > NORM_ATOL:
             raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than {NORM_ATOL}")
         amps.flags.writeable = False

@@ -9,8 +9,8 @@ from bellsim import chsh, dsl, lhv, protocols
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import (
-    ConfigError, DimensionError, InputError, ModelError, NonCliffordGate, ObservableError,
-    ProjectionError, QubitIndexError, SizeError,
+    ConfigError, DimensionError, InputError, ModelError, NonCliffordGate, NormalizationError,
+    ObservableError, ProjectionError, QubitIndexError, SizeError,
 )
 
 X = sv.FIXED_GATES["X"]
@@ -160,6 +160,17 @@ BAD_MESSAGES = {
     "StateVector nan amplitude": (
         lambda: sv.StateVector(1, [math.nan, 1]), InputError,
         "state amplitudes must be finite numbers of type complex",
+    ),
+    "StateVector nan in a complex array": (
+        lambda: sv.StateVector(1, np.array([math.nan, 0], dtype=complex)), InputError,
+        "state amplitudes must be finite numbers of type complex",
+    ),
+    "StateVector inf in a complex array": (
+        lambda: sv.StateVector(1, np.array([math.inf, 0], dtype=complex)), InputError,
+        "state amplitudes must be finite numbers of type complex",
+    ),
+    "StateVector finite amplitudes whose norm overflows": (
+        lambda: sv.StateVector(1, [1e308, 0]), NormalizationError, "state norm inf differs from 1",
     ),
     "product_state text factor": (
         lambda: sv.product_state([("a", 0), (1, 0)]), InputError,

@@ -307,6 +307,7 @@ def test_fixed_pair_maximum_beats_dense_grid(state, alpha1, chi1):
     assert (best.alpha1, best.chi1) == (alpha1, chi1)
     assert s_fixed >= chi2_grid_maximum(state, alpha1, chi1) - 1e-12
     assert s_fixed <= chsh.maximize_s(state)[1] + 1e-12
+    assert abs(chsh.s_factor(state, best).s_value - s_fixed) <= 1e-12
 
 
 R = 1.0 / math.sqrt(2.0)
@@ -330,9 +331,10 @@ def test_fixed_pair_maximum_on_stabilizer_products(first, second):
         state = sv.StateVector(2, amps / np.linalg.norm(amps))
         for alpha1 in QUARTER_TURNS:
             for chi1 in QUARTER_TURNS:
-                _, s_fixed = chsh.maximize_s(state, fixed=(alpha1, chi1))
+                best, s_fixed = chsh.maximize_s(state, fixed=(alpha1, chi1))
                 grid = chi2_grid_maximum(state, alpha1, chi1)
                 assert s_fixed >= grid - 1e-12, (eps, alpha1, chi1)
+                assert abs(chsh.s_factor(state, best).s_value - s_fixed) <= 1e-12
 
 
 def test_fixed_pair_pinned_cases():

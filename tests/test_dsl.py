@@ -565,6 +565,33 @@ def test_tableau_execute_matches_public_calls_draw_for_draw(n, seed, length):
     assert tableau_bits(start) == before
 
 
+def test_tableau_measurements_go_through_the_public_calls(monkeypatch):
+    # Tracing tools count tableau measurements by wrapping these two names.
+    calls = {"measure_z": 0, "measure_z_forced": 0}
+
+    def counting(name):
+        inner = getattr(st, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(st, name, counting(name))
+    # Two random measurements and three deterministic ones.
+    circuit = dsl.parse("qubits 3\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\nh 2\n"
+                        "measure 2\nx 2\nmeasure 2\nmeasure 1\n")
+    outcomes, deterministic, _ = dsl._execute(circuit, st.init_zero(3), np.random.default_rng(5))
+    assert deterministic == [False, True, False, True, True]
+    assert calls == {"measure_z": 5, "measure_z_forced": 0}
+    dsl._execute(circuit, st.init_zero(3), None, outcomes)
+    assert calls == {"measure_z": 5, "measure_z_forced": 5}
+    dsl.run(circuit, engine="stabilizer", seed=5)
+    dsl.run(circuit, engine="statevector", seed=5)
+    assert calls == {"measure_z": 10, "measure_z_forced": 5}
+
+
 def test_run_measures_flipped_qubit_on_both_engines():
     circuit = dsl.parse("qubits 1\nx 0\nmeasure 0\n")
     for engine in ("statevector", "stabilizer"):

@@ -214,6 +214,23 @@ def test_sample_point_mass_is_deterministic():
     assert lhv.sample_lhv(model, (2, 2), rng) == (-1, -1)
 
 
+class _TopOfRangeRng:
+    """A generator stub whose uniform draw lands just under 1."""
+
+    def random(self):
+        return 1.0 - 2e-11
+
+
+def test_sample_past_a_short_weight_sum_takes_a_weighted_strategy():
+    w = np.zeros(16)
+    w[0] = 0.5  # (+1, +1, +1, +1)
+    w[5] = 0.5 - 5e-11  # (+1, -1, +1, -1); the sum is 1 - 5e-11, within tolerance
+    model = lhv.LhvModel(w)
+    # The draw lies above the weight sum; strategy 15 (all -1) has weight 0.
+    assert lhv.sample_lhv(model, (1, 1), _TopOfRangeRng()) == (1, 1)
+    assert lhv.sample_lhv(model, (1, 2), _TopOfRangeRng()) == (1, -1)  # the last one, 5
+
+
 def test_sample_rejects_bad_setting_pair():
     model = lhv.LhvModel(np.full(16, 1.0 / 16))
     rng = np.random.default_rng(0)

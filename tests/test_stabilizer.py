@@ -143,7 +143,10 @@ def test_pauli_expectation_named_states():
     assert st.pauli_expectation(plus, 0, "Z") == 0.0
     assert st.pauli_expectation(plus_i, 0, "Y") == 1.0
     assert st.pauli_expectation(plus_i, 0, "X") == 0.0
-    for bad in ("W", "Q"):
+    assert st.pauli_expectation(plus, 0, "x") == 1.0
+    assert st.pauli_expectation(plus_i, 0, "y") == 1.0
+    assert st.pauli_expectation(plus, 0, "z") == 0.0
+    for bad in ("W", "Q", "w", ["X"]):
         with pytest.raises(InputError):
             st.pauli_expectation(plus, 0, bad)
 
