@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevector as sv
+from .errors import SCAN_MAX_RESOLUTION as _SCAN_MAX_RESOLUTION
 from .errors import ConfigError, DimensionError, InputError, finite_array, finite_real, is_int, pair
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -46,10 +47,6 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 SETTING_NAMES = ("alpha1", "alpha2", "chi1", "chi2")
 
 _PAULI_XY = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]]], dtype=complex)
-
-# Largest scan_s resolution: an uncapped grid grows as resolution**2
-# (200000 points per axis would need about 300 GiB).
-_SCAN_MAX_RESOLUTION = 1001
 
 
 def wrap_angle(theta: float) -> float:

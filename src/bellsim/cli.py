@@ -17,33 +17,40 @@ same lexer the circuit language uses.  Exit codes: 0 success (including
 "simulable" from classify); 2 usage errors and circuit parse errors;
 3 when classify answers RequiresStatevector or a non-Clifford request
 hits the stabilizer engine; 1 any other failure.
+
+numpy, and the modules that need it, load only in the handlers and
+argument types that compute with numbers: ``lhv-bound``, ``classify``,
+``superdense`` and a ``run`` on the tableau that draws nothing never
+import it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import dsl
+from .errors import SCAN_MAX_RESOLUTION, BellSimError, IoError, NonCliffordGate
 
-from . import chsh, dsl, lhv, protocols
-from . import statevector as sv
-from .errors import BellSimError, IoError, NonCliffordGate
-
-_NAMED_TWO_QUBIT = {"psi-plus": sv.bell_psi_plus, "phi-plus": sv.bell_phi_plus}
+if TYPE_CHECKING:
+    from .protocols import ProtocolReport
+    from .statevector import StateVector
 
 
-def _state(text: str, num_qubits: int) -> sv.StateVector:
+def _state(text: str, num_qubits: int) -> StateVector:
     """The state with the comma-separated amplitudes in ``text`` (e.g. ``0.6,0.8j``).
 
     :class:`~bellsim.statevector.StateVector` checks their count, finiteness and norm.
     """
+    from . import statevector as sv
     return sv.StateVector(num_qubits, [complex(part.replace(" ", "")) for part in text.split(",")])
 
 
-def state_argument(text: str) -> sv.StateVector:
+def state_argument(text: str) -> StateVector:
     """Two-qubit state spec: psi-plus, phi-plus, product:<f0;f1>, or 4 amplitudes.
 
     Names ignore case and may use ``_`` for ``-``.  Product factors are
@@ -51,10 +58,12 @@ def state_argument(text: str) -> sv.StateVector:
     ``product:1,0;0.6,0.8``.  Raw amplitudes are comma-separated, e.g.
     ``0,0.7071067811865476,0.7071067811865476,0``.
     """
+    from . import statevector as sv
+    named = {"psi-plus": sv.bell_psi_plus, "phi-plus": sv.bell_phi_plus}
     try:
         key = text.strip().lower().replace("_", "-")
-        if key in _NAMED_TWO_QUBIT:
-            return _NAMED_TWO_QUBIT[key]()
+        if key in named:
+            return named[key]()
         if key.startswith("product:"):
             factors = [_state(part, 1).amplitudes for part in text.split(":", 1)[1].split(";")]
             if len(factors) != 2:
@@ -77,6 +86,8 @@ def correlation_argument(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad correlation {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"bad correlation {text!r}: must be finite")
     return value
 
 
@@ -116,12 +127,13 @@ def _read_text(path: str) -> str:
         raise dsl.ParseError(line, column, f"byte {bad:#04x} is not UTF-8 text") from None
 
 
-def _print_report(report: protocols.ProtocolReport) -> None:
+def _print_report(report: ProtocolReport) -> None:
     for line in report.to_key_value_lines():
         print(line)
 
 
 def _cmd_chsh_eval(args: argparse.Namespace) -> int:
+    from . import chsh
     settings = chsh.MeasurementSettings(
         alpha1=args.alpha1, alpha2=args.alpha2, chi1=args.chi1, chi2=args.chi2
     )
@@ -133,6 +145,7 @@ def _cmd_chsh_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_chsh_scan(args: argparse.Namespace) -> int:
+    from . import chsh
     grid = chsh.scan_s(args.state, args.alpha1, args.chi1, resolution=args.resolution)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -149,11 +162,13 @@ def _cmd_chsh_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_lhv_bound(args: argparse.Namespace) -> int:
+    from . import lhv
     print(f"{lhv.classical_max_s():.1f}")
     return 0
 
 
 def _cmd_lhv_fit(args: argparse.Namespace) -> int:
+    from . import lhv
     model = lhv.fit_lhv((args.e11, args.e12, args.e21, args.e22))
     if model is None:
         print("INFEASIBLE")
@@ -166,7 +181,8 @@ def _cmd_lhv_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_teleport(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
+    from . import protocols
+    rng = dsl._LazyRng(args.seed)
     if args.engine == "stabilizer":
         report = protocols.teleport_stabilizer(args.input, rng)
     else:
@@ -183,14 +199,14 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
 
 
 def _cmd_superdense(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    _print_report(protocols.superdense_code(args.bits, rng))
+    from . import protocols
+    _print_report(protocols.superdense_code(args.bits, dsl._LazyRng(args.seed)))
     return 0
 
 
 def _cmd_bb84(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    _print_report(protocols.bb84_simulate(args.rounds, args.eavesdrop, rng))
+    from . import protocols
+    _print_report(protocols.bb84_simulate(args.rounds, args.eavesdrop, dsl._LazyRng(args.seed)))
     return 0
 
 
@@ -245,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resolution",
         type=int,
         default=201,
-        help=f"points per axis, 2..{chsh._SCAN_MAX_RESOLUTION} (default 201)",
+        help=f"points per axis, 2..{SCAN_MAX_RESOLUTION} (default 201)",
     )
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_chsh_scan)
@@ -297,10 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _NUMERIC_FLAGS = ("--alpha1", "--alpha2", "--chi1", "--chi2", "--e11", "--e12", "--e21", "--e22")
-# Flag -> the values starting with "-" that belong to it: negative numbers,
-# and for --input any value but one starting "--" (-i, -, -0.6,0.8).
+# Flag -> the values starting with "-" that belong to it: negative numbers
+# (-inf and -nan too, which the flag's type rejects), and for --input any
+# value but one starting "--" (-i, -, -0.6,0.8).
 _DASH_VALUES = {
-    **dict.fromkeys(_NUMERIC_FLAGS, re.compile(r"^-(?:pi\b|\d|\.\d)")),
+    **dict.fromkeys(_NUMERIC_FLAGS, re.compile(r"^-(?:pi\b|\d|\.\d|(?i:inf|nan))")),
     "--input": re.compile(r"^-(?!-)"),
 }
 

@@ -30,6 +30,8 @@ is a hand-built rotation whose angle is NaN, inf or missing.
 :func:`run` executes a circuit on either engine with one loop that copies
 the starting amplitudes or tableau once and updates that copy in place;
 a random tableau measurement returns a fresh copy, updated from then on.
+Parsing, classifying and a tableau run that draws nothing load no numpy:
+the dense engine and the first random draw import it.
 """
 
 from __future__ import annotations
@@ -37,19 +39,21 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import stabilizer as st
-from . import statevector as sv
 from .errors import BellSimError, ConfigError, InputError, NonCliffordGate, QubitIndexError
 from .errors import finite_real, is_int
+from .gates import GATES, check_gate
+
+if TYPE_CHECKING:
+    from .statevector import StateVector
 
 CLIFFORD_ANGLE_ATOL = 1e-12
 
 # opcode -> (number of qubit operands, takes an angle operand)
 OPCODES: dict[str, tuple[int, bool]] = {
-    **{kind.lower(): spec for kind, spec in sv.GATES.items()}, "measure": (1, False),
+    **{kind.lower(): spec for kind, spec in GATES.items()}, "measure": (1, False),
 }
 _OPCODE_TABLE = {name: (name.upper(), *spec) for name, spec in OPCODES.items()}
 
@@ -310,8 +314,31 @@ class RunRecord:
 
     engine: str
     outcomes: list[int]
-    final_statevector: sv.StateVector | None = None
+    final_statevector: StateVector | None = None
     final_stabilizers: list[str] | None = None
+
+
+class _LazyRng:
+    """``numpy.random.default_rng(seed)``, built at the first draw, so a run
+    that draws nothing never imports numpy; the stream is the same.
+
+    Only ``integers`` and ``random`` are offered.  The first lookup of
+    either builds the generator and stores both bound methods in their
+    slots, where later lookups find them without a Python-level call.
+    """
+
+    __slots__ = ("_seed", "integers", "random")
+
+    def __init__(self, seed: int) -> None:
+        self._seed = seed
+
+    def __getattr__(self, name: str):  # reached only while a slot is empty
+        if name not in ("integers", "random"):
+            raise AttributeError(name)
+        import numpy as np
+        rng = np.random.default_rng(self._seed)
+        self.integers, self.random = rng.integers, rng.random
+        return getattr(rng, name)
 
 
 def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list, object]:
@@ -319,7 +346,7 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
 
     A :class:`~bellsim.statevector.StateVector` runs on the dense engine, a
     tableau on the stabilizer engine with quarter-turn rotations expanded
-    into Clifford gates.  :func:`~bellsim.statevector.check_gate` checks each
+    into Clifford gates.  :func:`~bellsim.gates.check_gate` checks each
     gate once, then the engine's unchecked kernels update one copy of the
     input in place; a dense state is validated once, at the end.  Tableau
     measurements call the public ``st.measure_z`` and ``measure_z_forced``.
@@ -328,9 +355,10 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
     outcomes in order and nothing is drawn; otherwise each engine draws from
     ``rng`` under its own contract.
     """
-    dense = isinstance(state, sv.StateVector)
+    dense = not isinstance(state, st.StabilizerTableau)
     n = state.num_qubits
     if dense:
+        from . import statevector as sv
         amps = state.amplitudes.copy()
     else:
         state, kernels = state.copy(), st._KERNELS
@@ -354,15 +382,15 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
             outcomes.append(outcome)
             infos.append(info)
         elif dense:
-            sv._apply(amps, n, op, sv.check_gate(op, qubits, angle, n), angle)
+            sv._apply(amps, n, op, check_gate(op, qubits, angle, n), angle)
         else:
             kinds = _clifford_kinds(op, angle)
             if kinds is None:  # a malformed gate raises its check's error first
-                sv.check_gate(op, qubits, angle)
+                check_gate(op, qubits, angle)
                 if angle is None:
                     raise NonCliffordGate(f"{op} is not a Clifford gate")
                 raise NonCliffordGate(f"{op} angle {angle!r} is not a multiple of pi/2")
-            qubits = sv.check_gate(op, qubits, angle, n)
+            qubits = check_gate(op, qubits, angle, n)
             for kind in kinds:
                 kernels[kind](state, *qubits)
     if dense:
@@ -379,7 +407,9 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
     :class:`NonCliffordGate` naming the witness locations.  Measurement
     randomness is seeded; the two engines draw from their generators
     differently, so individual outcomes are engine-specific even though
-    the outcome distributions agree.
+    the outcome distributions agree.  The generator is
+    ``numpy.random.default_rng(seed)``, built at the first random draw: a
+    tableau run whose measurements are all deterministic imports no numpy.
     """
     if engine not in ("auto", "statevector", "stabilizer"):
         raise ConfigError(f"engine must be auto, statevector or stabilizer, got {engine!r}")
@@ -391,8 +421,12 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
         raise NonCliffordGate(f"circuit has non-Clifford instructions at {spots}")
     chosen = engine if engine != "auto" else ("stabilizer" if report.simulable else "statevector")
     n = circuit.num_qubits
-    start = sv.zero_state(n) if chosen == "statevector" else st.init_zero(n)
-    outcomes, _, state = _execute(circuit, start, np.random.default_rng(seed))
+    if chosen == "statevector":
+        from . import statevector as sv
+        start = sv.zero_state(n)
+    else:
+        start = st.init_zero(n)
+    outcomes, _, state = _execute(circuit, start, _LazyRng(seed))
     if chosen == "statevector":
         return RunRecord(engine=chosen, outcomes=outcomes, final_statevector=state)
     return RunRecord(

@@ -9,6 +9,11 @@ subclass :class:`BellSimError` as well.
 import math
 import numbers
 
+# Largest chsh.scan_s resolution: an uncapped grid grows as resolution**2
+# (200000 points per axis would need about 300 GiB).  It is kept here, not
+# in chsh, so the CLI's help can state it without importing numpy.
+SCAN_MAX_RESOLUTION = 1001
+
 
 class BellSimError(Exception):
     """Base class for all errors raised by bellsim."""

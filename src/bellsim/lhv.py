@@ -21,12 +21,15 @@ classical bound |S| <= 2 for every model.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError, ModelError, finite_array, is_int, pair
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CLASSICAL_BOUND = 2.0
 
@@ -60,15 +63,22 @@ STRATEGIES: tuple[DeterministicStrategy, ...] = tuple(
     for a1, a2, b1, b2 in itertools.product((1, -1), repeat=4)
 )
 
-# Row s = correlations of STRATEGIES[s]; columns are (E11, E12, E21, E22).
-_VERTEX_MATRIX = np.array([s.correlations() for s in STRATEGIES], dtype=float)
+@functools.cache
+def _tables():
+    """``(vertex, hadamard, plus_h, minus_h)``, built on first use so that
+    importing this module loads no numpy.
 
-_HADAMARD = np.array(
-    [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
-)
-# The first strategy whose correlations are +h_k, and the first giving -h_k.
-_PLUS_H = np.argmax(_VERTEX_MATRIX @ _HADAMARD == 4.0, axis=0)
-_MINUS_H = np.argmax(_VERTEX_MATRIX @ _HADAMARD == -4.0, axis=0)
+    Row s of ``vertex`` is the correlations of STRATEGIES[s], columns
+    (E11, E12, E21, E22); ``plus_h[k]`` is the first strategy whose
+    correlations are +h_k, ``minus_h[k]`` the first giving -h_k.
+    """
+    import numpy as np
+    vertex = np.array([s.correlations() for s in STRATEGIES], dtype=float)
+    hadamard = np.array(
+        [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
+    )
+    hits = vertex @ hadamard
+    return vertex, hadamard, np.argmax(hits == 4.0, axis=0), np.argmax(hits == -4.0, axis=0)
 
 
 def enumerate_strategies() -> tuple[DeterministicStrategy, ...]:
@@ -103,6 +113,7 @@ class LhvModel:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         w = finite_array(self.weights, float, ModelError, "model weights").reshape(-1).copy()
         if w.shape[0] != len(STRATEGIES):
             raise ModelError(f"expected {len(STRATEGIES)} weights, got {w.shape[0]}")
@@ -118,7 +129,7 @@ class LhvModel:
 
 def model_correlations(model: LhvModel) -> tuple[float, float, float, float]:
     """(E11, E12, E21, E22) of the mixture."""
-    e = model.weights @ _VERTEX_MATRIX
+    e = model.weights @ _tables()[0]
     return (float(e[0]), float(e[1]), float(e[2]), float(e[3]))
 
 
@@ -159,6 +170,7 @@ def fit_lhv(targets: "tuple[float, float, float, float]") -> LhvModel | None:
     targets up to rounding, or within 1e-9 for targets up to 1e-9
     outside the polytope, which are first scaled onto its boundary.
     """
+    import numpy as np
     variants = chsh_variants(targets)  # checks for 4 finite real numbers
     e = np.asarray(targets, dtype=float).reshape(-1)
     if float(np.abs(e).max()) > 1.0 + _FIT_TOL:
@@ -168,14 +180,15 @@ def fit_lhv(targets: "tuple[float, float, float, float]") -> LhvModel | None:
     if max(variants) > 2.0 + _FIT_TOL:
         return None
 
-    c = _HADAMARD @ e / 4.0
+    _, hadamard, plus_h, minus_h = _tables()
+    c = hadamard @ e / 4.0
     norm = float(np.abs(c).sum())
     if norm > 1.0:
         c /= norm
         norm = 1.0
     w = np.zeros(len(STRATEGIES))
-    w[np.where(c < 0.0, _MINUS_H, _PLUS_H)] = np.abs(c)
-    w[[_PLUS_H[0], _MINUS_H[0]]] += (1.0 - norm) / 2.0
+    w[np.where(c < 0.0, minus_h, plus_h)] = np.abs(c)
+    w[[plus_h[0], minus_h[0]]] += (1.0 - norm) / 2.0
     return LhvModel(w)
 
 
@@ -187,6 +200,7 @@ def sample_lhv(
     ``setting_pair`` is (i, j) with i, j in {1, 2}: side A uses setting
     alpha_i, side B uses chi_j.  Consumes one uniform draw from ``rng``.
     """
+    import numpy as np
     i, j = pair(setting_pair, InputError, "setting_pair")
     if not (is_int(i, 1, 2) and is_int(j, 1, 2)):
         raise InputError(f"setting_pair entries must be 1 or 2, got {setting_pair!r}")

@@ -25,19 +25,23 @@ Wire layout conventions:
 
 Randomness is drawn only from the caller-supplied generator, in a fixed
 documented order, so seeded runs are exactly reproducible.  Measurements
-with deterministic outcomes consume no randomness.
+with deterministic outcomes consume no randomness.  Superdense coding and
+tableau teleportation need no numpy of their own; the dense teleport and
+BB84 import it when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import dsl
 from . import stabilizer as st
-from . import statevector as sv
 from .errors import ConfigError, InputError, NonCliffordGate, is_int, pair
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .statevector import StateVector
 
 TELEPORT_FORCE_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -124,13 +128,14 @@ def _preparation(name: str, num_qubits: int) -> dsl.Circuit:
     return dsl.Circuit(num_qubits, tuple(dsl.Instruction(kind, (0,)) for kind in gates))
 
 
-def stabilizer_input_state(name: str) -> sv.StateVector:
+def stabilizer_input_state(name: str) -> StateVector:
     """Dense single-qubit state for a named stabilizer input."""
+    from . import statevector as sv
     return dsl._execute(_preparation(name, 1), sv.zero_state(1), None)[2]
 
 
 def teleport_statevector(
-    input_state: sv.StateVector,
+    input_state: StateVector,
     rng: np.random.Generator,
     force_outcomes: tuple[int, int] | None = None,
 ) -> tuple[ProtocolReport, np.ndarray]:
@@ -142,6 +147,8 @@ def teleport_statevector(
     every pair occurs with probability 1/4, so forcing is always legal.
     The fidelity metric compares the receiver qubit against the input.
     """
+    import numpy as np
+    from . import statevector as sv
     if input_state.num_qubits != 1:
         raise InputError(f"teleportation input must be 1 qubit, got {input_state.num_qubits}")
     forced = None if force_outcomes is None else pair(force_outcomes, InputError, "force_outcomes")
@@ -211,6 +218,7 @@ def _bb84_measure(
     A matching basis returns the prepared bit; a mismatched one returns a
     fair coin, drawn only for those rounds, in round order.
     """
+    import numpy as np
     out = bits.copy()
     mismatched = sent_bases != bases
     out[mismatched] = rng.integers(0, 2, size=int(np.count_nonzero(mismatched)), dtype=np.uint8)
@@ -233,6 +241,7 @@ def bb84_simulate(
     are the receiver's sifted key.  ``num_rounds`` that is not an integer
     in 1..1,000,000 raises :class:`ConfigError`.
     """
+    import numpy as np
     if not is_int(num_rounds, 1, _BB84_MAX_ROUNDS):
         raise ConfigError(f"num_rounds must lie in 1..{_BB84_MAX_ROUNDS}, got {num_rounds}")
     bits = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)

@@ -39,23 +39,34 @@ deterministic outcome consumes no randomness.
 Supports up to 64 qubits; conversion to a dense statevector is capped at
 12 qubits to match the statevector engine.  The kernels need
 ``int.bit_count`` (Python 3.10+).
+
+Gates, measurements, Pauli expectations and :func:`stabilizer_strings`
+are int arithmetic and load no numpy; only the array views (``x``, ``z``,
+``phase``, :meth:`StabilizerTableau.from_arrays`), :func:`validate` and
+:func:`to_statevector` import it, when called.  The gate set and its
+check come from :mod:`bellsim.gates`.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from . import statevector as sv
 from .errors import (
     BellSimError, DimensionError, InputError, NonCliffordGate, ProjectionError, QubitIndexError,
     SizeError, finite_array, is_int,
 )
+from .gates import GateOp, check_gate, gate
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .statevector import StateVector
 
 MAX_QUBITS = 64
 
 
 def _unpack(words: list[int], num_bits: int) -> np.ndarray:
     """uint8 bit matrix of shape (len(words), num_bits); entry [i, r] is bit r of words[i]."""
+    import numpy as np
     width = (num_bits + 7) // 8
     raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
     return np.unpackbits(raw.reshape(len(words), width), axis=1, count=num_bits, bitorder="little")
@@ -63,6 +74,7 @@ def _unpack(words: list[int], num_bits: int) -> np.ndarray:
 
 def _pack(bits: np.ndarray) -> list[int]:
     """Inverse of :func:`_unpack`: one int per row of a binary matrix."""
+    import numpy as np
     packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
@@ -96,6 +108,7 @@ class StabilizerTableau:
         for entries other than 0 and 1.  The invariants are not checked;
         :func:`validate` does that.
         """
+        import numpy as np
         x, z, phase = (finite_array(a, float, InputError, "tableau arrays") for a in (x, z, phase))
         n = x.shape[1] if x.ndim == 2 else -1
         if x.shape != (2 * n, n) or z.shape != x.shape or phase.shape != (2 * n,):
@@ -136,7 +149,7 @@ def _check_qubit(t: StabilizerTableau, q: int) -> None:
         raise QubitIndexError(f"qubit {q} out of range for {t.num_qubits}-qubit tableau")
 
 
-# -- gate kernels: update one tableau in place, unchecked (callers run sv.check_gate) --
+# -- gate kernels: update one tableau in place, unchecked (callers run check_gate) --
 
 def _h(t: StabilizerTableau, q: int) -> None:
     x, z = t._x, t._z
@@ -190,12 +203,12 @@ _KERNELS = {
 CLIFFORD_GATE_KINDS = frozenset(_KERNELS)
 
 
-def apply_clifford(t: StabilizerTableau, op: sv.GateOp) -> StabilizerTableau:
+def apply_clifford(t: StabilizerTableau, op: GateOp) -> StabilizerTableau:
     """Apply one Clifford gate and return the updated tableau.
 
     Raises :class:`NonCliffordGate` for any gate kind outside
     H/S/SDG/X/Y/Z/CNOT/CZ (including T and the continuous rotations), then
-    :func:`~bellsim.statevector.check_gate`'s errors for this tableau.
+    :func:`~bellsim.gates.check_gate`'s errors for this tableau.
     """
     kernel = _KERNELS.get(op.kind)
     if kernel is None:
@@ -203,7 +216,7 @@ def apply_clifford(t: StabilizerTableau, op: sv.GateOp) -> StabilizerTableau:
             f"gate {op.kind} cannot be applied to a stabilizer tableau; "
             f"supported kinds: {sorted(CLIFFORD_GATE_KINDS)}"
         )
-    qubits = sv.check_gate(op.kind, op.qubits, op.angle, t.num_qubits)
+    qubits = check_gate(op.kind, op.qubits, op.angle, t.num_qubits)
     out = t.copy()
     kernel(out, *qubits)
     return out
@@ -212,10 +225,10 @@ def apply_clifford(t: StabilizerTableau, op: sv.GateOp) -> StabilizerTableau:
 def apply(t: StabilizerTableau, kind: str, *qubits: int) -> StabilizerTableau:
     """Apply one gate by name, ``apply(t, "CNOT", 0, 1)``, and return the new tableau.
 
-    Raises what :func:`~bellsim.statevector.gate` and :func:`apply_clifford`
+    Raises what :func:`~bellsim.gates.gate` and :func:`apply_clifford`
     raise for the same gate.
     """
-    return apply_clifford(t, sv.gate(kind, *qubits))
+    return apply_clifford(t, gate(kind, *qubits))
 
 
 # -- measurement kernels -----------------------------------------------------------
@@ -365,7 +378,7 @@ def pauli_expectation(t: StabilizerTableau, q: int, pauli: str) -> float:
     return 0.0 if sign is None else 1.0 - 2.0 * sign
 
 
-def to_statevector(t: StabilizerTableau) -> sv.StateVector:
+def to_statevector(t: StabilizerTableau) -> StateVector:
     """Exact dense statevector of the stabilized state (n <= 12).
 
     Deterministic: finds one computational basis state in the support by
@@ -373,6 +386,8 @@ def to_statevector(t: StabilizerTableau) -> sv.StateVector:
     branches), then projects it with (I + S_k)/2 for every stabilizer
     generator S_k and normalizes.
     """
+    import numpy as np
+    from . import statevector as sv
     n = t.num_qubits
     if n > sv.MAX_QUBITS:
         raise SizeError(f"dense conversion supports up to {sv.MAX_QUBITS} qubits, got {n}")
@@ -399,17 +414,28 @@ def to_statevector(t: StabilizerTableau) -> sv.StateVector:
     return sv.StateVector(n, amps / nrm)
 
 
-_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)  # indexed by x + 2z
-_SIGNS = np.frombuffer(b"+-", dtype=np.uint8)
+_LETTERS = str.maketrans("0123", "IXZY")  # a cell's hex digit x + 2z
+_SIGNS = str.maketrans("01", "+-")
 
 
 def stabilizer_strings(t: StabilizerTableau) -> list[str]:
-    """Human-readable stabilizer generators, e.g. ['+XX', '-ZZ']."""
+    """Human-readable stabilizer generators, e.g. ['+XX', '-ZZ'].
+
+    The stabilizer bits of the columns (the top n of each) are joined,
+    qubit 0 first, into one int for x and one for z.  Written in binary and
+    read back as hex, every bit becomes a hex digit, so x + 2z holds one
+    digit per cell; digit k of each qubit's block is stabilizer row n-1-k.
+    """
     n = t.num_qubits
-    lines = np.full((n, n + 2), ord("\n"), dtype=np.uint8)
-    lines[:, 0] = _SIGNS[t.phase[n:]]
-    lines[:, 1:-1] = _LETTERS[t.x[n:] | (t.z[n:] << 1)]
-    return lines.tobytes().decode("ascii").split("\n")[:-1]
+    xs = zs = 0
+    for xc, zc in zip(t._x, t._z):
+        xs = (xs << n) | (xc >> n)
+        zs = (zs << n) | (zc >> n)
+    bits = f"0{n * n}b"
+    cells = int(format(xs, bits), 16) + 2 * int(format(zs, bits), 16)
+    grid = format(cells, f"0{n * n}x").translate(_LETTERS)
+    signs = format(t._r >> n, f"0{n}b").translate(_SIGNS)
+    return [signs[k] + grid[k::n] for k in range(n - 1, -1, -1)]
 
 
 def validate(t: StabilizerTableau) -> None:
@@ -422,6 +448,7 @@ def validate(t: StabilizerTableau) -> None:
     Once both checks pass, the rows' symplectic Gram matrix is [[D, I],
     [I, 0]], invertible over GF(2), so the rows are independent as well.
     """
+    import numpy as np
     n = t.num_qubits
     x = t.x.astype(np.float64)
     z = t.z.astype(np.float64)

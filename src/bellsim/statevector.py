@@ -18,6 +18,9 @@ Conventions
   CZ.  The public functions copy, run a kernel and validate the result;
   :func:`bellsim.dsl.run` runs a whole circuit on one copy and validates
   once, at the end.
+* The gate set (``GATES``), its check (``check_gate``), ``GateOp`` and
+  ``gate`` live in the numpy-free :mod:`bellsim.gates`, so the parser and
+  the tableau engine need no numpy; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .errors import (
     SizeError,
 )
 from .errors import finite_array, finite_real, is_int, pair
+from .gates import GATES, GateOp, check_gate, gate  # noqa: F401 - re-exported
 
 MAX_QUBITS = 12
 NORM_ATOL = 1e-10
@@ -54,14 +58,6 @@ FIXED_GATES: dict[str, np.ndarray] = {
     "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
     "T": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
     "TDG": np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex),
-}
-
-# kind -> (number of qubits, takes an angle): the gate set of the circuit
-# language and of both engines, checked by :func:`check_gate`.
-GATES: dict[str, tuple[int, bool]] = {
-    **{kind: (1, False) for kind in FIXED_GATES},
-    "RX": (1, True), "RY": (1, True), "RZ": (1, True),
-    "CNOT": (2, False), "CZ": (2, False),
 }
 
 ROTATION_GATES = tuple(kind for kind, (_, takes_angle) in GATES.items() if takes_angle)
@@ -85,64 +81,6 @@ def _rotation(kind: str, angle: float) -> np.ndarray:
     if kind == "RZ":
         return np.array([[cmath.exp(-0.5j * angle), 0], [0, cmath.exp(0.5j * angle)]], dtype=complex)
     raise InputError(f"unknown rotation kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class GateOp:
-    """A single gate application: kind, target qubits, optional angle.
-
-    Checked on construction by :func:`check_gate`, without a qubit count.
-    """
-
-    kind: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(check_gate(self.kind, self.qubits, self.angle)))
-
-
-def check_gate(kind: str, qubits, angle: float | None, n: int | None = None):
-    """Check one gate against :data:`GATES`; return its qubits as ints.
-
-    In this order: :class:`InputError` for an unknown kind;
-    :class:`QubitIndexError` for the wrong qubit count, an index that is
-    not a non-negative integer (``bool`` and floats are not) or a repeated
-    one; :class:`InputError` for an angle missing, not a real number, not
-    finite or not taken; last, when ``n`` is given, :class:`QubitIndexError`
-    for an index >= n or an ``n`` that is not a positive integer.
-    """
-    try:
-        arity, takes_angle = GATES[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise InputError(f"unknown gate kind {kind!r}") from None
-    try:
-        count = len(qubits)
-    except TypeError:
-        raise QubitIndexError(f"qubits must be a sequence of integers, got {qubits!r}") from None
-    if count != arity:
-        raise QubitIndexError(f"{kind} takes {arity} qubit(s), got {count}")
-    for q in qubits:
-        if type(q) is not int or q < 0:
-            if not all(is_int(q, 0, math.inf) for q in qubits):
-                raise QubitIndexError(f"qubits must be non-negative integers, got {qubits}")
-            qubits = tuple(map(int, qubits))
-            break
-    if arity == 2 and qubits[0] == qubits[1]:
-        raise QubitIndexError(f"{kind} requires distinct qubits, got {qubits}")
-    if takes_angle:
-        finite_real(angle, "gate angle")
-    elif angle is not None:
-        raise InputError(f"{kind} does not take an angle")
-    if n is not None and ((type(n) is not int and not is_int(n, 1, math.inf))
-                          or qubits[0] >= n or qubits[-1] >= n):
-        raise QubitIndexError(f"qubits {qubits} out of range for {n!r} qubit(s)")
-    return qubits
-
-
-def gate(kind: str, *qubits: int, angle: float | None = None) -> GateOp:
-    """Shorthand constructor: ``gate("CNOT", 0, 1)``, ``gate("RZ", 0, angle=x)``."""
-    return GateOp(kind.upper() if isinstance(kind, str) else kind, tuple(qubits), angle)
 
 
 def _check_size(num_qubits) -> None:
@@ -173,7 +111,8 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} qubits, "
                 f"got {amps.shape[0]}"
             )
-        nrm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # finite amplitudes whose squares overflow: norm inf
+            nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > NORM_ATOL:
             raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than {NORM_ATOL}")
         amps.flags.writeable = False

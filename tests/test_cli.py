@@ -410,18 +410,60 @@ def test_stdin_that_is_not_utf8_is_a_parse_error(data, message, monkeypatch, cap
         assert (code, out, err) == (2, "", message)
 
 
+def cli_process(argv, data=b""):
+    """Run ``python -m bellsim.cli`` in a fresh process on this checkout's source."""
+    src = str(Path(bellsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "bellsim.cli", *argv],
+        input=data, capture_output=True, env=env, timeout=60,
+    )
+
+
 @pytest.mark.parametrize("data, message", NOT_UTF8_ON_STDIN)
 def test_stdin_of_a_cli_process_is_read_as_bytes(data, message):
     # A real process decodes its text stdin with surrogateescape in the C and
     # UTF-8 locales, which would turn the byte into a lone surrogate.
-    src = str(Path(bellsim.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-m", "bellsim.cli", "run", "-"],
-        input=data, capture_output=True, env=env, timeout=60,
-    )
+    proc = cli_process(["run", "-"], data)
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", message)
+
+
+def test_amplitudes_whose_norm_overflows_print_only_the_error_line():
+    # In a process of its own: in process, pytest would catch numpy's warning.
+    proc = cli_process(["teleport", "--input", "1e308,0"])
+    message = "error: bad input state '1e308,0': state norm inf differs from 1 by more than 1e-10\n"
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--e11", "nan"], "argument --e11: bad correlation 'nan': must be finite"),
+        (["--e12", "inf"], "argument --e12: bad correlation 'inf': must be finite"),
+        (["--e21", "1e400"], "argument --e21: bad correlation '1e400': must be finite"),
+        (["--e22", "-inf"], "argument --e22: bad correlation '-inf': must be finite"),
+        (["--e11", "-NaN"], "argument --e11: bad correlation '-NaN': must be finite"),
+        (["--e11=-inf"], "argument --e11: bad correlation '-inf': must be finite"),
+    ],
+    ids=["nan", "inf", "1e400", "-inf", "-NaN", "--e11=-inf"],
+)
+def test_non_finite_correlations_are_usage_errors(argv, message, capsys):
+    flags = {"--e11": "0", "--e12": "0", "--e21": "0", "--e22": "0"}
+    flags.pop(argv[0].split("=")[0])
+    with pytest.raises(SystemExit) as caught:
+        main(["lhv-fit", *argv, *(token for item in flags.items() for token in item)])
+    captured = capsys.readouterr()
+    assert (caught.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+def test_negative_non_finite_angles_reach_the_angle_check(value, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["chsh-eval", "--alpha1", value, "--chi1", "0", "--alpha2", "0", "--chi2", "0"])
+    assert caught.value.code == 2
+    assert f"argument --alpha1: bad angle {value!r}: angle must be finite" in capsys.readouterr().err
 
 
 def test_chsh_scan_rejects_resolution_above_the_cap(tmp_path, monkeypatch, capsys):

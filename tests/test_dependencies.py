@@ -1,10 +1,15 @@
-"""The runtime dependency list is numpy alone: SciPy must never load.
+"""The runtime dependency list is numpy alone, and numpy loads only where numbers need it.
 
-The stabilizer kernels call ``int.bit_count``, so the supported Python
-floor must stay at 3.10 or higher.  ``errors.py``, whose guards every
-module imports, needs only the standard library at import time.  Building
-the CLI's parser builds no state: a ``--state`` default is resolved only
-when a subcommand that takes it is parsed.
+SciPy must never load.  ``import bellsim`` loads no numpy: its submodules
+load on first access.  ``lhv-bound``, ``classify``, ``superdense`` and a
+``run`` on the tableau whose measurements are all deterministic run
+without importing numpy, so the modules on their path (the package,
+``cli``, ``dsl``, ``gates``, ``stabilizer``, ``protocols``, ``lhv`` and
+``errors``) import neither numpy nor the modules that need it at module
+level.  The stabilizer kernels call ``int.bit_count``, so the supported
+Python floor must stay at 3.10 or higher.  Building the CLI's parser
+builds no state: a ``--state`` default is resolved only when a
+subcommand that takes it is parsed.
 """
 
 import ast
@@ -13,6 +18,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bellsim
 from bellsim import cli
@@ -32,23 +39,105 @@ except SystemExit as exc:
 print("scipy" in sys.modules)
 """
 
+# Runs cli.main on sys.argv[1:] with sys.argv[-1] as stdin, then reports numpy.
+CLI_MAIN = """import io, sys
+from bellsim import cli
+sys.stdin = io.TextIOWrapper(io.BytesIO(sys.argv.pop().encode()))
+code = cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
 
-def loads_scipy(code):
+# Modules that the numpy-free commands import, and what they must not import
+# at module level.
+NUMPY_FREE = ("__init__", "cli", "dsl", "errors", "gates", "lhv", "protocols", "stabilizer")
+NEEDS_NUMPY = {"numpy", "bellsim.statevector", "bellsim.chsh"}
+
+REVERSIBLE = "qubits 3\nx 0\ncnot 0 1\nrx 2 pi\ncz 1 2\ns 0\nmeasure 0\nmeasure 1\nmeasure 2\n"
+
+
+def python(*args):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
 
 def test_import_bellsim_leaves_scipy_unloaded():
-    assert loads_scipy(IMPORT_ONLY) == "False"
+    assert python("-c", IMPORT_ONLY) == "False"
 
 
 def test_cli_lhv_bound_leaves_scipy_unloaded():
-    assert loads_scipy(CLI_RUN) == "False"
+    assert python("-c", CLI_RUN) == "False"
+
+
+def test_import_bellsim_leaves_numpy_unloaded():
+    assert python("-c", "import sys, bellsim\nprint('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code",
+    [
+        (["lhv-bound"], "", 0),
+        (["classify", "-"], "qubits 2\nh 0\nrz 1 pi/2\ncnot 0 1\nmeasure 1\n", 0),
+        (["classify", "-"], "qubits 2\nh 0\nt 1\n", 3),
+        (["superdense", "--bits", "10", "--seed", "4"], "", 0),
+        (["run", "-", "--seed", "7"], REVERSIBLE, 0),
+    ],
+    ids=["lhv-bound", "classify-clifford", "classify-nonclifford", "superdense", "run"],
+)
+def test_commands_that_compute_no_numbers_leave_numpy_unloaded(argv, stdin, code):
+    assert python("-c", CLI_MAIN, *argv, stdin) == f"{code} False"
+
+
+def test_a_run_that_draws_loads_numpy():
+    # The probe above can see numpy: a random measurement imports it.
+    assert python("-c", CLI_MAIN, "run", "-", "qubits 1\nh 0\nmeasure 0\n") == "0 True"
+
+
+def module_level_imports(tree):
+    """Modules imported when the module runs: outside functions and ``if TYPE_CHECKING``."""
+    found = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["bellsim" if node.level else "", node.module]))
+            found.extend(f"{base}.{alias.name}" for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("module", NUMPY_FREE)
+def test_numpy_free_modules_import_no_numpy_at_module_level(module):
+    tree = ast.parse((Path(SRC) / "bellsim" / f"{module}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for name in module_level_imports(tree):
+        parts = name.split(".")
+        imported.update(".".join(parts[:k]) for k in range(1, len(parts) + 1))
+    assert not imported & NEEDS_NUMPY, sorted(imported & NEEDS_NUMPY)
+
+
+def test_the_import_check_sees_every_kind_of_import():
+    tree = ast.parse(
+        "import numpy as np\nfrom . import statevector as sv\nfrom .chsh import s_factor\n"
+        "class C:\n    import numpy.linalg\n"
+        "if TYPE_CHECKING:\n    import os\n"
+        "def f():\n    import math\n"
+    )
+    assert sorted(module_level_imports(tree)) == [
+        "bellsim.chsh.s_factor", "bellsim.statevector", "numpy", "numpy.linalg",
+    ]
 
 
 def test_requires_python_floor_has_int_bit_count():
@@ -56,14 +145,6 @@ def test_requires_python_floor_has_int_bit_count():
     match = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)[^"]*"\s*$', text, re.MULTILINE)
     assert match, "pyproject.toml must declare requires-python as >=X.Y"
     assert (int(match.group(1)), int(match.group(2))) >= (3, 10)
-
-
-def test_errors_module_imports_no_numpy_at_module_level():
-    tree = ast.parse((Path(SRC) / "bellsim" / "errors.py").read_text(encoding="utf-8"))
-    imported = [alias.name for node in tree.body if isinstance(node, ast.Import)
-                for alias in node.names]
-    imported += [node.module for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert not [name for name in imported if name and name.split(".")[0] == "numpy"]
 
 
 def test_no_module_references_the_removed_index_helper():

@@ -592,6 +592,43 @@ def test_tableau_measurements_go_through_the_public_calls(monkeypatch):
     assert calls == {"measure_z": 10, "measure_z_forced": 5}
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hs.integers(1, 10), hs.integers(0, 2**64 - 1), hs.integers(0, 160))
+def test_run_draws_what_an_explicit_generator_draws(n, seed, length):
+    circuit = clifford_circuit(n, seeded_steps(n, seed % 2**32, length))
+    for engine, start in (("stabilizer", st.init_zero(n)), ("statevector", sv.zero_state(n))):
+        want, _, _ = dsl._execute(circuit, start, np.random.default_rng(seed))
+        assert dsl.run(circuit, engine=engine, seed=seed).outcomes == want, engine
+
+
+def test_a_run_that_draws_nothing_builds_no_generator(monkeypatch):
+    def no_generator(seed):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    reversible = dsl.parse("qubits 3\nx 0\ncnot 0 1\nh 2\nh 2\nmeasure 0\nmeasure 1\nmeasure 2\n")
+    assert dsl.run(reversible, seed=3).outcomes == [1, 1, 0]
+    with pytest.raises(AssertionError, match="a generator was built"):
+        dsl.run(dsl.parse("qubits 1\nh 0\nmeasure 0\n"), seed=3)
+
+
+def test_the_generator_is_built_once_at_the_first_draw(monkeypatch):
+    # Later draws find the generator's bound methods in the slots.
+    lookups = []
+    build = dsl._LazyRng.__getattr__
+
+    def counting(self, name):
+        lookups.append(name)
+        return build(self, name)
+
+    monkeypatch.setattr(dsl._LazyRng, "__getattr__", counting)
+    circuit = dsl.parse("qubits 3\nh 0\nh 1\nh 2\nmeasure 0\nmeasure 1\nmeasure 2\n")
+    for engine, draw in (("stabilizer", "integers"), ("statevector", "random")):
+        lookups.clear()
+        dsl.run(circuit, engine=engine, seed=1)
+        assert lookups == [draw]
+
+
 def test_run_measures_flipped_qubit_on_both_engines():
     circuit = dsl.parse("qubits 1\nx 0\nmeasure 0\n")
     for engine in ("statevector", "stabilizer"):

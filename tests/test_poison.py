@@ -1,6 +1,6 @@
 """Every public callable rejects poisoned arguments with a BellSimError subclass.
 
-The suite finds the public callables of the six library modules by name
+The suite finds the public callables of the seven library modules by name
 (exception classes excluded) and holds one valid call for each.  It then
 replaces one parameter at a time with each poison value and asserts that
 the call either raises a :class:`BellSimError` subclass or returns a
@@ -29,12 +29,12 @@ import numbers
 import numpy as np
 import pytest
 
-from bellsim import chsh, dsl, lhv, protocols
+from bellsim import chsh, dsl, gates, lhv, protocols
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import BellSimError
 
-MODULES = (sv, st, chsh, lhv, protocols, dsl)
+MODULES = (gates, sv, st, chsh, lhv, protocols, dsl)
 PUBLIC_CALLABLES = 69
 
 EXEMPT = {
@@ -81,12 +81,12 @@ def rng():
 
 # name -> (function to call, valid keyword arguments built afresh per call)
 VALID = {
-    "statevector.rotation_matrix": (sv.rotation_matrix, lambda: dict(kind="RX", angle=0.3)),
-    "statevector.GateOp": (sv.GateOp, lambda: dict(kind="RZ", qubits=(0,), angle=0.3)),
-    "statevector.check_gate": (
-        sv.check_gate, lambda: dict(kind="RZ", qubits=(1,), angle=0.3, n=2)
+    "gates.GateOp": (gates.GateOp, lambda: dict(kind="RZ", qubits=(0,), angle=0.3)),
+    "gates.check_gate": (
+        gates.check_gate, lambda: dict(kind="RZ", qubits=(1,), angle=0.3, n=2)
     ),
-    "statevector.gate": (sv.gate, lambda: dict(kind="CNOT", qubits=(0, 1), angle=None)),
+    "gates.gate": (gates.gate, lambda: dict(kind="CNOT", qubits=(0, 1), angle=None)),
+    "statevector.rotation_matrix": (sv.rotation_matrix, lambda: dict(kind="RX", angle=0.3)),
     "statevector.StateVector": (
         sv.StateVector, lambda: dict(num_qubits=1, amplitudes=[0.6, 0.8])
     ),
@@ -220,7 +220,7 @@ VALID = {
 
 
 # Callables whose ``*qubits`` take a poison as their one qubit.
-STAR_QUBITS = {"statevector.gate", "statevector.apply", "stabilizer.apply"}
+STAR_QUBITS = {"gates.gate", "statevector.apply", "stabilizer.apply"}
 
 
 def public_callables():

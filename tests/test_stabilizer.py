@@ -693,6 +693,24 @@ def test_pauli_expectation_matches_basis_change_and_dense(num_qubits, seed):
                 assert abs(np.vdot(dense.amplitudes, flipped) - value) < 1e-10, (q, pauli)
 
 
+def ref_stabilizer_strings(t):
+    """The stabilizer rows read off the bit arrays in one numpy expression."""
+    n = t.num_qubits
+    lines = np.full((n, n + 2), ord("\n"), dtype=np.uint8)
+    lines[:, 0] = np.frombuffer(b"+-", dtype=np.uint8)[t.phase[n:]]
+    lines[:, 1:-1] = np.frombuffer(b"IXZY", dtype=np.uint8)[t.x[n:] | (t.z[n:] << 1)]
+    return lines.tobytes().decode("ascii").split("\n")[:-1]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(hs.integers(1, 64), hs.integers(0, 2**32 - 1))
+@example(1, 0)
+@example(st.MAX_QUBITS, 0)
+def test_stabilizer_strings_match_the_array_reference(num_qubits, seed):
+    t = random_tableau(num_qubits, seed)
+    assert st.stabilizer_strings(t) == ref_stabilizer_strings(t)
+
+
 @pytest.mark.parametrize("pauli", ["X", "Y", "Z"])
 @pytest.mark.parametrize("qubit", [2, -1, True, 0.5, None])
 def test_pauli_expectation_checks_the_qubit_like_measure_z(pauli, qubit):
