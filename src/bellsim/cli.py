@@ -19,9 +19,9 @@ same lexer the circuit language uses.  Exit codes: 0 success (including
 hits the stabilizer engine; 1 any other failure.
 
 numpy, and the modules that need it, load only in the handlers and
-argument types that compute with numbers: ``lhv-bound``, ``classify``,
-``superdense`` and a ``run`` on the tableau that draws nothing never
-import it.
+argument types that compute with arrays: ``lhv-bound``, ``lhv-fit``,
+``classify``, ``superdense`` and a ``run`` on the tableau that draws
+nothing never import it.
 """
 
 from __future__ import annotations
@@ -314,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 _NUMERIC_FLAGS = ("--alpha1", "--alpha2", "--chi1", "--chi2", "--e11", "--e12", "--e21", "--e22")
 # Flag -> the values starting with "-" that belong to it: negative numbers
-# (-inf and -nan too, which the flag's type rejects), and for --input any
-# value but one starting "--" (-i, -, -0.6,0.8).
+# and pi-tokens in any case (-inf and -nan too, which the flag's type
+# rejects), and for --input any value but one starting "--" (-i, -, -0.6,0.8).
 _DASH_VALUES = {
-    **dict.fromkeys(_NUMERIC_FLAGS, re.compile(r"^-(?:pi\b|\d|\.\d|(?i:inf|nan))")),
+    **dict.fromkeys(_NUMERIC_FLAGS, re.compile(r"^-(?:\d|\.\d|(?i:pi\b|inf|nan))")),
     "--input": re.compile(r"^-(?!-)"),
 }
 

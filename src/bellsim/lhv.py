@@ -17,19 +17,19 @@ mixture (Fine, PRL 48, 291 (1982)).  :func:`fit_lhv` gates on the facet
 test and builds that witness.  Every deterministic strategy gives the CHSH
 combination E11 - E12 + E21 + E22 a value of exactly +/-2, hence the
 classical bound |S| <= 2 for every model.
+
+This module is plain Python: four targets and 16 weights need no numpy.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
+import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .errors import InputError, ModelError, finite_array, is_int, pair
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import InputError, ModelError, is_int, pair
 
 CLASSICAL_BOUND = 2.0
 
@@ -63,22 +63,25 @@ STRATEGIES: tuple[DeterministicStrategy, ...] = tuple(
     for a1, a2, b1, b2 in itertools.product((1, -1), repeat=4)
 )
 
-@functools.cache
-def _tables():
-    """``(vertex, hadamard, plus_h, minus_h)``, built on first use so that
-    importing this module loads no numpy.
+_ROWS = tuple(s.correlations() for s in STRATEGIES)
+_COLUMNS = tuple(zip(*_ROWS))  # column j: E_j of every strategy
+_HADAMARD = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+# The first strategy whose correlations are +h_k, and the first giving -h_k.
+_PLUS_H = tuple(_ROWS.index(h) for h in _HADAMARD)
+_MINUS_H = tuple(_ROWS.index(tuple(-x for x in h)) for h in _HADAMARD)
 
-    Row s of ``vertex`` is the correlations of STRATEGIES[s], columns
-    (E11, E12, E21, E22); ``plus_h[k]`` is the first strategy whose
-    correlations are +h_k, ``minus_h[k]`` the first giving -h_k.
-    """
-    import numpy as np
-    vertex = np.array([s.correlations() for s in STRATEGIES], dtype=float)
-    hadamard = np.array(
-        [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
-    )
-    hits = vertex @ hadamard
-    return vertex, hadamard, np.argmax(hits == 4.0, axis=0), np.argmax(hits == -4.0, axis=0)
+
+def _finite_reals(value, count: int, error: type, what: str) -> tuple[float, ...]:
+    """``value`` as ``count`` finite floats; else ``error`` (text, bytes and complex too)."""
+    try:
+        items = () if isinstance(value, (str, bytes)) else tuple(value)
+        if len(items) == count and all(isinstance(x, numbers.Real) for x in items):
+            floats = tuple(map(float, items))
+            if all(map(math.isfinite, floats)):
+                return floats
+    except (TypeError, OverflowError):  # not iterable; an int beyond the float range
+        pass
+    raise error(f"{what} must be {count} finite real numbers, got {value!r}")
 
 
 def enumerate_strategies() -> tuple[DeterministicStrategy, ...]:
@@ -105,38 +108,44 @@ def classical_max_s() -> float:
 class LhvModel:
     """A probability mixture over the 16 deterministic strategies.
 
-    Weights must be finite, nonnegative (values above -1e-12 are clamped
-    to 0) and sum to 1 within 1e-10; anything else raises
-    :class:`ModelError`.
+    ``weights``, stored as a tuple of 16 floats, must be finite reals,
+    nonnegative (values above -1e-12 are clamped to 0) and sum to 1
+    within 1e-10; anything else raises :class:`ModelError`.
     """
 
-    weights: np.ndarray
+    weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        import numpy as np
-        w = finite_array(self.weights, float, ModelError, "model weights").reshape(-1).copy()
-        if w.shape[0] != len(STRATEGIES):
-            raise ModelError(f"expected {len(STRATEGIES)} weights, got {w.shape[0]}")
-        if float(w.min()) < -_WEIGHT_NEG_ATOL:
-            raise ModelError(f"negative weight {float(w.min())!r} in model")
-        w = np.clip(w, 0.0, None)
-        total = float(w.sum())
+        w = _finite_reals(self.weights, len(STRATEGIES), ModelError, "model weights")
+        if min(w) < -_WEIGHT_NEG_ATOL:
+            raise ModelError(f"negative weight {min(w)!r} in model")
+        w = tuple(x if x > 0.0 else 0.0 for x in w)
+        total = sum(w)
         if abs(total - 1.0) > _WEIGHT_SUM_ATOL:
             raise ModelError(f"weights sum to {total!r}, expected 1 within {_WEIGHT_SUM_ATOL}")
-        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
 
 def model_correlations(model: LhvModel) -> tuple[float, float, float, float]:
-    """(E11, E12, E21, E22) of the mixture."""
-    e = model.weights @ _tables()[0]
-    return (float(e[0]), float(e[1]), float(e[2]), float(e[3]))
+    """(E11, E12, E21, E22) of the mixture, summed left to right in each block of
+    four strategies sharing (a1, a2), then over blocks: the numpy product's order."""
+    out = []
+    for column in _COLUMNS:
+        t = [w * v for w, v in zip(model.weights, column)]
+        blocks = [t[i] + t[i + 1] + t[i + 2] + t[i + 3] for i in (0, 4, 8, 12)]
+        out.append(blocks[0] + blocks[1] + blocks[2] + blocks[3])
+    return tuple(out)
 
 
 def model_s(model: LhvModel) -> float:
     """CHSH combination E11 - E12 + E21 + E22 of the mixture."""
     e11, e12, e21, e22 = model_correlations(model)
     return e11 - e12 + e21 + e22
+
+
+def _variants(e: tuple[float, ...]) -> tuple[float, ...]:
+    base = e[0] + e[1] + e[2] + e[3]
+    return tuple(sign * (base - 2.0 * term) for term in e for sign in (1.0, -1.0))
 
 
 def chsh_variants(targets: "tuple[float, float, float, float]") -> tuple[float, ...]:
@@ -146,15 +155,7 @@ def chsh_variants(targets: "tuple[float, float, float, float]") -> tuple[float, 
     being at most 2 (the facet description of the local polytope).
     ``targets`` that are not 4 finite real numbers raise :class:`InputError`.
     """
-    e = finite_array(targets, float, InputError, "target correlations").reshape(-1)
-    if e.shape[0] != 4:
-        raise InputError(f"expected 4 target correlations, got {e.shape[0]}")
-    base = float(e.sum())
-    out = []
-    for term in e:
-        v = base - 2.0 * float(term)
-        out.extend((v, -v))
-    return tuple(out)
+    return _variants(_finite_reals(targets, 4, InputError, "target correlations"))
 
 
 def fit_lhv(targets: "tuple[float, float, float, float]") -> LhvModel | None:
@@ -170,44 +171,42 @@ def fit_lhv(targets: "tuple[float, float, float, float]") -> LhvModel | None:
     targets up to rounding, or within 1e-9 for targets up to 1e-9
     outside the polytope, which are first scaled onto its boundary.
     """
-    import numpy as np
-    variants = chsh_variants(targets)  # checks for 4 finite real numbers
-    e = np.asarray(targets, dtype=float).reshape(-1)
-    if float(np.abs(e).max()) > 1.0 + _FIT_TOL:
-        raise InputError(
-            f"correlations must lie in [-1, 1], got max magnitude {float(np.abs(e).max())!r}"
-        )
-    if max(variants) > 2.0 + _FIT_TOL:
+    e = _finite_reals(targets, 4, InputError, "target correlations")
+    largest = max(abs(x) for x in e)
+    if largest > 1.0 + _FIT_TOL:
+        raise InputError(f"correlations must lie in [-1, 1], got max magnitude {largest!r}")
+    if max(_variants(e)) > 2.0 + _FIT_TOL:
         return None
 
-    _, hadamard, plus_h, minus_h = _tables()
-    c = hadamard @ e / 4.0
-    norm = float(np.abs(c).sum())
+    # c = H E / 4 as one Walsh-Hadamard butterfly.
+    e11, e12, e21, e22 = e
+    s1, s2, d1, d2 = e11 + e21, e12 + e22, e11 - e21, e12 - e22
+    c = [(s1 + s2) / 4.0, (s1 - s2) / 4.0, (d1 + d2) / 4.0, (d1 - d2) / 4.0]
+    norm = abs(c[0]) + abs(c[1]) + abs(c[2]) + abs(c[3])
     if norm > 1.0:
-        c /= norm
+        c = [x / norm for x in c]
         norm = 1.0
-    w = np.zeros(len(STRATEGIES))
-    w[np.where(c < 0.0, minus_h, plus_h)] = np.abs(c)
-    w[[plus_h[0], minus_h[0]]] += (1.0 - norm) / 2.0
+    w = [0.0] * len(STRATEGIES)
+    for k, x in enumerate(c):
+        w[_MINUS_H[k] if x < 0.0 else _PLUS_H[k]] = abs(x)
+    w[_PLUS_H[0]] += (1.0 - norm) / 2.0
+    w[_MINUS_H[0]] += (1.0 - norm) / 2.0
     return LhvModel(w)
 
 
-def sample_lhv(
-    model: LhvModel, setting_pair: tuple[int, int], rng: np.random.Generator
-) -> tuple[int, int]:
+def sample_lhv(model: LhvModel, setting_pair: tuple[int, int], rng) -> tuple[int, int]:
     """Draw one strategy from the mixture and read off outcomes (a, b).
 
     ``setting_pair`` is (i, j) with i, j in {1, 2}: side A uses setting
-    alpha_i, side B uses chi_j.  Consumes one uniform draw from ``rng``.
+    alpha_i, side B uses chi_j.  Consumes one uniform draw,
+    ``rng.random()``, e.g. from a :class:`numpy.random.Generator`.
     """
-    import numpy as np
     i, j = pair(setting_pair, InputError, "setting_pair")
     if not (is_int(i, 1, 2) and is_int(j, 1, 2)):
         raise InputError(f"setting_pair entries must be 1 or 2, got {setting_pair!r}")
-    cumulative = np.cumsum(model.weights)
-    idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
+    idx = bisect_right(list(itertools.accumulate(model.weights)), rng.random())
     # A draw at or above a weight sum just under 1 takes the last weighted strategy.
-    strategy = STRATEGIES[min(idx, int(np.flatnonzero(model.weights)[-1]))]
+    strategy = STRATEGIES[min(idx, max(s for s, w in enumerate(model.weights) if w > 0.0))]
     a = strategy.a1 if i == 1 else strategy.a2
     b = strategy.b1 if j == 1 else strategy.b2
     return a, b

@@ -162,7 +162,8 @@ def product_state(factors: "list[tuple[complex, complex]]") -> StateVector:
     _check_size(len(pairs))  # before the product is built
     amps = np.array([1.0], dtype=complex)
     for i, f in enumerate(pairs):
-        nrm = float(np.linalg.norm(f))
+        with np.errstate(over="ignore"):  # as in StateVector: an overflowing norm reads inf
+            nrm = float(np.linalg.norm(f))
         if abs(nrm - 1.0) > NORM_ATOL:
             raise NormalizationError(f"factor {i} has norm {nrm!r}, expected 1")
         amps = np.kron(amps, f)

@@ -155,7 +155,7 @@ BAD_MESSAGES = {
     ),
     "fit_lhv ragged targets": (
         lambda: lhv.fit_lhv([[1, 0], [0]]), InputError,
-        "target correlations must be a rectangular array, got ragged",
+        "target correlations must be 4 finite real numbers, got",
     ),
     "StateVector nan amplitude": (
         lambda: sv.StateVector(1, [math.nan, 1]), InputError,

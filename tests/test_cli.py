@@ -466,6 +466,16 @@ def test_negative_non_finite_angles_reach_the_angle_check(value, capsys):
     assert f"argument --alpha1: bad angle {value!r}: angle must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, angle", [("-PI", "-pi"), ("-Pi/2", "-pi/2"), ("-3PI/4", "-3pi/4")])
+def test_negative_pi_tokens_in_any_case_are_angles(value, angle, capsys):
+    # The same reading as the joined form --alpha1=-PI and as lower case.
+    rest = ["--chi1", "0", "--alpha2", "0", "--chi2", "0"]
+    expected = run_cli(capsys, ["chsh-eval", f"--alpha1={angle}", *rest])
+    assert expected[0] == 0
+    assert run_cli(capsys, ["chsh-eval", "--alpha1", value, *rest]) == expected
+    assert run_cli(capsys, ["chsh-eval", f"--alpha1={value}", *rest]) == expected
+
+
 def test_chsh_scan_rejects_resolution_above_the_cap(tmp_path, monkeypatch, capsys):
     def no_grid(*args):
         raise AssertionError("the grid was built before the resolution was checked")

@@ -1,13 +1,14 @@
 """The runtime dependency list is numpy alone, and numpy loads only where numbers need it.
 
 SciPy must never load.  ``import bellsim`` loads no numpy: its submodules
-load on first access.  ``lhv-bound``, ``classify``, ``superdense`` and a
-``run`` on the tableau whose measurements are all deterministic run
-without importing numpy, so the modules on their path (the package,
-``cli``, ``dsl``, ``gates``, ``stabilizer``, ``protocols``, ``lhv`` and
-``errors``) import neither numpy nor the modules that need it at module
-level.  The stabilizer kernels call ``int.bit_count``, so the supported
-Python floor must stay at 3.10 or higher.  Building the CLI's parser
+load on first access.  ``lhv-bound``, ``lhv-fit``, ``classify``,
+``superdense`` and a ``run`` on the tableau whose measurements are all
+deterministic run without importing numpy, so the modules on their path
+(the package, ``cli``, ``dsl``, ``gates``, ``stabilizer``, ``protocols``,
+``lhv`` and ``errors``) import neither numpy nor the modules that need it
+at module level.  ``lhv`` imports numpy nowhere, not even in a function.
+The stabilizer kernels call ``int.bit_count``, so the supported Python
+floor must stay at 3.10 or higher.  Building the CLI's parser
 builds no state: a ``--state`` default is resolved only when a
 subcommand that takes it is parsed.
 """
@@ -81,12 +82,17 @@ def test_import_bellsim_leaves_numpy_unloaded():
     "argv, stdin, code",
     [
         (["lhv-bound"], "", 0),
+        (["lhv-fit", "--e11", "0.5", "--e12", "0.1", "--e21", "-0.2", "--e22", "0.3"], "", 0),
+        (["lhv-fit", "--e11", "0.75", "--e12", "-0.75", "--e21", "0.75", "--e22", "0.75"], "", 0),
         (["classify", "-"], "qubits 2\nh 0\nrz 1 pi/2\ncnot 0 1\nmeasure 1\n", 0),
         (["classify", "-"], "qubits 2\nh 0\nt 1\n", 3),
         (["superdense", "--bits", "10", "--seed", "4"], "", 0),
         (["run", "-", "--seed", "7"], REVERSIBLE, 0),
     ],
-    ids=["lhv-bound", "classify-clifford", "classify-nonclifford", "superdense", "run"],
+    ids=[
+        "lhv-bound", "lhv-fit", "lhv-fit-infeasible", "classify-clifford", "classify-nonclifford",
+        "superdense", "run",
+    ],
 )
 def test_commands_that_compute_no_numbers_leave_numpy_unloaded(argv, stdin, code):
     assert python("-c", CLI_MAIN, *argv, stdin) == f"{code} False"
@@ -97,18 +103,22 @@ def test_a_run_that_draws_loads_numpy():
     assert python("-c", CLI_MAIN, "run", "-", "qubits 1\nh 0\nmeasure 0\n") == "0 True"
 
 
-def module_level_imports(tree):
-    """Modules imported when the module runs: outside functions and ``if TYPE_CHECKING``."""
+def module_level_imports(tree, every_scope=False):
+    """Modules imported when the module runs: outside functions and ``if TYPE_CHECKING``.
+
+    With ``every_scope``, the modules imported anywhere, those places included.
+    """
     found = []
     stack = list(tree.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
-                and node.test.id == "TYPE_CHECKING":
-            stack.extend(node.orelse)
-            continue
+        if not every_scope:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                    and node.test.id == "TYPE_CHECKING":
+                stack.extend(node.orelse)
+                continue
         if isinstance(node, ast.Import):
             found.extend(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -118,14 +128,22 @@ def module_level_imports(tree):
     return found
 
 
-@pytest.mark.parametrize("module", NUMPY_FREE)
-def test_numpy_free_modules_import_no_numpy_at_module_level(module):
+def numpy_imports(module, every_scope=False):
     tree = ast.parse((Path(SRC) / "bellsim" / f"{module}.py").read_text(encoding="utf-8"))
     imported = set()
-    for name in module_level_imports(tree):
+    for name in module_level_imports(tree, every_scope):
         parts = name.split(".")
         imported.update(".".join(parts[:k]) for k in range(1, len(parts) + 1))
-    assert not imported & NEEDS_NUMPY, sorted(imported & NEEDS_NUMPY)
+    return sorted(imported & NEEDS_NUMPY)
+
+
+@pytest.mark.parametrize("module", NUMPY_FREE)
+def test_numpy_free_modules_import_no_numpy_at_module_level(module):
+    assert not numpy_imports(module)
+
+
+def test_lhv_imports_numpy_in_no_scope():
+    assert not numpy_imports("lhv", every_scope=True)
 
 
 def test_the_import_check_sees_every_kind_of_import():
@@ -137,6 +155,9 @@ def test_the_import_check_sees_every_kind_of_import():
     )
     assert sorted(module_level_imports(tree)) == [
         "bellsim.chsh.s_factor", "bellsim.statevector", "numpy", "numpy.linalg",
+    ]
+    assert sorted(module_level_imports(tree, every_scope=True)) == [
+        "bellsim.chsh.s_factor", "bellsim.statevector", "math", "numpy", "numpy.linalg", "os",
     ]
 
 

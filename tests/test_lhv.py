@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim import lhv
@@ -71,12 +71,12 @@ def test_model_clamps_tiny_negative_weights():
     w[4] += 1.0 / 16
     model = lhv.LhvModel(w)
     assert model.weights[5] == 0.0
-    assert model.weights.min() >= 0.0
+    assert min(model.weights) >= 0.0
 
 
 def test_model_weights_read_only():
     model = random_model(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         model.weights[0] = 0.5
 
 
@@ -190,8 +190,55 @@ def test_witness_exists_iff_cross_polytope_norm_at_most_one(targets):
     if abs(norm - 1.0) > 1e-9:
         assert (model is None) == (norm > 1.0)
     if model is not None:
-        assert model.weights.min() >= 0.0
+        assert min(model.weights) >= 0.0
         np.testing.assert_allclose(lhv.model_correlations(model), targets, atol=1e-12)
+
+
+VERTEX = np.array([s.correlations() for s in lhv.STRATEGIES], dtype=float)
+PLUS_H = np.argmax(VERTEX @ HADAMARD == 4, axis=0)
+MINUS_H = np.argmax(VERTEX @ HADAMARD == -4, axis=0)
+
+
+def numpy_fit(targets):
+    """The eight CHSH variants and the witness weights (None if not local), with arrays."""
+    e = np.asarray(targets, dtype=float)
+    variants = np.ravel([(v, -v) for v in e.sum() - 2.0 * e])
+    if variants.max() > 2.0 + lhv._FIT_TOL:
+        return variants, None
+    c = HADAMARD @ e / 4.0
+    norm = np.abs(c).sum()
+    if norm > 1.0:
+        c, norm = c / norm, 1.0
+    w = np.zeros(16)
+    w[np.where(c < 0.0, MINUS_H, PLUS_H)] = np.abs(c)
+    w[[PLUS_H[0], MINUS_H[0]]] += (1.0 - norm) / 2.0
+    return variants, w
+
+
+SHORT_DECIMALS = st.integers(-10**4, 10**4).map(lambda n: n / 10**4)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4),
+        st.lists(SHORT_DECIMALS, min_size=4, max_size=4),
+    )
+)
+@example([C, C, C, -C])  # S = 0, yet not local
+@example([(1 + 5e-10) * t for t in (1.0, 0.0, 0.0, -1.0)])  # scaled onto the boundary
+def test_plain_python_fit_matches_the_numpy_reference(targets):
+    variants, weights = numpy_fit(targets)
+    np.testing.assert_array_max_ulp(np.array(lhv.chsh_variants(targets)), variants, maxulp=1)
+    model = lhv.fit_lhv(targets)
+    assert (model is None) == (weights is None)
+    if targets == [C, C, C, -C]:
+        assert model is None
+    if model is not None:
+        np.testing.assert_array_max_ulp(np.array(model.weights), weights, maxulp=1)
+        np.testing.assert_array_max_ulp(
+            np.array(lhv.model_correlations(model)), np.array(model.weights) @ VERTEX, maxulp=1
+        )
 
 
 def test_fit_input_validation():

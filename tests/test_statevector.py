@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ def test_product_state_kron_order():
 def test_product_state_rejects_unnormalized_factor():
     with pytest.raises(NormalizationError):
         sv.product_state([(1.0, 1.0)])
+
+
+def test_product_state_factor_whose_norm_overflows_warns_nothing():
+    # Finite amplitudes whose squares overflow: the norm reads inf, with no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormalizationError, match="factor 0 has norm inf, expected 1"):
+            sv.product_state([(1e308, 0), (1, 0)])
 
 
 def test_product_state_checks_the_size_before_building_the_product(monkeypatch):
