@@ -21,11 +21,11 @@ LF line endings.  ``parse(format_circuit(c)) == c`` for every circuit
 (source locations are excluded from equality).
 
 :func:`classify` marks a circuit stabilizer-simulable when every
-instruction is Clifford: the discrete set {h,x,y,z,s,sdg,cnot,cz,measure}
-plus any rotation by a multiple of pi/2, read from the angle's own cos
-and sin (|cos * sin| <= 1e-12).  t/tdg and all other rotation angles,
-huge floats such as 1e16 among them, are non-Clifford witnesses, and so
-is a hand-built rotation whose angle is NaN, inf or missing.
+instruction is a measurement or passes the tableau's own Clifford rule
+(:mod:`bellsim.stabilizer`): h, x, y, z, s, sdg, cnot, cz, and rotations
+by a multiple of pi/2, read from the angle's cos and sin (|cos * sin| <=
+1e-12).  t/tdg, other angles (1e16 among them) and a hand-built
+rotation whose angle is NaN, inf or missing are non-Clifford witnesses.
 
 :func:`run` executes a circuit on either engine with one loop that copies
 the starting amplitudes or tableau once and updates that copy in place;
@@ -42,14 +42,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import stabilizer as st
-from .errors import BellSimError, ConfigError, InputError, NonCliffordGate, QubitIndexError
-from .errors import finite_real, is_int
+from .errors import BellSimError, ConfigError, InputError, NonCliffordGate, QubitIndexError, is_int
 from .gates import GATES, check_gate
+from .stabilizer import CLIFFORD_ANGLE_ATOL  # noqa: F401 - re-exported
 
 if TYPE_CHECKING:
     from .statevector import StateVector
-
-CLIFFORD_ANGLE_ATOL = 1e-12
 
 # opcode -> (number of qubit operands, takes an angle operand)
 OPCODES: dict[str, tuple[int, bool]] = {
@@ -213,22 +211,8 @@ def format_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _quarter_turns(angle: float) -> int | None:
-    """k mod 4 when the finite ``angle`` is k quarter turns, else None.
-
-    Judged by the angle's own cos and sin, exact for any float, not by
-    angle / (pi/2), whose fraction is lost for huge angles.
-    """
-    c, s = math.cos(angle), math.sin(angle)
-    if abs(c * s) > CLIFFORD_ANGLE_ATOL:
-        return None
-    if abs(c) >= abs(s):
-        return 0 if c > 0 else 2
-    return 1 if s > 0 else 3
-
-
 def is_clifford_instruction(ins: Instruction) -> bool:
-    return ins.opcode == "MEASURE" or _clifford_kinds(ins.opcode, ins.angle) is not None
+    return ins.opcode == "MEASURE" or st._clifford_kinds(ins.opcode, ins.angle) is not None
 
 
 STABILIZER_SIMULABLE = "StabilizerSimulable"
@@ -262,33 +246,10 @@ def classify(circuit: Circuit) -> SimulabilityClass:
     witnesses = tuple(
         (ins.line, ins.column)
         for ins in circuit.instructions  # not is_clifford_instruction(ins), one call less
-        if ins.opcode != "MEASURE" and _clifford_kinds(ins.opcode, ins.angle) is None
+        if ins.opcode != "MEASURE" and st._clifford_kinds(ins.opcode, ins.angle) is None
     )
     value = STABILIZER_SIMULABLE if not witnesses else REQUIRES_STATEVECTOR
     return SimulabilityClass(value=value, witnesses=witnesses)
-
-
-# Clifford sequences for 0, 1, 2 and 3 quarter turns of each rotation.
-_ROTATION_SEQUENCES: dict[str, tuple[tuple[str, ...], ...]] = {
-    "RZ": ((), ("S",), ("Z",), ("SDG",)),
-    "RX": ((), ("H", "S", "H"), ("X",), ("H", "SDG", "H")),
-    "RY": ((), ("SDG", "H", "S", "H", "S"), ("Y",), ("SDG", "H", "SDG", "H", "S")),
-}
-
-
-_AS_ITSELF = {kind: (kind,) for kind in st.CLIFFORD_GATE_KINDS}  # a Clifford gate's own sequence
-
-
-def _clifford_kinds(opcode: str, angle: float | None) -> tuple[str, ...] | None:
-    """The Clifford gates (in time order) equal to a gate; None if none or if malformed."""
-    try:
-        kinds = _AS_ITSELF.get(opcode)
-        if kinds is not None or opcode not in _ROTATION_SEQUENCES:
-            return kinds
-        k = _quarter_turns(finite_real(angle, "angle"))
-    except (TypeError, InputError):  # an unhashable opcode; a missing, non-real or non-finite angle
-        return None
-    return None if k is None else _ROTATION_SEQUENCES[opcode][k]
 
 
 def rotation_to_cliffords(opcode: str, angle: float) -> tuple[str, ...]:
@@ -297,9 +258,9 @@ def rotation_to_cliffords(opcode: str, angle: float) -> tuple[str, ...]:
     Only valid for a Clifford kind (its own sequence) or an angle that is an integer
     multiple of pi/2 (the classifier's test); else raises :class:`NonCliffordGate`.
     """
-    kinds = _clifford_kinds(opcode, angle)
+    kinds = st._clifford_kinds(opcode, angle)
     if kinds is None:
-        raise NonCliffordGate(f"{opcode} angle {angle!r} is not a multiple of pi/2")
+        raise st._non_clifford(opcode, angle)
     return kinds
 
 
@@ -345,11 +306,12 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
     """The one gate-and-measure loop: ``(outcomes, infos, final_state)``.
 
     A :class:`~bellsim.statevector.StateVector` runs on the dense engine, a
-    tableau on the stabilizer engine with quarter-turn rotations expanded
-    into Clifford gates.  :func:`~bellsim.gates.check_gate` checks each
-    gate once, then the engine's unchecked kernels update one copy of the
-    input in place; a dense state is validated once, at the end.  Tableau
-    measurements call the public ``st.measure_z`` and ``measure_z_forced``.
+    tableau on the stabilizer engine, whose Clifford rule expands and checks
+    each gate as ``st.apply_clifford`` does.  :func:`~bellsim.gates.check_gate`
+    checks each gate once, then the engine's unchecked kernels update one
+    copy of the input in place; a dense state is validated once, at the
+    end.  Tableau measurements call the public ``st.measure_z`` and
+    ``measure_z_forced``.
     ``infos`` holds each measurement's second return value: its probability
     (dense) or whether it was deterministic (tableau).  ``forced`` gives the
     outcomes in order and nothing is drawn; otherwise each engine draws from
@@ -361,7 +323,7 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
         from . import statevector as sv
         amps = state.amplitudes.copy()
     else:
-        state, kernels = state.copy(), st._KERNELS
+        state, kernels, clifford_gate = state.copy(), st._KERNELS, st._clifford_gate
     outcomes: list[int] = []
     infos: list = []
     for ins in circuit.instructions:
@@ -384,13 +346,7 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
         elif dense:
             sv._apply(amps, n, op, check_gate(op, qubits, angle, n), angle)
         else:
-            kinds = _clifford_kinds(op, angle)
-            if kinds is None:  # a malformed gate raises its check's error first
-                check_gate(op, qubits, angle)
-                if angle is None:
-                    raise NonCliffordGate(f"{op} is not a Clifford gate")
-                raise NonCliffordGate(f"{op} angle {angle!r} is not a multiple of pi/2")
-            qubits = check_gate(op, qubits, angle, n)
+            kinds, qubits = clifford_gate(op, qubits, angle, n)
             for kind in kinds:
                 kernels[kind](state, *qubits)
     if dense:
@@ -415,7 +371,7 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
         raise ConfigError(f"engine must be auto, statevector or stabilizer, got {engine!r}")
     if not is_int(seed, 0, math.inf):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    report = classify(circuit)
+    report = classify(circuit) if engine != "statevector" else None  # dense runs need no classes
     if engine == "stabilizer" and not report.simulable:
         spots = ", ".join(f"line {ln} column {col}" for ln, col in report.witnesses)
         raise NonCliffordGate(f"circuit has non-Clifford instructions at {spots}")

@@ -75,6 +75,12 @@ def check_gate(kind: str, qubits, angle: float | None, n: int | None = None):
     return qubits
 
 
+def _check_qubit(q, n: int, engine: str) -> None:
+    """The one qubit-index check of both engines' measurements and queries."""
+    if not is_int(q, 0, n - 1):
+        raise QubitIndexError(f"qubit {q!r} out of range for {n}-qubit {engine}")
+
+
 def gate(kind: str, *qubits: int, angle: float | None = None) -> GateOp:
     """Shorthand constructor: ``gate("CNOT", 0, 1)``, ``gate("RZ", 0, angle=x)``."""
     return GateOp(kind.upper() if isinstance(kind, str) else kind, tuple(qubits), angle)

@@ -30,11 +30,13 @@ when a stabilizer anticommutes with the Pauli P (a random z outcome,
 destabilizers anticommute with it, and that sign gives the deterministic
 z outcome, or <P>, without a change of basis.
 
-Supported gates: H, S, SDG, X, Y, Z, CNOT, CZ.  Anything else raises
-:class:`NonCliffordGate`.  Public operations return a new tableau and
-never mutate their input.  Measurement randomness comes from a
-caller-supplied :class:`numpy.random.Generator`; a measurement with a
-deterministic outcome consumes no randomness.
+The one Clifford rule, which the circuit runner and classifier use too:
+H, S, SDG, X, Y, Z, CNOT, CZ, and RX, RY, RZ by a multiple of pi/2 (run
+as a Clifford sequence); anything else raises :class:`NonCliffordGate`.
+Public operations return a new tableau and never mutate their input.
+Measurement randomness comes from a caller-supplied
+:class:`numpy.random.Generator`; a measurement with a deterministic
+outcome consumes no randomness.
 
 Supports up to 64 qubits; conversion to a dense statevector is capped at
 12 qubits to match the statevector engine.  The kernels need
@@ -49,13 +51,14 @@ check come from :mod:`bellsim.gates`.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from .errors import (
-    BellSimError, DimensionError, InputError, NonCliffordGate, ProjectionError, QubitIndexError,
-    SizeError, finite_array, is_int,
+    BellSimError, DimensionError, InputError, NonCliffordGate, ProjectionError, SizeError,
+    finite_array, finite_real, is_int,
 )
-from .gates import GateOp, check_gate, gate
+from .gates import GateOp, _check_qubit, check_gate, gate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -144,11 +147,6 @@ def init_zero(num_qubits: int) -> StabilizerTableau:
     return StabilizerTableau(n, [1 << j for j in range(n)], [1 << (n + j) for j in range(n)], 0)
 
 
-def _check_qubit(t: StabilizerTableau, q: int) -> None:
-    if not is_int(q, 0, t.num_qubits - 1):
-        raise QubitIndexError(f"qubit {q} out of range for {t.num_qubits}-qubit tableau")
-
-
 # -- gate kernels: update one tableau in place, unchecked (callers run check_gate) --
 
 def _h(t: StabilizerTableau, q: int) -> None:
@@ -200,25 +198,68 @@ _KERNELS = {
     "CNOT": _cnot, "CZ": _cz,
 }
 
-CLIFFORD_GATE_KINDS = frozenset(_KERNELS)
+# -- the Clifford rule: a kernel's own kind, or a rotation by k quarter turns --
+
+CLIFFORD_ANGLE_ATOL = 1e-12
+
+# Clifford sequences (time order, equal up to phase) for 0, 1, 2 and 3 quarter turns.
+_ROTATION_SEQUENCES: dict[str, tuple[tuple[str, ...], ...]] = {
+    "RZ": ((), ("S",), ("Z",), ("SDG",)),
+    "RX": ((), ("H", "S", "H"), ("X",), ("H", "SDG", "H")),
+    "RY": ((), ("SDG", "H", "S", "H", "S"), ("Y",), ("SDG", "H", "SDG", "H", "S")),
+}
+
+
+def _quarter_turns(angle: float) -> int | None:
+    """k mod 4 when the finite ``angle`` is k quarter turns, else None; judged by its own
+    cos and sin, exact for any float, not by angle / (pi/2), which loses huge angles' fraction."""
+    c, s = math.cos(angle), math.sin(angle)
+    if abs(c * s) > CLIFFORD_ANGLE_ATOL:
+        return None
+    if abs(c) >= abs(s):
+        return 0 if c > 0 else 2
+    return 1 if s > 0 else 3
+
+
+def _clifford_kinds(kind: str, angle: float | None) -> tuple[str, ...] | None:
+    """The kernel kinds (in time order) equal to a gate; None if none or if malformed."""
+    try:
+        if kind in _KERNELS:
+            return (kind,)
+        k = _quarter_turns(finite_real(angle, "angle")) if kind in _ROTATION_SEQUENCES else None
+    except (TypeError, InputError):  # an unhashable kind; a missing, non-real or non-finite angle
+        return None
+    return None if k is None else _ROTATION_SEQUENCES[kind][k]
+
+
+def _non_clifford(kind: str, angle: float | None) -> NonCliffordGate:
+    """The one error for a single gate outside the rule."""
+    if angle is None:
+        return NonCliffordGate(f"{kind} is not a Clifford gate")
+    return NonCliffordGate(f"{kind} angle {angle!r} is not a multiple of pi/2")
+
+
+def _clifford_gate(kind: str, qubits, angle: float | None, n: int) -> tuple[tuple, tuple]:
+    """A gate's kernel kinds and its qubits checked for ``n`` qubits.  A malformed gate
+    raises its :func:`~bellsim.gates.check_gate` error first, then one outside the rule
+    :class:`NonCliffordGate`, and only then are the qubits checked against ``n``."""
+    kinds = _clifford_kinds(kind, angle)
+    if kinds is None:
+        check_gate(kind, qubits, angle)
+        raise _non_clifford(kind, angle)
+    return kinds, check_gate(kind, qubits, angle, n)
 
 
 def apply_clifford(t: StabilizerTableau, op: GateOp) -> StabilizerTableau:
-    """Apply one Clifford gate and return the updated tableau.
+    """Apply one gate of the Clifford rule and return the updated tableau.
 
-    Raises :class:`NonCliffordGate` for any gate kind outside
-    H/S/SDG/X/Y/Z/CNOT/CZ (including T and the continuous rotations), then
-    :func:`~bellsim.gates.check_gate`'s errors for this tableau.
-    """
-    kernel = _KERNELS.get(op.kind)
-    if kernel is None:
-        raise NonCliffordGate(
-            f"gate {op.kind} cannot be applied to a stabilizer tableau; "
-            f"supported kinds: {sorted(CLIFFORD_GATE_KINDS)}"
-        )
-    qubits = check_gate(op.kind, op.qubits, op.angle, t.num_qubits)
+    RX, RY and RZ by a multiple of pi/2 run as their Clifford sequence.  T,
+    TDG and other rotation angles raise :class:`NonCliffordGate`; a qubit
+    outside the tableau raises :class:`QubitIndexError`."""
+    kinds, qubits = _clifford_gate(op.kind, op.qubits, op.angle, t.num_qubits)
     out = t.copy()
-    kernel(out, *qubits)
+    for kind in kinds:
+        _KERNELS[kind](out, *qubits)
     return out
 
 
@@ -343,7 +384,7 @@ def measure_z(
     outcome consumes exactly one bit from ``rng``; a deterministic one
     consumes none and returns the input tableau unchanged.
     """
-    _check_qubit(t, q)
+    _check_qubit(q, t.num_qubits, "tableau")
     return _measure(t, q, None, rng)
 
 
@@ -353,7 +394,7 @@ def measure_z_forced(t: StabilizerTableau, q: int, outcome: int) -> tuple[bool, 
     Returns ``(was_deterministic, tableau_after)``.  Forcing an outcome
     of probability zero raises :class:`ProjectionError`.
     """
-    _check_qubit(t, q)
+    _check_qubit(q, t.num_qubits, "tableau")
     if not is_int(outcome, 0, 1):
         raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
     return _measure(t, q, outcome, None)[1:]
@@ -372,7 +413,7 @@ def pauli_expectation(t: StabilizerTableau, q: int, pauli: str) -> float:
     name = pauli.upper() if isinstance(pauli, str) else None
     if name not in ("X", "Y", "Z"):
         raise InputError(f"pauli must be X, Y or Z, got {pauli!r}")
-    _check_qubit(t, q)
+    _check_qubit(q, t.num_qubits, "tableau")
     x, z = t._x[q], t._z[q]
     sign = _product_sign(t, x if name == "Z" else z if name == "X" else x ^ z)
     return 0.0 if sign is None else 1.0 - 2.0 * sign

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .errors import finite_array, finite_real, is_int, pair
 from .gates import GATES, GateOp, check_gate, gate  # noqa: F401 - re-exported
+from .gates import _check_qubit
 
 MAX_QUBITS = 12
 NORM_ATOL = 1e-10
@@ -190,11 +191,6 @@ def prepare_named(
     raise InputError(f"unknown state name {name!r}")
 
 
-def _check_qubit(n: int, q) -> None:
-    if not is_int(q, 0, n - 1):
-        raise QubitIndexError(f"qubit {q!r} out of range for {n}-qubit state")
-
-
 # -- kernels: update a flat, writable amplitude array in place -----------------
 
 def _one_qubit(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
@@ -235,7 +231,7 @@ def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, floa
     """Measure qubit ``q`` (``outcome`` None and an ``rng``: one ``rng.random()``
     draw, outcome 1 when it is below P(1)) or project it onto ``outcome``;
     returns the outcome and its probability."""
-    _check_qubit(n, q)
+    _check_qubit(q, n, "state")
     v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
     if outcome is None and rng is not None:
         outcome = 1 if rng.random() < np.vdot(v[:, 1], v[:, 1]).real else 0
@@ -309,8 +305,8 @@ def expectation(
     obs_a = _check_observable(obs_a)
     obs_b = _check_observable(obs_b)
     i, j = pair(qubits, QubitIndexError, "expectation qubits")
-    _check_qubit(state.num_qubits, i)
-    _check_qubit(state.num_qubits, j)
+    _check_qubit(i, state.num_qubits, "state")
+    _check_qubit(j, state.num_qubits, "state")
     if i == j:
         raise QubitIndexError("expectation requires two distinct qubits")
     amps = state.amplitudes.copy()
@@ -321,7 +317,7 @@ def expectation(
 
 def reduced_density(state: StateVector, q: int) -> np.ndarray:
     """Partial trace down to qubit ``q``: a 2x2 density matrix."""
-    _check_qubit(state.num_qubits, q)
+    _check_qubit(q, state.num_qubits, "state")
     mat = np.moveaxis(state.tensor(), q, 0).reshape(2, -1)
     return mat @ mat.conj().T
 

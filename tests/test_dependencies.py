@@ -176,6 +176,24 @@ def test_no_module_references_the_removed_index_helper():
         assert "_is_index" not in names, path.name
 
 
+def test_the_clifford_rule_is_defined_only_in_the_stabilizer_module():
+    # one rule: a second copy of the quarter-turn test or its table would drift
+    rule = {"_quarter_turns", "_ROTATION_SEQUENCES", "_clifford_kinds"}
+    homes = {name: [] for name in rule}
+    for path in sorted(Path(SRC).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in rule.intersection(names):
+                homes[name].append(path.relative_to(SRC).as_posix())
+    assert homes == {name: ["bellsim/stabilizer.py"] for name in rule}
+
+
 def test_building_the_cli_parser_builds_no_state(monkeypatch):
     def no_state(*args, **kwargs):
         raise AssertionError("a StateVector was built")

@@ -677,6 +677,17 @@ def test_run_stabilizer_rejects_nonclifford_with_witnesses():
     assert "line 3 column 1" in str(excinfo.value)
 
 
+def test_a_statevector_run_does_not_classify(monkeypatch):
+    def no_classify(circuit):
+        raise AssertionError("classify was called")
+
+    monkeypatch.setattr(dsl, "classify", no_classify)
+    circuit = dsl.parse("qubits 2\nh 0\nt 1\ncnot 0 1\nmeasure 1\n")
+    assert dsl.run(circuit, engine="statevector", seed=2).engine == "statevector"
+    with pytest.raises(AssertionError, match="classify was called"):
+        dsl.run(circuit, seed=2)
+
+
 def test_run_rejects_unknown_engine():
     with pytest.raises(ConfigError):
         dsl.run(dsl.parse("qubits 1\nh 0\n"), engine="qasm")

@@ -69,6 +69,16 @@ def test_non_clifford_gate_rejected():
         st.apply_clifford(t, sv.gate("T", 0))
     with pytest.raises(NonCliffordGate):
         st.apply_clifford(t, sv.gate("RZ", 0, angle=0.3))
+    # quarter-turn rotations are Clifford, here as in the circuit runner
+    for kind, angle, stabilizers in [("RZ", np.pi / 2, ["+Z"]), ("RX", np.pi / 2, ["-Y"]),
+                                     ("RX", -np.pi / 2, ["+Y"]), ("RY", np.pi / 2, ["+X"]),
+                                     ("RY", 3 * np.pi, ["-Z"]), ("RZ", -8 * np.pi, ["+Z"])]:
+        after = st.apply_clifford(t, sv.gate(kind, 0, angle=angle))
+        assert st.stabilizer_strings(after) == stabilizers, (kind, angle)
+    run = dsl.run(dsl.parse("qubits 1\nrz 0 pi/2\n"), engine="stabilizer")
+    assert run.final_stabilizers == st.stabilizer_strings(
+        st.apply_clifford(t, sv.gate("RZ", 0, angle=np.pi / 2))
+    )
 
 
 def test_qubit_bounds_checked():
@@ -345,6 +355,65 @@ def test_execute_error_classes_with_angles(kind, qubits, angle, error):
     with pytest.raises(error):
         dsl._execute(circuit, t, None)
     assert_same_tableau(t, st.init_zero(2))
+
+
+@pytest.mark.parametrize(
+    "kind, angle, message",
+    [
+        ("T", None, "T is not a Clifford gate"),
+        ("TDG", None, "TDG is not a Clifford gate"),
+        ("RZ", 0.3, "RZ angle 0.3 is not a multiple of pi/2"),
+        ("RX", 1e16, "RX angle 1e+16 is not a multiple of pi/2"),
+    ],
+)
+def test_every_route_refuses_a_non_clifford_gate_with_one_message(kind, angle, message):
+    t = st.init_zero(1)
+    circuit = dsl.Circuit(1, (dsl.Instruction(kind, (0,), angle),))
+    routes = (
+        lambda: st.apply_clifford(t, sv.gate(kind, 0, angle=angle)),
+        lambda: dsl._execute(circuit, t, None),
+        lambda: dsl.rotation_to_cliffords(kind, angle),
+    )
+    for refuse in routes:
+        with pytest.raises(NonCliffordGate) as info:
+            refuse()
+        assert str(info.value) == message
+
+
+@hs.composite
+def clifford_rule_gates(draw):
+    """1-4 qubits and gates the Clifford rule accepts: the fixed Clifford kinds,
+    and RX/RY/RZ at k quarter turns, k in -8..8, as a float or a parsed pi-token."""
+    n = draw(hs.integers(1, 4))
+    kinds = ONE_QUBIT_CLIFFORDS + ["RX", "RY", "RZ"] + (["CNOT", "CZ"] if n > 1 else [])
+    steps = []
+    for _ in range(draw(hs.integers(0, 16))):
+        kind = draw(hs.sampled_from(kinds))
+        arity = 2 if kind in ("CNOT", "CZ") else 1
+        qubits = tuple(draw(hs.permutations(range(n)))[:arity])
+        angle = None
+        if kind.startswith("R"):
+            k = draw(hs.integers(-8, 8))
+            angle = draw(hs.sampled_from((k * np.pi / 2, dsl.parse_angle(f"{k}pi/2"))))
+        steps.append((kind, qubits, angle))
+    return n, steps
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(clifford_rule_gates())
+def test_apply_clifford_the_runner_and_the_dense_engine_agree(case):
+    # the Clifford rule gate by gate, the runner's tableau loop, and the dense oracle
+    n, steps = case
+    tableau, dense = st.init_zero(n), sv.zero_state(n)
+    for kind, qubits, angle in steps:
+        op = sv.gate(kind, *qubits, angle=angle)
+        tableau = st.apply_clifford(tableau, op)
+        dense = sv.apply_gate(dense, op)
+    circuit = dsl.Circuit(n, tuple(dsl.Instruction(k, q, a) for k, q, a in steps))
+    ran = dsl._execute(circuit, st.init_zero(n), None)[2]
+    assert st.stabilizer_strings(ran) == st.stabilizer_strings(tableau)
+    assert_same_tableau(ran, tableau)
+    assert abs(sv.fidelity(st.to_statevector(tableau), dense) - 1.0) <= 1e-10
 
 
 QUBIT_VALUES = (-1, 0, 1, 5, np.int64(1), True, 0.5, "0")
@@ -720,3 +789,14 @@ def test_pauli_expectation_checks_the_qubit_like_measure_z(pauli, qubit):
     with pytest.raises(InputError):  # the Pauli name is checked before the qubit
         st.pauli_expectation(t, qubit, "W")
     assert st.pauli_expectation(t, np.int64(0), pauli) == st.pauli_expectation(t, 0, pauli)
+
+
+@pytest.mark.parametrize("qubit", [2, -1, True, 0.5, "0"])
+def test_both_engines_check_a_measured_qubit_alike(qubit):
+    # one guard; only the engine's noun differs
+    with pytest.raises(QubitIndexError) as tableau:
+        st.measure_z(st.init_zero(2), qubit, np.random.default_rng(0))
+    with pytest.raises(QubitIndexError) as dense:
+        sv.measure_qubit(sv.zero_state(2), qubit, np.random.default_rng(0))
+    assert str(tableau.value) == f"qubit {qubit!r} out of range for 2-qubit tableau"
+    assert str(dense.value) == f"qubit {qubit!r} out of range for 2-qubit state"
