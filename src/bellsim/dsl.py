@@ -283,23 +283,22 @@ class _LazyRng:
     """``numpy.random.default_rng(seed)``, built at the first draw, so a run
     that draws nothing never imports numpy; the stream is the same.
 
-    Only ``integers`` and ``random`` are offered.  The first lookup of
-    either builds the generator and stores both bound methods in their
-    slots, where later lookups find them without a Python-level call.
+    Only ``random``, the one method bellsim draws through, is offered.  Its
+    first lookup builds the generator and stores the bound method in the
+    slot, where later lookups find it without a Python-level call.
     """
 
-    __slots__ = ("_seed", "integers", "random")
+    __slots__ = ("_seed", "random")
 
     def __init__(self, seed: int) -> None:
         self._seed = seed
 
-    def __getattr__(self, name: str):  # reached only while a slot is empty
-        if name not in ("integers", "random"):
+    def __getattr__(self, name: str):  # reached only while the slot is empty
+        if name != "random":
             raise AttributeError(name)
         import numpy as np
-        rng = np.random.default_rng(self._seed)
-        self.integers, self.random = rng.integers, rng.random
-        return getattr(rng, name)
+        self.random = np.random.default_rng(self._seed).random
+        return self.random
 
 
 def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list, object]:
@@ -314,8 +313,8 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
     ``measure_z_forced``.
     ``infos`` holds each measurement's second return value: its probability
     (dense) or whether it was deterministic (tableau).  ``forced`` gives the
-    outcomes in order and nothing is drawn; otherwise each engine draws from
-    ``rng`` under its own contract.
+    outcomes in order and nothing is drawn; otherwise both engines draw one
+    ``rng.random()`` per random outcome and none per determined one.
     """
     dense = not isinstance(state, st.StabilizerTableau)
     n = state.num_qubits
@@ -361,11 +360,11 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
     otherwise), "statevector", or "stabilizer".  Requesting the
     stabilizer engine for a non-Clifford circuit raises
     :class:`NonCliffordGate` naming the witness locations.  Measurement
-    randomness is seeded; the two engines draw from their generators
-    differently, so individual outcomes are engine-specific even though
-    the outcome distributions agree.  The generator is
-    ``numpy.random.default_rng(seed)``, built at the first random draw: a
-    tableau run whose measurements are all deterministic imports no numpy.
+    randomness is seeded, and both engines draw one ``random()`` per
+    random outcome and none per determined one, so a Clifford circuit gets
+    the same outcomes from either engine for the same seed.  The generator
+    is ``numpy.random.default_rng(seed)``, built at the first random draw:
+    a tableau run whose measurements are all deterministic imports no numpy.
     """
     if engine not in ("auto", "statevector", "stabilizer"):
         raise ConfigError(f"engine must be auto, statevector or stabilizer, got {engine!r}")

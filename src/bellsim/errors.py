@@ -84,6 +84,11 @@ def finite_real(value, what: str) -> float:
     return value
 
 
+def no_generator(rng, call: str = "random()") -> InputError:
+    """The error for an ``rng`` that cannot draw through ``call``; raised where a draw fails."""
+    return InputError(f"rng must be a random generator with {call}, got {type(rng).__name__}")
+
+
 def pair(value, error: type, what: str) -> tuple:
     """The two items of ``value``; anything else raises ``error``."""
     try:

@@ -29,7 +29,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import InputError, ModelError, is_int, pair
+from .errors import InputError, ModelError, is_int, no_generator, pair
 
 CLASSICAL_BOUND = 2.0
 
@@ -199,12 +199,16 @@ def sample_lhv(model: LhvModel, setting_pair: tuple[int, int], rng) -> tuple[int
 
     ``setting_pair`` is (i, j) with i, j in {1, 2}: side A uses setting
     alpha_i, side B uses chi_j.  Consumes one uniform draw,
-    ``rng.random()``, e.g. from a :class:`numpy.random.Generator`.
+    ``rng.random()``, e.g. from :class:`random.Random` or numpy's generator.
     """
     i, j = pair(setting_pair, InputError, "setting_pair")
     if not (is_int(i, 1, 2) and is_int(j, 1, 2)):
         raise InputError(f"setting_pair entries must be 1 or 2, got {setting_pair!r}")
-    idx = bisect_right(list(itertools.accumulate(model.weights)), rng.random())
+    try:
+        u = rng.random()
+    except (AttributeError, TypeError):
+        raise no_generator(rng) from None
+    idx = bisect_right(list(itertools.accumulate(model.weights)), u)
     # A draw at or above a weight sum just under 1 takes the last weighted strategy.
     strategy = STRATEGIES[min(idx, max(s for s, w in enumerate(model.weights) if w > 0.0))]
     a = strategy.a1 if i == 1 else strategy.a2

@@ -24,10 +24,10 @@ Wire layout conventions:
   1,000,000 per call.
 
 Randomness is drawn only from the caller-supplied generator, in a fixed
-documented order, so seeded runs are exactly reproducible.  Measurements
-with deterministic outcomes consume no randomness.  Superdense coding and
-tableau teleportation need no numpy of their own; the dense teleport and
-BB84 import it when called.
+documented order, so seeded runs are exactly reproducible.  A random
+outcome is one ``rng.random()`` draw, as in both engines, and a determined
+one draws nothing.  Superdense coding and tableau teleportation need no
+numpy of their own; the dense teleport and BB84 import it when called.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from . import dsl
 from . import stabilizer as st
-from .errors import ConfigError, InputError, NonCliffordGate, is_int, pair
+from .errors import ConfigError, InputError, NonCliffordGate, is_int, no_generator, pair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -136,7 +136,7 @@ def stabilizer_input_state(name: str) -> StateVector:
 
 def teleport_statevector(
     input_state: StateVector,
-    rng: np.random.Generator,
+    rng,
     force_outcomes: tuple[int, int] | None = None,
 ) -> tuple[ProtocolReport, np.ndarray]:
     """Teleport a single-qubit state, exactly, on the statevector engine.
@@ -165,7 +165,7 @@ def teleport_statevector(
     return report, rho
 
 
-def teleport_stabilizer(input_name: str, rng: np.random.Generator) -> ProtocolReport:
+def teleport_stabilizer(input_name: str, rng) -> ProtocolReport:
     """Teleport a named stabilizer state on the tableau engine.
 
     Only the six single-qubit stabilizer states are preparable here;
@@ -188,7 +188,7 @@ def teleport_stabilizer(input_name: str, rng: np.random.Generator) -> ProtocolRe
     )
 
 
-def superdense_code(bits: tuple[int, int], rng: np.random.Generator) -> ProtocolReport:
+def superdense_code(bits: tuple[int, int], rng) -> ProtocolReport:
     """Send two classical bits through one qubit of a shared pair.
 
     Decoding is deterministic: the measured bits always equal the input
@@ -210,24 +210,27 @@ def superdense_code(bits: tuple[int, int], rng: np.random.Generator) -> Protocol
     )
 
 
-def _bb84_measure(
-    bits: np.ndarray, sent_bases: np.ndarray, bases: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def _coins(rng, size: int) -> np.ndarray:
+    """``size`` fair 0/1 coins as uint8 from one ``rng.random(size)`` draw, 1 below 0.5."""
+    try:
+        return (rng.random(size) < 0.5).view("u1")
+    except (AttributeError, TypeError):
+        raise no_generator(rng, "random(size)") from None
+
+
+def _bb84_measure(bits: np.ndarray, sent_bases: np.ndarray, bases: np.ndarray, rng) -> np.ndarray:
     """Outcomes of measuring qubits prepared as ``bits`` in ``sent_bases`` in ``bases``.
 
     A matching basis returns the prepared bit; a mismatched one returns a
     fair coin, drawn only for those rounds, in round order.
     """
-    import numpy as np
     out = bits.copy()
     mismatched = sent_bases != bases
-    out[mismatched] = rng.integers(0, 2, size=int(np.count_nonzero(mismatched)), dtype=np.uint8)
+    out[mismatched] = _coins(rng, int(mismatched.sum()))
     return out
 
 
-def bb84_simulate(
-    num_rounds: int, intercept_resend: bool, rng: np.random.Generator
-) -> ProtocolReport:
+def bb84_simulate(num_rounds: int, intercept_resend: bool, rng) -> ProtocolReport:
     """BB84 key distribution, optionally with an intercept-resend attacker.
 
     A sampler vectorised over rounds (see the module docstring).  The
@@ -235,7 +238,9 @@ def bb84_simulate(
     bits; sender bases; with an attacker, the attacker's bases and then
     coins for the rounds where they differ from the sender's; receiver
     bases; receiver coins for the rounds where the receiver's basis
-    differs from the one the qubit was last prepared in.  Rounds where
+    differs from the one the qubit was last prepared in.  Each array is
+    one ``rng.random(size)`` draw, a coin 1 below 0.5: unlike the other
+    drivers, BB84 needs a numpy-style ``random(size)``.  Rounds where
     sender and receiver bases match are sifted; qber is the error
     fraction among them (0.0 when none), and the report's classical bits
     are the receiver's sifted key.  ``num_rounds`` that is not an integer
@@ -244,13 +249,13 @@ def bb84_simulate(
     import numpy as np
     if not is_int(num_rounds, 1, _BB84_MAX_ROUNDS):
         raise ConfigError(f"num_rounds must lie in 1..{_BB84_MAX_ROUNDS}, got {num_rounds}")
-    bits = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)
-    bases = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)
+    bits = _coins(rng, num_rounds)
+    bases = _coins(rng, num_rounds)
     sent, sent_bases = bits, bases
     if intercept_resend:
-        sent_bases = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)
+        sent_bases = _coins(rng, num_rounds)
         sent = _bb84_measure(bits, bases, sent_bases, rng)
-    bob_bases = rng.integers(0, 2, size=num_rounds, dtype=np.uint8)
+    bob_bases = _coins(rng, num_rounds)
     received = _bb84_measure(sent, sent_bases, bob_bases, rng)
     sifted_rounds = bob_bases == bases
     key = received[sifted_rounds]

@@ -34,9 +34,8 @@ The one Clifford rule, which the circuit runner and classifier use too:
 H, S, SDG, X, Y, Z, CNOT, CZ, and RX, RY, RZ by a multiple of pi/2 (run
 as a Clifford sequence); anything else raises :class:`NonCliffordGate`.
 Public operations return a new tableau and never mutate their input.
-Measurement randomness comes from a caller-supplied
-:class:`numpy.random.Generator`; a measurement with a deterministic
-outcome consumes no randomness.
+A random measurement outcome is one ``rng.random()`` draw, 1 below 0.5,
+and a determined one draws nothing, as on the dense engine.
 
 Supports up to 64 qubits; conversion to a dense statevector is capped at
 12 qubits to match the statevector engine.  The kernels need
@@ -56,7 +55,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     BellSimError, DimensionError, InputError, NonCliffordGate, ProjectionError, SizeError,
-    finite_array, finite_real, is_int,
+    finite_array, finite_real, is_int, no_generator,
 )
 from .gates import GateOp, _check_qubit, check_gate, gate
 
@@ -369,20 +368,21 @@ def _measure(t: StabilizerTableau, q: int, outcome: int | None, rng) -> tuple:
             raise ProjectionError(f"outcome {outcome} on qubit {q} has probability 0")
         return sign, True, t
     if outcome is None:
-        outcome = int(rng.integers(0, 2))
+        try:
+            outcome = int(rng.random() < 0.5)
+        except (AttributeError, TypeError):
+            raise no_generator(rng) from None
     out = t.copy()
     _collapse(out, q, outcome)
     return outcome, False, out
 
 
-def measure_z(
-    t: StabilizerTableau, q: int, rng: np.random.Generator
-) -> tuple[int, bool, StabilizerTableau]:
+def measure_z(t: StabilizerTableau, q: int, rng) -> tuple[int, bool, StabilizerTableau]:
     """Measure qubit ``q`` in the computational basis.
 
     Returns ``(outcome, was_deterministic, tableau_after)``.  A random
-    outcome consumes exactly one bit from ``rng``; a deterministic one
-    consumes none and returns the input tableau unchanged.
+    outcome is one ``rng.random()`` draw, 1 below 0.5; a deterministic
+    one draws nothing and returns the input tableau unchanged.
     """
     _check_qubit(q, t.num_qubits, "tableau")
     return _measure(t, q, None, rng)

@@ -10,8 +10,8 @@ Conventions
   the computational basis index: ``|q0 q1 ... q_{n-1}>``.
 * Operations are pure: they return a new :class:`StateVector` and never
   mutate their input.
-* Measurement randomness comes from a caller-supplied
-  :class:`numpy.random.Generator`; identical seeds give identical runs.
+* A random outcome is one ``rng.random()`` draw, 1 below P(1), and a
+  determined one draws nothing, as on the stabilizer engine.
 * One set of kernels updates a flat amplitude array in place through
   reshape views: ``(2**q, 2, 2**(n-q-1))`` for a gate or measurement on
   qubit ``q``, ``(2**lo, 2, 2**(hi-lo-1), 2, 2**(n-hi-1))`` for CNOT and
@@ -40,7 +40,7 @@ from .errors import (
     QubitIndexError,
     SizeError,
 )
-from .errors import finite_array, finite_real, is_int, pair
+from .errors import finite_array, finite_real, is_int, no_generator, pair
 from .gates import GATES, GateOp, check_gate, gate  # noqa: F401 - re-exported
 from .gates import _check_qubit
 
@@ -228,24 +228,27 @@ def _apply(amps: np.ndarray, n: int, kind: str, qubits: tuple, angle: float | No
 
 
 def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, float]:
-    """Measure qubit ``q`` (``outcome`` None and an ``rng``: one ``rng.random()``
-    draw, outcome 1 when it is below P(1)) or project it onto ``outcome``;
-    returns the outcome and its probability."""
+    """Measure qubit ``q`` (``outcome`` None: an outcome of probability below
+    PROJECTION_EPS either way draws nothing, else one ``rng.random()`` draw
+    is 1 below P(1)) or project it onto ``outcome``; returns it and its probability."""
     _check_qubit(q, n, "state")
     v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
-    if outcome is None and rng is not None:
-        outcome = 1 if rng.random() < np.vdot(v[:, 1], v[:, 1]).real else 0
+    p0, p1 = (float(np.vdot(half, half).real) for half in (v[:, 0], v[:, 1]))
+    if outcome is None:
+        try:
+            outcome = int(p1 > p0) if min(p0, p1) < PROJECTION_EPS else int(rng.random() < p1)
+        except (AttributeError, TypeError):
+            raise no_generator(rng) from None
     elif not is_int(outcome, 0, 1):
         raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
     outcome = int(outcome)
-    kept = v[:, outcome]
-    prob = float(np.vdot(kept, kept).real)
+    prob = p1 if outcome else p0
     if prob < PROJECTION_EPS:
         raise ProjectionError(
             f"outcome {outcome} on qubit {q} has probability {prob:.3e}, below {PROJECTION_EPS}"
         )
     v[:, 1 - outcome] = 0.0
-    kept /= math.sqrt(prob)
+    v[:, outcome] /= math.sqrt(prob)
     return outcome, prob
 
 
@@ -273,13 +276,12 @@ def project_qubit(state: StateVector, q: int, outcome: int) -> tuple[float, Stat
     return prob, StateVector(state.num_qubits, amps)
 
 
-def measure_qubit(
-    state: StateVector, q: int, rng: np.random.Generator
-) -> tuple[int, float, StateVector]:
+def measure_qubit(state: StateVector, q: int, rng) -> tuple[int, float, StateVector]:
     """Measure qubit ``q`` in the computational basis.
 
     Returns ``(outcome, probability_of_that_outcome, collapsed_state)``.
-    Consumes exactly one uniform draw from ``rng``.
+    A random outcome is one ``rng.random()`` draw, 1 below P(1); one of
+    probability below 1e-12 either way draws nothing.
     """
     amps = state.amplitudes.copy()
     outcome, prob = _collapse(amps, state.num_qubits, q, None, rng)

@@ -10,7 +10,8 @@ at module level.  ``lhv`` imports numpy nowhere, not even in a function.
 The stabilizer kernels call ``int.bit_count``, so the supported Python
 floor must stay at 3.10 or higher.  Building the CLI's parser
 builds no state: a ``--state`` default is resolved only when a
-subcommand that takes it is parsed.
+subcommand that takes it is parsed.  Every draw from a generator is a
+``random()`` call: no module reads an ``integers`` method.
 """
 
 import ast
@@ -192,6 +193,17 @@ def test_the_clifford_rule_is_defined_only_in_the_stabilizer_module():
             for name in rule.intersection(names):
                 homes[name].append(path.relative_to(SRC).as_posix())
     assert homes == {name: ["bellsim/stabilizer.py"] for name in rule}
+
+
+def test_every_draw_goes_through_random():
+    # one randomness contract: a second draw method would split the engines' streams again
+    uses = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((Path(SRC) / "bellsim").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "integers"
+    ]
+    assert uses == []
 
 
 def test_building_the_cli_parser_builds_no_state(monkeypatch):

@@ -601,6 +601,39 @@ def test_run_draws_what_an_explicit_generator_draws(n, seed, length):
         assert dsl.run(circuit, engine=engine, seed=seed).outcomes == want, engine
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    hs.integers(1, 6).flatmap(
+        lambda n: hs.tuples(
+            hs.just(n),
+            hs.lists(
+                hs.tuples(
+                    hs.sampled_from(CLIFFORD_KINDS),
+                    hs.integers(0, n - 1),
+                    hs.integers(1, max(n - 1, 1)),
+                    hs.integers(-4, 7),
+                ),
+                max_size=40,
+            ),
+        )
+    ),
+    hs.integers(0, 2**32 - 1),
+)
+def test_the_engines_agree_seed_for_seed_on_clifford_circuits(case, seed):
+    # Both engines draw one random() per random outcome and none per determined one.
+    n, steps = case
+    measure_all = [("MEASURE", q, 1, 0) for q in range(n)]
+    circuit = clifford_circuit(n, steps + measure_all + measure_all)  # the second pass repeats
+    tableau_run = dsl.run(circuit, "stabilizer", seed)
+    dense_run = dsl.run(circuit, "statevector", seed)
+    assert tableau_run.outcomes == dense_run.outcomes
+    outcomes, _, tableau = dsl._execute(circuit, st.init_zero(n), np.random.default_rng(seed))
+    assert outcomes == tableau_run.outcomes
+    assert st.stabilizer_strings(tableau) == tableau_run.final_stabilizers
+    fid = sv.fidelity(st.to_statevector(tableau), dense_run.final_statevector)
+    assert abs(fid - 1.0) < 1e-10
+
+
 def test_a_run_that_draws_nothing_builds_no_generator(monkeypatch):
     def no_generator(seed):
         raise AssertionError("a generator was built")
@@ -623,10 +656,10 @@ def test_the_generator_is_built_once_at_the_first_draw(monkeypatch):
 
     monkeypatch.setattr(dsl._LazyRng, "__getattr__", counting)
     circuit = dsl.parse("qubits 3\nh 0\nh 1\nh 2\nmeasure 0\nmeasure 1\nmeasure 2\n")
-    for engine, draw in (("stabilizer", "integers"), ("statevector", "random")):
+    for engine in ("stabilizer", "statevector"):
         lookups.clear()
         dsl.run(circuit, engine=engine, seed=1)
-        assert lookups == [draw]
+        assert lookups == ["random"]
 
 
 def test_run_measures_flipped_qubit_on_both_engines():

@@ -19,12 +19,18 @@ Exemptions, each with its reason:
   nothing by design;
 * ``parse_angle`` raises ``ValueError`` for the CLI's argument parser,
   pinned by ``test_parse_angle_rejects_garbage``.
+
+A generator is checked where it is used, not up front: one without the
+``random()`` a draw needs raises :class:`InputError` at that draw, and a
+call that draws nothing accepts anything (``NO_GENERATOR`` and
+``DRAWS_NOTHING`` below).
 """
 
 import dataclasses
 import inspect
 import math
 import numbers
+import random
 
 import numpy as np
 import pytest
@@ -32,7 +38,7 @@ import pytest
 from bellsim import chsh, dsl, gates, lhv, protocols
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
-from bellsim.errors import BellSimError
+from bellsim.errors import BellSimError, InputError
 
 MODULES = (gates, sv, st, chsh, lhv, protocols, dsl)
 PUBLIC_CALLABLES = 69
@@ -219,6 +225,34 @@ VALID = {
 }
 
 
+# Calls that must draw, as functions of the generator they are given.
+NO_GENERATOR = {
+    "stabilizer.measure_z": lambda rng: st.measure_z(tableau(), 0, rng),
+    "statevector.measure_qubit": lambda rng: sv.measure_qubit(sv.bell_phi_plus(), 0, rng),
+    "lhv.sample_lhv": lambda rng: lhv.sample_lhv(model(), (1, 1), rng),
+    "protocols.teleport_statevector": lambda rng: protocols.teleport_statevector(
+        sv.StateVector(1, [0.6, 0.8]), rng
+    ),
+    "protocols.teleport_stabilizer": lambda rng: protocols.teleport_stabilizer("0", rng),
+    "protocols.bb84_simulate": lambda rng: protocols.bb84_simulate(10, False, rng),
+    "dsl._execute": lambda rng: dsl._execute(dsl.parse("qubits 1\nh 0\nmeasure 0\n"),
+                                             sv.zero_state(1), rng),
+}
+NOT_GENERATORS = {
+    "None": None, "object": object(), "str": "x", "random=1": type("R", (), {"random": 1})(),
+}
+
+# Calls whose outcomes are all determined: they draw nothing, so take any ``rng``.
+DRAWS_NOTHING = {
+    "stabilizer.measure_z": lambda rng: st.measure_z(st.init_zero(1), 0, rng),
+    "statevector.measure_qubit": lambda rng: sv.measure_qubit(sv.zero_state(1), 0, rng),
+    "protocols.teleport_statevector": lambda rng: protocols.teleport_statevector(
+        sv.StateVector(1, [0.6, 0.8]), rng, force_outcomes=(1, 0)
+    ),
+    "protocols.superdense_code": lambda rng: protocols.superdense_code((1, 1), rng),
+}
+
+
 # Callables whose ``*qubits`` take a poison as their one qubit.
 STAR_QUBITS = {"gates.gate", "statevector.apply", "stabilizer.apply"}
 
@@ -323,3 +357,22 @@ def test_poisoned_arguments_raise_bellsim_errors():
         except AssertionError as exc:
             escapes.append(f"{name}({param}={label}) returned {exc}")
     assert not escapes, "\n".join(escapes)
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_GENERATORS))
+@pytest.mark.parametrize("name", sorted(NO_GENERATOR))
+def test_a_generator_without_random_raises_input_error(name, bad):
+    with pytest.raises(InputError, match=r"^rng must be a random generator with random\("):
+        NO_GENERATOR[name](NOT_GENERATORS[bad])
+
+
+def test_bb84_names_the_array_draw_it_needs():
+    # random.Random has random() but not random(size)
+    with pytest.raises(InputError, match=r"with random\(size\), got Random$"):
+        protocols.bb84_simulate(10, True, random.Random(0))
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_GENERATORS))
+@pytest.mark.parametrize("name", sorted(DRAWS_NOTHING))
+def test_a_call_that_draws_nothing_takes_any_generator(name, bad):
+    assert_finite(DRAWS_NOTHING[name](NOT_GENERATORS[bad]))

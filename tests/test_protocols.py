@@ -251,16 +251,16 @@ def test_bb84_rejects_rounds_above_the_cap():
 
 
 class Coins:
-    """Generator stand-in that answers every draw with one fixed coin, counting the draws."""
+    """Generator stand-in that answers every draw with one fixed coin, counting the draws:
+    a draw of 0.25 reads as a 1 coin, 0.75 as a 0 coin."""
 
     def __init__(self, coin):
         self.coin = coin
         self.drawn = 0
 
-    def integers(self, low, high, size, dtype):
-        assert (low, high) == (0, 2)
+    def random(self, size):
         self.drawn += size
-        return np.full(size, self.coin, dtype=dtype)
+        return np.full(size, 0.25 if self.coin else 0.75)
 
 
 def assert_sampler_rule(probability, bit, sent_basis, basis):
@@ -295,15 +295,16 @@ def test_bb84_sampler_matches_tableau(bit, basis, eve_basis, bob_basis):
 
 
 class Scripted:
-    """Generator stand-in that returns prepared arrays in order, recording the sizes asked."""
+    """Generator stand-in that returns prepared coin arrays in order, recording the sizes
+    asked: a 1 coin is drawn as 0.25, a 0 coin as 0.75."""
 
     def __init__(self, *arrays):
         self.arrays = list(arrays)
         self.sizes = []
 
-    def integers(self, low, high, size, dtype):
+    def random(self, size):
         self.sizes.append(size)
-        out = np.array(self.arrays.pop(0), dtype=dtype)
+        out = np.where(np.array(self.arrays.pop(0)) == 1, 0.25, 0.75)
         assert out.shape == (size,)
         return out
 

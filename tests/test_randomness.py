@@ -1,0 +1,147 @@
+"""The one randomness contract: a random outcome is one ``rng.random()`` draw.
+
+Both engines, the LHV sampler and the protocol drivers draw one
+``random()`` per random outcome and none per determined one.  So any
+generator with that method serves, :class:`random.Random` included, and
+on a Clifford circuit the two engines read one stream the same way.
+BB84 alone draws arrays, ``random(size)``.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from bellsim import dsl, lhv
+from bellsim import protocols as pr
+from bellsim import stabilizer as st
+from bellsim import statevector as sv
+
+
+class Recording:
+    """Generator stand-in that answers ``random`` from a seeded numpy generator and
+    records each call's arguments; asking it for anything else fails the test."""
+
+    def __init__(self, seed=0):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def random(self, *size):
+        self.calls.append(size)
+        return self._rng.random(*size)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was asked for; every draw is random()")
+
+
+CIRCUITS = (
+    "qubits 3\nh 0\nmeasure 0\ncnot 0 1\nmeasure 1\nh 2\nmeasure 2\nmeasure 2\nh 1\nmeasure 1\n",
+    "qubits 3\nh 0\ncnot 0 1\ncnot 1 2\nmeasure 2\nmeasure 0\nmeasure 1\n",
+    "qubits 2\nry 0 pi/2\ncz 0 1\nh 1\nmeasure 1\nmeasure 0\nx 0\nmeasure 0\nrx 1 -pi/2\nmeasure 1\n",
+    "qubits 2\nx 1\nsdg 0\nmeasure 0\nmeasure 1\n",
+)
+
+
+def bell_tableau():
+    return st.apply(st.apply(st.init_zero(2), "H", 0), "CNOT", 0, 1)
+
+
+def test_a_tableau_measurement_draws_once_when_random():
+    rng = Recording()
+    outcome, deterministic, _ = st.measure_z(st.init_zero(2), 0, rng)
+    assert (outcome, deterministic, rng.calls) == (0, True, [])
+    _, deterministic, t = st.measure_z(bell_tableau(), 0, rng)
+    assert not deterministic and rng.calls == [()]
+    _, deterministic, _ = st.measure_z(t, 1, rng)
+    assert deterministic and rng.calls == [()]
+
+
+def test_a_dense_measurement_draws_once_when_random():
+    rng = Recording()
+    assert sv.measure_qubit(sv.zero_state(1), 0, rng)[:2] == (0, 1.0)
+    # P(1) = 1e-13 is below PROJECTION_EPS: determined, and no draw either way.
+    for amps, want in (([math.sqrt(1 - 1e-13), math.sqrt(1e-13)], 0),
+                       ([math.sqrt(1e-13), math.sqrt(1 - 1e-13)], 1)):
+        assert sv.measure_qubit(sv.StateVector(1, amps), 0, rng)[0] == want
+    assert rng.calls == []
+    _, _, after = sv.measure_qubit(sv.apply(sv.zero_state(1), "RY", 0, angle=0.3), 0, rng)
+    assert rng.calls == [()]
+    sv.measure_qubit(after, 0, rng)
+    assert rng.calls == [()]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("text", CIRCUITS)
+def test_both_engines_draw_once_per_random_outcome(text, seed):
+    circuit = dsl.parse(text)
+    n = circuit.num_qubits
+    tableau_rng, dense_rng = Recording(seed), Recording(seed)
+    outcomes, deterministic, _ = dsl._execute(circuit, st.init_zero(n), tableau_rng)
+    dense_outcomes, probabilities, _ = dsl._execute(circuit, sv.zero_state(n), dense_rng)
+    assert dense_outcomes == outcomes
+    assert tableau_rng.calls == dense_rng.calls == [()] * deterministic.count(False)
+    assert [p > 1 - 1e-12 for p in probabilities] == deterministic
+
+
+def test_a_non_clifford_dense_run_draws_once_per_random_outcome():
+    circuit = dsl.parse("qubits 2\nry 0 0.3\nt 0\nmeasure 0\nmeasure 0\ncnot 0 1\nmeasure 1\n")
+    rng = Recording(3)
+    dsl._execute(circuit, sv.zero_state(2), rng)
+    assert rng.calls == [()]
+
+
+def test_an_lhv_sample_is_one_draw():
+    rng = Recording()
+    for model in (lhv.LhvModel([1 / 16] * 16), lhv.LhvModel([1.0] + [0.0] * 15)):
+        for pair in ((1, 1), (1, 2), (2, 1)):
+            lhv.sample_lhv(model, pair, rng)
+    assert rng.calls == [()] * 6
+
+
+def test_the_protocols_draw_once_per_random_outcome():
+    rng = Recording()
+    pr.teleport_statevector(sv.StateVector(1, [0.6, 0.8]), rng, force_outcomes=(1, 0))
+    for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        pr.superdense_code(bits, rng)
+    assert rng.calls == []
+    pr.teleport_statevector(sv.StateVector(1, [0.6, 0.8]), rng)  # both Bell outcomes random
+    pr.teleport_stabilizer("+i", rng)
+    assert rng.calls == [()] * 4
+
+
+def test_bb84_draws_one_array_per_step():
+    rng = Recording(5)
+    report = pr.bb84_simulate(40, True, rng)
+    sizes = [size for (size,) in rng.calls]  # every call passes a size
+    assert len(sizes) == 6 and sizes[:3] == [40, 40, 40] and sizes[4] == 40
+    assert all(b in (0, 1) and type(b) is int for b in report.classical_bits)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("text", CIRCUITS)
+def test_random_random_drives_both_engines_alike(text, seed):
+    circuit = dsl.parse(text)
+    n = circuit.num_qubits
+    outcomes, _, _ = dsl._execute(circuit, st.init_zero(n), random.Random(seed))
+    assert dsl._execute(circuit, sv.zero_state(n), random.Random(seed))[0] == outcomes
+
+
+def test_random_random_serves_every_scalar_draw():
+    plus = st.apply(st.init_zero(1), "H", 0)
+    dense_plus = sv.apply(sv.zero_state(1), "H", 0)
+    calls = {
+        "measure_z": lambda rng: st.measure_z(plus, 0, rng)[0],
+        "measure_qubit": lambda rng: sv.measure_qubit(dense_plus, 0, rng)[0],
+        "sample_lhv": lambda rng: lhv.sample_lhv(lhv.LhvModel([1 / 16] * 16), (2, 1), rng),
+        "teleport_statevector": lambda rng: pr.teleport_statevector(
+            sv.StateVector(1, [0.6, 0.8]), rng)[0].to_key_value_lines(),
+        "teleport_stabilizer": lambda rng: pr.teleport_stabilizer("-", rng).to_key_value_lines(),
+    }
+    for name, call in calls.items():
+        results = [repr(call(random.Random(seed))) for seed in range(16)]
+        assert [repr(call(random.Random(seed))) for seed in range(16)] == results, name
+        assert len(set(results)) > 1, name  # the seed reaches the outcome
+    # a random outcome is 1 exactly when its draw is below 0.5
+    u = random.Random(4).random()
+    assert st.measure_z(plus, 0, random.Random(4))[0] == int(u < 0.5)

@@ -97,7 +97,7 @@ def test_apply_does_not_mutate_input():
 
 def test_deterministic_measurement_consumes_no_randomness():
     class Exploding:
-        def integers(self, *args, **kwargs):
+        def random(self):
             raise AssertionError("rng touched on a deterministic branch")
 
     outcome, deterministic, after = st.measure_z(st.init_zero(1), 0, Exploding())
@@ -596,14 +596,14 @@ def programs(num_qubits, max_len):
 
 
 class FixedBit:
-    """Generator stand-in whose one random bit is chosen by the test."""
+    """Generator stand-in whose one random bit is chosen by the test: a draw of
+    0.25 reads as 1, 0.75 as 0."""
 
     def __init__(self, bit):
         self.bit = bit
 
-    def integers(self, low, high):
-        assert (low, high) == (0, 2)
-        return self.bit
+    def random(self):
+        return 0.25 if self.bit else 0.75
 
 
 def run_against_reference(num_qubits, program):
