@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 from . import stabilizer as st
 from .errors import BellSimError, ConfigError, InputError, NonCliffordGate, QubitIndexError, is_int
-from .gates import GATES, check_gate
+from .gates import GATES
 from .stabilizer import CLIFFORD_ANGLE_ATOL  # noqa: F401 - re-exported
 
 if TYPE_CHECKING:
@@ -305,11 +305,11 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
     """The one gate-and-measure loop: ``(outcomes, infos, final_state)``.
 
     A :class:`~bellsim.statevector.StateVector` runs on the dense engine, a
-    tableau on the stabilizer engine, whose Clifford rule expands and checks
-    each gate as ``st.apply_clifford`` does.  :func:`~bellsim.gates.check_gate`
-    checks each gate once, then the engine's unchecked kernels update one
-    copy of the input in place; a dense state is validated once, at the
-    end.  Tableau measurements call the public ``st.measure_z`` and
+    tableau on the stabilizer engine.  Each gate is one call to the engine's
+    checked gate step, ``sv._apply`` or ``st._apply``, the step that
+    ``sv.apply_gate`` and ``st.apply_clifford`` run, here on one copy of the
+    input updated in place; a dense state is validated once, at the end.
+    Tableau measurements call the public ``st.measure_z`` and
     ``measure_z_forced``.
     ``infos`` holds each measurement's second return value: its probability
     (dense) or whether it was deterministic (tableau).  ``forced`` gives the
@@ -320,9 +320,9 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
     n = state.num_qubits
     if dense:
         from . import statevector as sv
-        amps = state.amplitudes.copy()
+        work, step = state.amplitudes.copy(), sv._apply
     else:
-        state, kernels, clifford_gate = state.copy(), st._KERNELS, st._clifford_gate
+        work, step = state.copy(), st._apply
     outcomes: list[int] = []
     infos: list = []
     for ins in circuit.instructions:
@@ -335,22 +335,18 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
             q = qubits[0]
             outcome = None if forced is None else forced[len(outcomes)]
             if dense:
-                outcome, info = sv._collapse(amps, n, q, outcome, rng)
+                outcome, info = sv._collapse(work, n, q, outcome, rng)
             elif forced is None:
-                outcome, info, state = st.measure_z(state, q, rng)
+                outcome, info, work = st.measure_z(work, q, rng)
             else:
-                info, state = st.measure_z_forced(state, q, outcome)
+                info, work = st.measure_z_forced(work, q, outcome)
             outcomes.append(outcome)
             infos.append(info)
-        elif dense:
-            sv._apply(amps, n, op, check_gate(op, qubits, angle, n), angle)
         else:
-            kinds, qubits = clifford_gate(op, qubits, angle, n)
-            for kind in kinds:
-                kernels[kind](state, *qubits)
+            step(work, n, op, qubits, angle)
     if dense:
-        state = sv.StateVector(n, amps)
-    return outcomes, infos, state
+        work = sv.StateVector(n, work)
+    return outcomes, infos, work
 
 
 def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:

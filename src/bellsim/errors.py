@@ -1,9 +1,9 @@
-"""Exception hierarchy shared by all bellsim modules, and the guards that raise it.
+"""Exception hierarchy shared by all bellsim modules, the guards that raise it, and the draw.
 
 Every error raised by this package derives from :class:`BellSimError` so
 callers can catch one type at the boundary.  Parse errors for the circuit
 language live in :mod:`bellsim.dsl` (they carry source locations) but they
-subclass :class:`BellSimError` as well.
+subclass :class:`BellSimError` as well.  Every random outcome is one :func:`draw`.
 """
 
 import math
@@ -84,9 +84,13 @@ def finite_real(value, what: str) -> float:
     return value
 
 
-def no_generator(rng, call: str = "random()") -> InputError:
-    """The error for an ``rng`` that cannot draw through ``call``; raised where a draw fails."""
-    return InputError(f"rng must be a random generator with {call}, got {type(rng).__name__}")
+def draw(rng, *size):
+    """``rng.random(*size)``, bellsim's only draw; InputError if ``rng`` cannot make it."""
+    try:
+        return rng.random(*size)
+    except (AttributeError, TypeError):
+        call = "random(size)" if size else "random()"
+        raise InputError(f"rng must be a random generator with {call}, got {type(rng).__name__}") from None
 
 
 def pair(value, error: type, what: str) -> tuple:

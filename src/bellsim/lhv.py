@@ -26,10 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import InputError, ModelError, is_int, no_generator, pair
+from .errors import InputError, ModelError, draw, is_int, pair
 
 CLASSICAL_BOUND = 2.0
 
@@ -204,13 +204,10 @@ def sample_lhv(model: LhvModel, setting_pair: tuple[int, int], rng) -> tuple[int
     i, j = pair(setting_pair, InputError, "setting_pair")
     if not (is_int(i, 1, 2) and is_int(j, 1, 2)):
         raise InputError(f"setting_pair entries must be 1 or 2, got {setting_pair!r}")
-    try:
-        u = rng.random()
-    except (AttributeError, TypeError):
-        raise no_generator(rng) from None
-    idx = bisect_right(list(itertools.accumulate(model.weights)), u)
-    # A draw at or above a weight sum just under 1 takes the last weighted strategy.
-    strategy = STRATEGIES[min(idx, max(s for s, w in enumerate(model.weights) if w > 0.0))]
+    sums = list(itertools.accumulate(model.weights))
+    idx = bisect_right(sums, draw(rng))  # below the sum it lands on a weighted strategy
+    # At or above a weight sum just under 1 the draw takes the last weighted strategy.
+    strategy = STRATEGIES[idx if idx < len(sums) else bisect_left(sums, sums[-1])]
     a = strategy.a1 if i == 1 else strategy.a2
     b = strategy.b1 if j == 1 else strategy.b2
     return a, b

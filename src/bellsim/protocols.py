@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from . import dsl
 from . import stabilizer as st
-from .errors import ConfigError, InputError, NonCliffordGate, is_int, no_generator, pair
+from .errors import ConfigError, InputError, NonCliffordGate, draw, is_int, pair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -212,10 +212,7 @@ def superdense_code(bits: tuple[int, int], rng) -> ProtocolReport:
 
 def _coins(rng, size: int) -> np.ndarray:
     """``size`` fair 0/1 coins as uint8 from one ``rng.random(size)`` draw, 1 below 0.5."""
-    try:
-        return (rng.random(size) < 0.5).view("u1")
-    except (AttributeError, TypeError):
-        raise no_generator(rng, "random(size)") from None
+    return (draw(rng, size) < 0.5).view("u1")
 
 
 def _bb84_measure(bits: np.ndarray, sent_bases: np.ndarray, bases: np.ndarray, rng) -> np.ndarray:

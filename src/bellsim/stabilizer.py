@@ -30,12 +30,14 @@ when a stabilizer anticommutes with the Pauli P (a random z outcome,
 destabilizers anticommute with it, and that sign gives the deterministic
 z outcome, or <P>, without a change of basis.
 
-The one Clifford rule, which the circuit runner and classifier use too:
-H, S, SDG, X, Y, Z, CNOT, CZ, and RX, RY, RZ by a multiple of pi/2 (run
-as a Clifford sequence); anything else raises :class:`NonCliffordGate`.
-Public operations return a new tableau and never mutate their input.
-A random measurement outcome is one ``rng.random()`` draw, 1 below 0.5,
-and a determined one draws nothing, as on the dense engine.
+The one Clifford rule, which the classifier uses too: H, S, SDG, X, Y,
+Z, CNOT, CZ, and RX, RY, RZ by a multiple of pi/2 (Clifford sequences);
+anything else raises :class:`NonCliffordGate`.  One gate step, ``_apply``,
+checks a gate against the rule and runs its kernels in place, for
+:func:`bellsim.dsl.run` and for :func:`apply_clifford`, which, like every
+public operation, returns a new tableau and never mutates its input.  A
+random outcome is one :func:`~bellsim.errors.draw`, 1 below 0.5, and a
+determined one draws nothing, as on the dense engine.
 
 Supports up to 64 qubits; conversion to a dense statevector is capped at
 12 qubits to match the statevector engine.  The kernels need
@@ -55,7 +57,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     BellSimError, DimensionError, InputError, NonCliffordGate, ProjectionError, SizeError,
-    finite_array, finite_real, is_int, no_generator,
+    draw, finite_array, finite_real, is_int,
 )
 from .gates import GateOp, _check_qubit, check_gate, gate
 
@@ -146,7 +148,7 @@ def init_zero(num_qubits: int) -> StabilizerTableau:
     return StabilizerTableau(n, [1 << j for j in range(n)], [1 << (n + j) for j in range(n)], 0)
 
 
-# -- gate kernels: update one tableau in place, unchecked (callers run check_gate) --
+# -- gate kernels: update one tableau in place, unchecked (_apply checks the gate) --
 
 def _h(t: StabilizerTableau, q: int) -> None:
     x, z = t._x, t._z
@@ -205,7 +207,7 @@ CLIFFORD_ANGLE_ATOL = 1e-12
 _ROTATION_SEQUENCES: dict[str, tuple[tuple[str, ...], ...]] = {
     "RZ": ((), ("S",), ("Z",), ("SDG",)),
     "RX": ((), ("H", "S", "H"), ("X",), ("H", "SDG", "H")),
-    "RY": ((), ("SDG", "H", "S", "H", "S"), ("Y",), ("SDG", "H", "SDG", "H", "S")),
+    "RY": ((), ("H", "X"), ("Y",), ("X", "H")),
 }
 
 
@@ -238,15 +240,18 @@ def _non_clifford(kind: str, angle: float | None) -> NonCliffordGate:
     return NonCliffordGate(f"{kind} angle {angle!r} is not a multiple of pi/2")
 
 
-def _clifford_gate(kind: str, qubits, angle: float | None, n: int) -> tuple[tuple, tuple]:
-    """A gate's kernel kinds and its qubits checked for ``n`` qubits.  A malformed gate
-    raises its :func:`~bellsim.gates.check_gate` error first, then one outside the rule
-    :class:`NonCliffordGate`, and only then are the qubits checked against ``n``."""
+def _apply(t: StabilizerTableau, n: int, kind: str, qubits, angle: float | None) -> None:
+    """The engine's one gate step: apply a gate of the Clifford rule to the ``n``-qubit
+    ``t`` in place.  A malformed gate raises its :func:`~bellsim.gates.check_gate` error
+    first, then one outside the rule :class:`NonCliffordGate`, and only then are the
+    qubits checked against ``n``."""
     kinds = _clifford_kinds(kind, angle)
     if kinds is None:
         check_gate(kind, qubits, angle)
         raise _non_clifford(kind, angle)
-    return kinds, check_gate(kind, qubits, angle, n)
+    qubits = check_gate(kind, qubits, angle, n)
+    for k in kinds:
+        _KERNELS[k](t, *qubits)
 
 
 def apply_clifford(t: StabilizerTableau, op: GateOp) -> StabilizerTableau:
@@ -255,10 +260,8 @@ def apply_clifford(t: StabilizerTableau, op: GateOp) -> StabilizerTableau:
     RX, RY and RZ by a multiple of pi/2 run as their Clifford sequence.  T,
     TDG and other rotation angles raise :class:`NonCliffordGate`; a qubit
     outside the tableau raises :class:`QubitIndexError`."""
-    kinds, qubits = _clifford_gate(op.kind, op.qubits, op.angle, t.num_qubits)
     out = t.copy()
-    for kind in kinds:
-        _KERNELS[kind](out, *qubits)
+    _apply(out, t.num_qubits, op.kind, op.qubits, op.angle)
     return out
 
 
@@ -368,10 +371,7 @@ def _measure(t: StabilizerTableau, q: int, outcome: int | None, rng) -> tuple:
             raise ProjectionError(f"outcome {outcome} on qubit {q} has probability 0")
         return sign, True, t
     if outcome is None:
-        try:
-            outcome = int(rng.random() < 0.5)
-        except (AttributeError, TypeError):
-            raise no_generator(rng) from None
+        outcome = int(draw(rng) < 0.5)
     out = t.copy()
     _collapse(out, q, outcome)
     return outcome, False, out
@@ -447,7 +447,7 @@ def to_statevector(t: StabilizerTableau) -> StateVector:
         for j in range(n):
             letter = "IXZY"[(t._x[j] >> row & 1) | (t._z[j] >> row & 1) << 1]
             if letter != "I":
-                sv._apply(out, n, letter, (j,))
+                sv._apply(out, n, letter, (j,), None)
         amps = (amps + out) / 2.0
     nrm = float(np.linalg.norm(amps))
     if nrm <= 0.0:  # pragma: no cover - impossible for a valid tableau

@@ -10,14 +10,14 @@ Conventions
   the computational basis index: ``|q0 q1 ... q_{n-1}>``.
 * Operations are pure: they return a new :class:`StateVector` and never
   mutate their input.
-* A random outcome is one ``rng.random()`` draw, 1 below P(1), and a
-  determined one draws nothing, as on the stabilizer engine.
+* A random outcome is one :func:`~bellsim.errors.draw`, 1 below P(1),
+  and a determined one draws nothing, as on the stabilizer engine.
 * One set of kernels updates a flat amplitude array in place through
   reshape views: ``(2**q, 2, 2**(n-q-1))`` for a gate or measurement on
   qubit ``q``, ``(2**lo, 2, 2**(hi-lo-1), 2, 2**(n-hi-1))`` for CNOT and
-  CZ.  The public functions copy, run a kernel and validate the result;
-  :func:`bellsim.dsl.run` runs a whole circuit on one copy and validates
-  once, at the end.
+  CZ.  The one gate step, ``_apply``, runs :func:`check_gate` and a kernel;
+  the public functions run it on a copy and validate the result, and
+  :func:`bellsim.dsl.run` runs a circuit on one copy, validated at the end.
 * The gate set (``GATES``), its check (``check_gate``), ``GateOp`` and
   ``gate`` live in the numpy-free :mod:`bellsim.gates`, so the parser and
   the tableau engine need no numpy; they are re-exported here.
@@ -40,7 +40,7 @@ from .errors import (
     QubitIndexError,
     SizeError,
 )
-from .errors import finite_array, finite_real, is_int, no_generator, pair
+from .errors import draw, finite_array, finite_real, is_int, pair
 from .gates import GATES, GateOp, check_gate, gate  # noqa: F401 - re-exported
 from .gates import _check_qubit
 
@@ -202,8 +202,10 @@ def _one_qubit(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
     v[...] = (m @ halves).reshape(2, 1 << q, -1).transpose(1, 0, 2)
 
 
-def _apply(amps: np.ndarray, n: int, kind: str, qubits: tuple, angle: float | None = None) -> None:
-    """Apply one gate that :func:`check_gate` accepts for ``n`` qubits; nothing is checked here."""
+def _apply(amps: np.ndarray, n: int, kind: str, qubits, angle: float | None) -> None:
+    """The engine's one gate step: :func:`check_gate` checks the gate for ``n`` qubits,
+    then it updates ``amps`` in place."""
+    qubits = check_gate(kind, qubits, angle, n)
     if len(qubits) == 2:
         c, t = qubits
         lo, hi = (c, t) if c < t else (t, c)
@@ -235,10 +237,7 @@ def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, floa
     v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
     p0, p1 = (float(np.vdot(half, half).real) for half in (v[:, 0], v[:, 1]))
     if outcome is None:
-        try:
-            outcome = int(p1 > p0) if min(p0, p1) < PROJECTION_EPS else int(rng.random() < p1)
-        except (AttributeError, TypeError):
-            raise no_generator(rng) from None
+        outcome = int(p1 > p0) if min(p0, p1) < PROJECTION_EPS else int(draw(rng) < p1)
     elif not is_int(outcome, 0, 1):
         raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
     outcome = int(outcome)
@@ -254,9 +253,8 @@ def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, floa
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate and return the resulting state."""
-    qubits = check_gate(op.kind, op.qubits, op.angle, state.num_qubits)
     amps = state.amplitudes.copy()
-    _apply(amps, state.num_qubits, op.kind, qubits, op.angle)
+    _apply(amps, state.num_qubits, op.kind, op.qubits, op.angle)
     return StateVector(state.num_qubits, amps)
 
 

@@ -11,7 +11,9 @@ The stabilizer kernels call ``int.bit_count``, so the supported Python
 floor must stay at 3.10 or higher.  Building the CLI's parser
 builds no state: a ``--state`` default is resolved only when a
 subcommand that takes it is parsed.  Every draw from a generator is a
-``random()`` call: no module reads an ``integers`` method.
+``random()`` call: no module reads an ``integers`` method, and no code but
+``errors.draw`` calls ``random``.  Only ``stabilizer`` reads its gate
+kernels, so every tableau gate runs through its one checked step.
 """
 
 import ast
@@ -204,6 +206,50 @@ def test_every_draw_goes_through_random():
         if isinstance(node, ast.Attribute) and node.attr == "integers"
     ]
     assert uses == []
+
+
+def calls_to_random(tree):
+    """The name of the function around each call to a method named ``random``
+    (``None`` at module level), in source order."""
+    found = []
+    stack = [(tree, None)]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "random":
+            found.append((node.lineno, scope))
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return [scope for _, scope in sorted(found)]
+
+
+def test_errors_draw_is_the_only_call_to_random():
+    # one draw function: a second caller would need its own copy of the generator check
+    uses = {
+        path.name: calls_to_random(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((Path(SRC) / "bellsim").glob("*.py"))
+    }
+    assert {name: scopes for name, scopes in uses.items() if scopes} == {"errors.py": ["draw"]}
+
+
+def test_the_random_call_check_sees_every_caller():
+    tree = ast.parse("def f(rng):\n    return rng.random() < 0.5\n"
+                     "class C:\n    def draw(self, rng):\n        return rng.random(3)\n"
+                     "x = np.random.default_rng(0)\nrandom.random()\n")
+    assert calls_to_random(tree) == ["f", "draw", None]
+
+
+def test_only_the_stabilizer_module_reads_its_gate_kernels():
+    # one checked tableau gate step: a module indexing the kernels skips the Clifford rule
+    readers = {
+        path.name
+        for path in (Path(SRC) / "bellsim").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "_KERNELS"
+        or isinstance(node, ast.Attribute) and node.attr == "_KERNELS"
+    }
+    assert readers == {"stabilizer.py"}
 
 
 def test_building_the_cli_parser_builds_no_state(monkeypatch):

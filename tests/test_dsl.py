@@ -364,6 +364,7 @@ def test_rotation_to_cliffords_matches_unitaries():
         for quarter_turns in range(-4, 8):
             angle = quarter_turns * math.pi / 2.0
             sequence = dsl.rotation_to_cliffords(opcode, angle)
+            assert len(sequence) <= 3, (opcode, quarter_turns, sequence)
             mat = np.eye(2, dtype=complex)
             for kind in sequence:
                 mat = sv.FIXED_GATES[kind] @ mat

@@ -1,6 +1,6 @@
 """The CLI prints the same bytes for fixed seeds.
 
-Each case runs ``cli.main`` in process, in a scratch directory that holds
+Each case runs ``cli.main`` in process, in a temporary directory that holds
 the circuit files below, and compares its exit code, stdout and stderr
 byte for byte with ``tests/golden/cli.json``.  ``chsh-scan`` writes its
 CSV there; the test compares the file's sha256.  The cases are the 13
@@ -148,8 +148,8 @@ if __name__ == "__main__":
 
     records = {}
     for case, argv in CASES.items():
-        with tempfile.TemporaryDirectory() as scratch:
-            records[case] = run_case(argv, Path(scratch))
+        with tempfile.TemporaryDirectory() as workdir:
+            records[case] = run_case(argv, Path(workdir))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} cases to {GOLDEN}", file=sys.stderr)
