@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING
 from . import stabilizer as st
 from .errors import BellSimError, ConfigError, InputError, NonCliffordGate, QubitIndexError, is_int
 from .gates import GATES
-from .stabilizer import CLIFFORD_ANGLE_ATOL  # noqa: F401 - re-exported
 
 if TYPE_CHECKING:
     from .statevector import StateVector
@@ -371,15 +370,10 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
         spots = ", ".join(f"line {ln} column {col}" for ln, col in report.witnesses)
         raise NonCliffordGate(f"circuit has non-Clifford instructions at {spots}")
     chosen = engine if engine != "auto" else ("stabilizer" if report.simulable else "statevector")
-    n = circuit.num_qubits
     if chosen == "statevector":
         from . import statevector as sv
-        start = sv.zero_state(n)
-    else:
-        start = st.init_zero(n)
-    outcomes, _, state = _execute(circuit, start, _LazyRng(seed))
-    if chosen == "statevector":
+        outcomes, _, state = _execute(circuit, sv.zero_state(circuit.num_qubits), _LazyRng(seed))
         return RunRecord(engine=chosen, outcomes=outcomes, final_statevector=state)
-    return RunRecord(
-        engine=chosen, outcomes=outcomes, final_stabilizers=st.stabilizer_strings(state)
-    )
+    outcomes, _, state = _execute(circuit, st.init_zero(circuit.num_qubits), _LazyRng(seed))
+    stabilizers = st.stabilizer_strings(state)
+    return RunRecord(engine=chosen, outcomes=outcomes, final_stabilizers=stabilizers)

@@ -24,12 +24,10 @@ This module is plain Python: four targets and 16 weights need no numpy.
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import InputError, ModelError, draw, is_int, pair
+from .errors import InputError, ModelError, draw, finite_real, is_int, pair
 
 CLASSICAL_BOUND = 2.0
 
@@ -72,14 +70,12 @@ _MINUS_H = tuple(_ROWS.index(tuple(-x for x in h)) for h in _HADAMARD)
 
 
 def _finite_reals(value, count: int, error: type, what: str) -> tuple[float, ...]:
-    """``value`` as ``count`` finite floats; else ``error`` (text, bytes and complex too)."""
+    """``value`` as ``count`` floats, each through :func:`finite_real`; else ``error``."""
     try:
         items = () if isinstance(value, (str, bytes)) else tuple(value)
-        if len(items) == count and all(isinstance(x, numbers.Real) for x in items):
-            floats = tuple(map(float, items))
-            if all(map(math.isfinite, floats)):
-                return floats
-    except (TypeError, OverflowError):  # not iterable; an int beyond the float range
+        if len(items) == count:
+            return tuple(finite_real(x, what) for x in items)
+    except (TypeError, InputError):  # not iterable; an item that is not a finite real
         pass
     raise error(f"{what} must be {count} finite real numbers, got {value!r}")
 
@@ -124,6 +120,7 @@ class LhvModel:
         if abs(total - 1.0) > _WEIGHT_SUM_ATOL:
             raise ModelError(f"weights sum to {total!r}, expected 1 within {_WEIGHT_SUM_ATOL}")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_sums", tuple(itertools.accumulate(w)))  # sample_lhv bisects these
 
 
 def model_correlations(model: LhvModel) -> tuple[float, float, float, float]:
@@ -204,7 +201,7 @@ def sample_lhv(model: LhvModel, setting_pair: tuple[int, int], rng) -> tuple[int
     i, j = pair(setting_pair, InputError, "setting_pair")
     if not (is_int(i, 1, 2) and is_int(j, 1, 2)):
         raise InputError(f"setting_pair entries must be 1 or 2, got {setting_pair!r}")
-    sums = list(itertools.accumulate(model.weights))
+    sums = model._sums
     idx = bisect_right(sums, draw(rng))  # below the sum it lands on a weighted strategy
     # At or above a weight sum just under 1 the draw takes the last weighted strategy.
     strategy = STRATEGIES[idx if idx < len(sums) else bisect_left(sums, sums[-1])]

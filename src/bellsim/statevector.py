@@ -328,7 +328,7 @@ def fidelity(a: "StateVector | np.ndarray", b: "StateVector | np.ndarray") -> fl
     * pure vs pure: squared overlap ``|<a|b>|**2``
     * pure vs 2x2 density matrix: ``<psi|rho|psi>``
     * 2x2 density matrix vs 2x2 density matrix: Uhlmann fidelity, computed
-      with the qubit closed form ``tr(rho sigma) + 2 sqrt(det rho det sigma)``
+      with the qubit closed form ``tr(rho sigma) + 2 sqrt(det rho det sigma)``, unclamped
     """
     a_pure = isinstance(a, StateVector)
     b_pure = isinstance(b, StateVector)
@@ -341,9 +341,8 @@ def fidelity(a: "StateVector | np.ndarray", b: "StateVector | np.ndarray") -> fl
     if not a_pure and not b_pure:
         rho = _check_density(a)
         sigma = _check_density(b)
-        val = float((np.trace(rho @ sigma) + 2.0 * np.sqrt(
+        return float((np.trace(rho @ sigma) + 2.0 * np.sqrt(
             complex(np.linalg.det(rho)) * complex(np.linalg.det(sigma)))).real)
-        return min(max(val, 0.0), 1.0)
     psi = a if a_pure else b
     rho = _check_density(b if a_pure else a)
     if psi.num_qubits != 1:

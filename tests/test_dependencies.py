@@ -13,7 +13,8 @@ builds no state: a ``--state`` default is resolved only when a
 subcommand that takes it is parsed.  Every draw from a generator is a
 ``random()`` call: no module reads an ``integers`` method, and no code but
 ``errors.draw`` calls ``random``.  Only ``stabilizer`` reads its gate
-kernels, so every tableau gate runs through its one checked step.
+kernels, so every tableau gate runs through its one checked step.  Only
+``errors`` imports ``numbers``: every number check is one of its guards.
 """
 
 import ast
@@ -169,6 +170,24 @@ def test_requires_python_floor_has_int_bit_count():
     match = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)[^"]*"\s*$', text, re.MULTILINE)
     assert match, "pyproject.toml must declare requires-python as >=X.Y"
     assert (int(match.group(1)), int(match.group(2))) >= (3, 10)
+
+
+def test_the_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with PYPROJECT.open("rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9._-]+", dep).group() for dep in dependencies] == ["numpy"]
+
+
+def test_only_the_errors_module_imports_numbers():
+    # one number rule: a module importing numbers is writing its own copy of a guard
+    importers = [
+        path.name
+        for path in sorted((Path(SRC) / "bellsim").glob("*.py"))
+        for name in module_level_imports(ast.parse(path.read_text("utf-8")), every_scope=True)
+        if name.split(".")[0] == "numbers"
+    ]
+    assert importers == ["errors.py"]
 
 
 def test_no_module_references_the_removed_index_helper():
