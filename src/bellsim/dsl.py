@@ -27,9 +27,12 @@ by a multiple of pi/2, read from the angle's cos and sin (|cos * sin| <=
 1e-12).  t/tdg, other angles (1e16 among them) and a hand-built
 rotation whose angle is NaN, inf or missing are non-Clifford witnesses.
 
-:func:`run` executes a circuit on either engine with one loop that copies
-the starting amplitudes or tableau once and updates that copy in place;
-a random tableau measurement returns a fresh copy, updated from then on.
+:func:`run` decides each instruction once: one pass applies the Clifford
+rule to every gate, as :func:`classify` does, and picks the engine; one
+loop then checks every instruction in program order into a flat program
+of unchecked kernel calls, so the first bad one raises before anything
+runs, and one loop runs it on a copy of the starting state, in place (a
+random tableau measurement returns a fresh copy, updated from then on).
 Parsing, classifying and a tableau run that draws nothing load no numpy:
 the dense engine and the first random draw import it.
 """
@@ -43,7 +46,7 @@ from typing import TYPE_CHECKING
 
 from . import stabilizer as st
 from .errors import BellSimError, ConfigError, InputError, NonCliffordGate, QubitIndexError, is_int
-from .gates import GATES
+from .gates import GATES, _check_qubit, check_gate
 
 if TYPE_CHECKING:
     from .statevector import StateVector
@@ -54,7 +57,6 @@ OPCODES: dict[str, tuple[int, bool]] = {
 }
 _OPCODE_TABLE = {name: (name.upper(), *spec) for name, spec in OPCODES.items()}
 
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _PI_RE = re.compile(r"^([+-]?)([0-9]+)?pi(?:/([1-9][0-9]*))?$", re.IGNORECASE)
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -142,8 +144,9 @@ def parse(text: str) -> Circuit:
         raise InputError(f"circuit text must be a string, got {type(text).__name__}")
     num_qubits: int | None = None
     instructions: list[Instruction] = []
+    angles: dict[str, float] = {}  # each distinct angle token is parsed once
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0]
+        body = raw.split("#", 1)[0] if "#" in raw else raw
         tokens = body.split()
         if not tokens:
             continue
@@ -155,7 +158,8 @@ def parse(text: str) -> Circuit:
             if len(tokens) != 2:
                 raise HeaderError(lineno, col, "'qubits' header takes exactly one count")
             count_tok = tokens[1]
-            if not _INT_RE.match(count_tok) or int(count_tok) < 1:
+            digits = count_tok[1:] if count_tok[0] in "+-" else count_tok  # [+-]?[0-9]+
+            if not (count_tok.isascii() and digits.isdigit()) or int(count_tok) < 1:
                 raise HeaderError(lineno, _column(body, 1),
                                   f"qubit count must be a positive integer, got {count_tok!r}")
             num_qubits = int(count_tok)
@@ -171,7 +175,7 @@ def parse(text: str) -> Circuit:
             )
         qubits: list[int] = []
         for k, tok in enumerate(tokens[1:arity + 1], start=1):
-            if not _INT_RE.match(tok):
+            if not (tok.isascii() and (tok[1:] if tok[0] in "+-" else tok).isdigit()):
                 raise QubitRangeError(lineno, _column(body, k), f"malformed qubit index {tok!r}")
             q = int(tok)
             if not 0 <= q < num_qubits:
@@ -184,11 +188,13 @@ def parse(text: str) -> Circuit:
         angle: float | None = None
         if takes_angle:
             tok = tokens[-1]
-            try:
-                angle = parse_angle(tok)
-            except ValueError:
-                raise AngleError(lineno, _column(body, expected),
-                                 f"malformed angle {tok!r}") from None
+            angle = angles.get(tok)
+            if angle is None:
+                try:
+                    angle = angles[tok] = parse_angle(tok)
+                except ValueError:
+                    raise AngleError(lineno, _column(body, expected),
+                                     f"malformed angle {tok!r}") from None
         ins = object.__new__(Instruction)  # the frozen __init__ would cost 2x this
         ins.__dict__.update(opcode=opcode, qubit_args=tuple(qubits), angle=angle,
                             line=lineno, column=col)
@@ -240,14 +246,19 @@ class SimulabilityClass:
         return self.value == STABILIZER_SIMULABLE
 
 
+def _clifford_pass(circuit: Circuit) -> tuple[list, tuple[tuple[int, int], ...]]:
+    """The Clifford rule, once per instruction: each one's kernel kinds (``()`` for a
+    measurement, None outside the rule) and the (line, column) of every None."""
+    kinds = [() if ins.opcode == "MEASURE" else st._clifford_kinds(ins.opcode, ins.angle)
+             for ins in circuit.instructions]
+    return kinds, tuple((ins.line, ins.column)
+                        for ins, k in zip(circuit.instructions, kinds) if k is None)
+
+
 def classify(circuit: Circuit) -> SimulabilityClass:
     """Decide stabilizer simulability instruction by instruction."""
-    witnesses = tuple(
-        (ins.line, ins.column)
-        for ins in circuit.instructions  # not is_clifford_instruction(ins), one call less
-        if ins.opcode != "MEASURE" and st._clifford_kinds(ins.opcode, ins.angle) is None
-    )
-    value = STABILIZER_SIMULABLE if not witnesses else REQUIRES_STATEVECTOR
+    witnesses = _clifford_pass(circuit)[1]
+    value = REQUIRES_STATEVECTOR if witnesses else STABILIZER_SIMULABLE
     return SimulabilityClass(value=value, witnesses=witnesses)
 
 
@@ -301,48 +312,63 @@ class _LazyRng:
 
 
 def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list, object]:
-    """The one gate-and-measure loop: ``(outcomes, infos, final_state)``.
+    """Run ``circuit`` from ``state``: ``(outcomes, infos, final_state)``.
 
     A :class:`~bellsim.statevector.StateVector` runs on the dense engine, a
-    tableau on the stabilizer engine.  Each gate is one call to the engine's
-    checked gate step, ``sv._apply`` or ``st._apply``, the step that
-    ``sv.apply_gate`` and ``st.apply_clifford`` run, here on one copy of the
-    input updated in place; a dense state is validated once, at the end.
-    Tableau measurements call the public ``st.measure_z`` and
-    ``measure_z_forced``.
-    ``infos`` holds each measurement's second return value: its probability
-    (dense) or whether it was deterministic (tableau).  ``forced`` gives the
-    outcomes in order and nothing is drawn; otherwise both engines draw one
-    ``rng.random()`` per random outcome and none per determined one.
+    tableau on the stabilizer engine.  One loop first checks every
+    instruction in program order: each gate once, by ``check_gate`` or the
+    tableau's ``st._lower``, into unchecked ``(kernel, operands)`` entries,
+    and each measurement into ``(None, qubit)``.  A second loop runs them
+    on one copy of ``state``, in place; a dense state is validated once, at
+    the end.  Tableau measurements call the public ``st.measure_z`` and
+    ``measure_z_forced``.  ``infos`` holds each measurement's second return
+    value: its probability (dense) or whether it was deterministic
+    (tableau).  ``forced`` gives the outcomes in order and nothing is drawn;
+    otherwise both engines draw one ``rng.random()`` per random outcome and
+    none per determined one.
     """
+    return _run(circuit, state, rng, forced, None)
+
+
+def _run(circuit: Circuit, state, rng, forced, kinds) -> tuple[list[int], list, object]:
+    """:func:`_execute`, given the Clifford ``kinds`` of a tableau run's gates if known."""
     dense = not isinstance(state, st.StabilizerTableau)
     n = state.num_qubits
     if dense:
         from . import statevector as sv
-        work, step = state.amplitudes.copy(), sv._apply
+        engine, work = "state", state.amplitudes.copy()
     else:
-        work, step = state.copy(), st._apply
-    outcomes: list[int] = []
-    infos: list = []
-    for ins in circuit.instructions:
+        engine, work = "tableau", state.copy()
+        kinds = _clifford_pass(circuit)[0] if kinds is None else kinds
+    program: list = []
+    for i, ins in enumerate(circuit.instructions):
         op, qubits, angle = ins.opcode, ins.qubit_args, ins.angle
         if op == "MEASURE":
             if len(qubits) != 1:
                 raise QubitIndexError(f"MEASURE takes 1 qubit, got {len(qubits)}")
             if angle is not None:
                 raise InputError("MEASURE does not take an angle")
-            q = qubits[0]
-            outcome = None if forced is None else forced[len(outcomes)]
-            if dense:
-                outcome, info = sv._collapse(work, n, q, outcome, rng)
-            elif forced is None:
-                outcome, info, work = st.measure_z(work, q, rng)
-            else:
-                info, work = st.measure_z_forced(work, q, outcome)
-            outcomes.append(outcome)
-            infos.append(info)
+            _check_qubit(qubits[0], n, engine)
+            program.append((None, qubits[0]))
+        elif dense:
+            program.append((sv._gate, (n, op, check_gate(op, qubits, angle, n), angle)))
         else:
-            step(work, n, op, qubits, angle)
+            st._lower(program, n, op, qubits, angle, kinds[i])
+    outcomes: list[int] = []
+    infos: list = []
+    for kernel, args in program:
+        if kernel is not None:
+            kernel(work, *args)
+            continue
+        outcome = None if forced is None else forced[len(outcomes)]
+        if dense:
+            outcome, info = sv._collapse(work, n, args, outcome, rng)
+        elif forced is None:
+            outcome, info, work = st.measure_z(work, args, rng)
+        else:
+            info, work = st.measure_z_forced(work, args, outcome)
+        outcomes.append(outcome)
+        infos.append(info)
     if dense:
         work = sv.StateVector(n, work)
     return outcomes, infos, work
@@ -365,15 +391,16 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
         raise ConfigError(f"engine must be auto, statevector or stabilizer, got {engine!r}")
     if not is_int(seed, 0, math.inf):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    report = classify(circuit) if engine != "statevector" else None  # dense runs need no classes
-    if engine == "stabilizer" and not report.simulable:
-        spots = ", ".join(f"line {ln} column {col}" for ln, col in report.witnesses)
+    kinds, witnesses = _clifford_pass(circuit) if engine != "statevector" else (None, ())
+    if engine == "stabilizer" and witnesses:
+        spots = ", ".join(f"line {ln} column {col}" for ln, col in witnesses)
         raise NonCliffordGate(f"circuit has non-Clifford instructions at {spots}")
-    chosen = engine if engine != "auto" else ("stabilizer" if report.simulable else "statevector")
+    chosen = engine if engine != "auto" else ("statevector" if witnesses else "stabilizer")
     if chosen == "statevector":
         from . import statevector as sv
         outcomes, _, state = _execute(circuit, sv.zero_state(circuit.num_qubits), _LazyRng(seed))
         return RunRecord(engine=chosen, outcomes=outcomes, final_statevector=state)
-    outcomes, _, state = _execute(circuit, st.init_zero(circuit.num_qubits), _LazyRng(seed))
+    start = st.init_zero(circuit.num_qubits)
+    outcomes, _, state = _run(circuit, start, _LazyRng(seed), None, kinds)
     stabilizers = st.stabilizer_strings(state)
     return RunRecord(engine=chosen, outcomes=outcomes, final_stabilizers=stabilizers)

@@ -2,9 +2,10 @@
 
 :data:`GATES` names every gate kind with its number of qubits and whether
 it takes an angle; :func:`check_gate` is the only gate check, used by
-:class:`GateOp` and by each engine's gate step, which :func:`bellsim.dsl.run`
-and the public apply functions share.  The module needs only the standard
-library, so the parser and the tableau engine load no numpy through it.
+:class:`GateOp`, by :func:`bellsim.dsl.run` (through ``stabilizer._lower``
+on the tableau) and by the public apply functions.  The module
+needs only the standard library, so the parser and the tableau engine
+load no numpy through it.
 """
 
 from __future__ import annotations

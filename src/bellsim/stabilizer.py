@@ -32,12 +32,14 @@ z outcome, or <P>, without a change of basis.
 
 The one Clifford rule, which the classifier uses too: H, S, SDG, X, Y,
 Z, CNOT, CZ, and RX, RY, RZ by a multiple of pi/2 (Clifford sequences);
-anything else raises :class:`NonCliffordGate`.  One gate step, ``_apply``,
-checks a gate against the rule and runs its kernels in place, for
-:func:`bellsim.dsl.run` and for :func:`apply_clifford`, which, like every
-public operation, returns a new tableau and never mutates its input.  A
-random outcome is one :func:`~bellsim.errors.draw`, 1 below 0.5, and a
-determined one draws nothing, as on the dense engine.
+anything else raises :class:`NonCliffordGate`.  One gate check, ``_lower``,
+checks a gate against the rule, given its kinds, and appends its kernels to
+a flat program: :func:`bellsim.dsl.run` lowers a whole circuit that way
+before it runs any of it, and :func:`apply_clifford` lowers one gate and
+runs it on a copy; like every public operation, it returns a new tableau
+and never mutates its input.  A random outcome is one
+:func:`~bellsim.errors.draw`, 1 below 0.5, and a determined one draws
+nothing, as on the dense engine.
 
 Supports up to 64 qubits; conversion to a dense statevector is capped at
 12 qubits to match the statevector engine.  The kernels need
@@ -148,7 +150,7 @@ def init_zero(num_qubits: int) -> StabilizerTableau:
     return StabilizerTableau(n, [1 << j for j in range(n)], [1 << (n + j) for j in range(n)], 0)
 
 
-# -- gate kernels: update one tableau in place, unchecked (_apply checks the gate) --
+# -- gate kernels: update one tableau in place, unchecked (_lower checks the gate) --
 
 def _h(t: StabilizerTableau, q: int) -> None:
     x, z = t._x, t._z
@@ -240,18 +242,17 @@ def _non_clifford(kind: str, angle: float | None) -> NonCliffordGate:
     return NonCliffordGate(f"{kind} angle {angle!r} is not a multiple of pi/2")
 
 
-def _apply(t: StabilizerTableau, n: int, kind: str, qubits, angle: float | None) -> None:
-    """The engine's one gate step: apply a gate of the Clifford rule to the ``n``-qubit
-    ``t`` in place.  A malformed gate raises its :func:`~bellsim.gates.check_gate` error
-    first, then one outside the rule :class:`NonCliffordGate`, and only then are the
-    qubits checked against ``n``."""
-    kinds = _clifford_kinds(kind, angle)
+def _lower(program: list, n: int, kind: str, qubits, angle: float | None, kinds) -> None:
+    """The one gate check: append a ``(kernel, qubits)`` entry per :func:`_clifford_kinds`
+    ``kinds`` of a gate on an ``n``-qubit tableau.  A malformed gate raises its
+    :func:`~bellsim.gates.check_gate` error first, then one outside the rule
+    :class:`NonCliffordGate`, and only then are the qubits checked against ``n``."""
     if kinds is None:
         check_gate(kind, qubits, angle)
         raise _non_clifford(kind, angle)
     qubits = check_gate(kind, qubits, angle, n)
     for k in kinds:
-        _KERNELS[k](t, *qubits)
+        program.append((_KERNELS[k], qubits))
 
 
 def apply_clifford(t: StabilizerTableau, op: GateOp) -> StabilizerTableau:
@@ -260,8 +261,11 @@ def apply_clifford(t: StabilizerTableau, op: GateOp) -> StabilizerTableau:
     RX, RY and RZ by a multiple of pi/2 run as their Clifford sequence.  T,
     TDG and other rotation angles raise :class:`NonCliffordGate`; a qubit
     outside the tableau raises :class:`QubitIndexError`."""
+    program: list = []
+    _lower(program, t.num_qubits, op.kind, op.qubits, op.angle, _clifford_kinds(op.kind, op.angle))
     out = t.copy()
-    _apply(out, t.num_qubits, op.kind, op.qubits, op.angle)
+    for kernel, qubits in program:
+        kernel(out, *qubits)
     return out
 
 
@@ -447,7 +451,7 @@ def to_statevector(t: StabilizerTableau) -> StateVector:
         for j in range(n):
             letter = "IXZY"[(t._x[j] >> row & 1) | (t._z[j] >> row & 1) << 1]
             if letter != "I":
-                sv._apply(out, n, letter, (j,), None)
+                sv._gate(out, n, letter, (j,), None)
         amps = (amps + out) / 2.0
     nrm = float(np.linalg.norm(amps))
     if nrm <= 0.0:  # pragma: no cover - impossible for a valid tableau

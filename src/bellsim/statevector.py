@@ -15,9 +15,9 @@ Conventions
 * One set of kernels updates a flat amplitude array in place through
   reshape views: ``(2**q, 2, 2**(n-q-1))`` for a gate or measurement on
   qubit ``q``, ``(2**lo, 2, 2**(hi-lo-1), 2, 2**(n-hi-1))`` for CNOT and
-  CZ.  The one gate step, ``_apply``, runs :func:`check_gate` and a kernel;
-  the public functions run it on a copy and validate the result, and
-  :func:`bellsim.dsl.run` runs a circuit on one copy, validated at the end.
+  CZ.  ``_gate`` runs a gate that :func:`check_gate` has passed, for
+  :func:`apply_gate` on a copy and for :func:`bellsim.dsl.run` on one copy
+  of a whole circuit; each validates the state once, at the end.
 * The gate set (``GATES``), its check (``check_gate``), ``GateOp`` and
   ``gate`` live in the numpy-free :mod:`bellsim.gates`, so the parser and
   the tableau engine need no numpy; they are re-exported here.
@@ -202,10 +202,8 @@ def _one_qubit(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
     v[...] = (m @ halves).reshape(2, 1 << q, -1).transpose(1, 0, 2)
 
 
-def _apply(amps: np.ndarray, n: int, kind: str, qubits, angle: float | None) -> None:
-    """The engine's one gate step: :func:`check_gate` checks the gate for ``n`` qubits,
-    then it updates ``amps`` in place."""
-    qubits = check_gate(kind, qubits, angle, n)
+def _gate(amps: np.ndarray, n: int, kind: str, qubits: tuple, angle: float | None) -> None:
+    """Apply a checked gate to ``amps`` in place."""
     if len(qubits) == 2:
         c, t = qubits
         lo, hi = (c, t) if c < t else (t, c)
@@ -253,9 +251,9 @@ def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, floa
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate and return the resulting state."""
-    amps = state.amplitudes.copy()
-    _apply(amps, state.num_qubits, op.kind, op.qubits, op.angle)
-    return StateVector(state.num_qubits, amps)
+    n, amps = state.num_qubits, state.amplitudes.copy()
+    _gate(amps, n, op.kind, check_gate(op.kind, op.qubits, op.angle, n), op.angle)
+    return StateVector(n, amps)
 
 
 def apply(state: StateVector, kind: str, *qubits: int, angle: float | None = None) -> StateVector:

@@ -13,7 +13,10 @@ builds no state: a ``--state`` default is resolved only when a
 subcommand that takes it is parsed.  Every draw from a generator is a
 ``random()`` call: no module reads an ``integers`` method, and no code but
 ``errors.draw`` calls ``random``.  Only ``stabilizer`` reads its gate
-kernels, so every tableau gate runs through its one checked step.  Only
+kernels, so every tableau gate is checked against the Clifford rule by its
+one lowering step, and ``dsl`` refers to no per-gate checked step (an
+engine's ``_apply`` or public apply function), so the runner checks each
+gate once, before the run.  Only
 ``errors`` imports ``numbers``: every number check is one of its guards.
 """
 
@@ -269,6 +272,35 @@ def test_only_the_stabilizer_module_reads_its_gate_kernels():
         or isinstance(node, ast.Attribute) and node.attr == "_KERNELS"
     }
     assert readers == {"stabilizer.py"}
+
+
+# Names of a per-gate checked step of either engine, private or public.
+GATE_STEPS = {"_apply", "apply", "apply_gate", "apply_clifford"}
+
+
+def gate_step_uses(tree):
+    """Line numbers of every reference to a name in GATE_STEPS: attribute, name or import."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in GATE_STEPS \
+                or isinstance(node, ast.Name) and node.id in GATE_STEPS \
+                or isinstance(node, ast.ImportFrom) \
+                and any(alias.name in GATE_STEPS for alias in node.names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_runner_uses_no_checked_gate_step():
+    # one check per gate: st._apply, sv._apply or a public apply function in the runner
+    # would check each gate again as it runs, after the lowering loop has checked it
+    tree = ast.parse((Path(SRC) / "bellsim" / "dsl.py").read_text(encoding="utf-8"))
+    assert gate_step_uses(tree) == []
+
+
+def test_the_gate_step_check_sees_every_use():
+    tree = ast.parse("st._apply(t, n, k, q, a)\nwork, step = x, sv._apply\n"
+                     "from .stabilizer import apply_clifford\n_apply(t)\nsv.apply_gate(s, op)\n")
+    assert gate_step_uses(tree) == [1, 2, 3, 4, 5]
 
 
 def test_building_the_cli_parser_builds_no_state(monkeypatch):

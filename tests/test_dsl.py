@@ -7,13 +7,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from bellsim import dsl
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
-from bellsim.errors import ConfigError, InputError, NonCliffordGate
+from bellsim.errors import (
+    BellSimError, ConfigError, InputError, NonCliffordGate, ProjectionError, QubitIndexError,
+)
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -270,6 +272,94 @@ def test_parse_errors_match_the_regex_reference(case):
     err = excinfo.value
     assert (type(err), err.line, err.column) == (kind, line, column)
     assert str(err) == f"line {line}, column {column}: {message}"
+
+
+# -- the parser's integer check and angle cache ----------------------------------------
+
+INT_REFERENCE = re.compile(r"[+-]?[0-9]+")  # the language of qubit and count tokens
+INT_EDGES = ("+", "-", "+-1", "1_0", "0x1", "3.", "1e3")
+# Token characters: no whitespace (str.split would split there) and no '#'.
+TOKEN_CHARS = hs.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc"),
+                            blacklist_characters="#")
+INT_TOKENS = hs.one_of(
+    hs.sampled_from(INT_EDGES),
+    hs.from_regex(INT_REFERENCE, fullmatch=True),
+    hs.text(alphabet=hs.one_of(hs.sampled_from("+-0123456789"), TOKEN_CHARS), min_size=1,
+            max_size=5),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(INT_TOKENS)
+@example("+3")
+@example("-0")
+@example("007")
+@example("\u0663")  # ARABIC-INDIC DIGIT THREE: int() reads it, the language does not
+@example("\xb2")  # SUPERSCRIPT TWO: a digit to str.isdigit, not to int()
+@example("\uff13")  # FULLWIDTH DIGIT THREE
+def test_count_and_qubit_tokens_are_exactly_the_reference_language(tok):
+    valid = INT_REFERENCE.fullmatch(tok) is not None
+    try:
+        circuit = dsl.parse(f"qubits {tok}\n")
+    except dsl.HeaderError as err:
+        assert str(err) == f"line 1, column 8: qubit count must be a positive integer, got {tok!r}"
+        assert not valid or int(tok) < 1
+    else:
+        assert valid and circuit.num_qubits == int(tok) >= 1
+    try:
+        circuit = dsl.parse(f"qubits 1\nmeasure {tok}\n")
+    except dsl.QubitRangeError as err:
+        if valid:
+            assert str(err) == f"line 2, column 9: qubit {int(tok)} out of range for 1 qubit(s)"
+        else:
+            assert str(err) == f"line 2, column 9: malformed qubit index {tok!r}"
+    else:
+        assert valid and circuit.instructions[0].qubit_args == (0,)
+
+
+VALID_ANGLE_TOKENS = ("pi", "-pi/2", "3PI/4", "0.5", "0", "0.0", "-0.0", "-0", "1e-3", "1E-3")
+MALFORMED_ANGLE_TOKENS = ("banana", "nan", "-inf", "1e999", "pi/0", "2pi/")
+MALFORMED_INDEX_TOKENS = ("q0", "1.0", "\u0663", "+")
+
+
+@hs.composite
+def repeated_token_statements(draw):
+    """Statements drawn from a few templates and a small token pool, so tokens
+    repeat: ``[(line text, column of its variable token, message or None), ...]``."""
+    out = []
+    for _ in range(draw(hs.integers(1, 12))):
+        if draw(hs.integers(0, 3)):
+            tok = draw(hs.sampled_from(VALID_ANGLE_TOKENS + MALFORMED_ANGLE_TOKENS))
+            opcode = draw(hs.sampled_from(("rx", "RY", "rz")))
+            bad = tok in MALFORMED_ANGLE_TOKENS
+            out.append((f"{opcode} 0 {tok}", 6, f"malformed angle {tok!r}" if bad else None))
+        else:
+            tok = draw(hs.sampled_from(("0", "+0", "00") + MALFORMED_INDEX_TOKENS))
+            bad = tok in MALFORMED_INDEX_TOKENS
+            out.append((f"h {tok}", 3, f"malformed qubit index {tok!r}" if bad else None))
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(repeated_token_statements())
+def test_repeated_tokens_parse_as_each_line_alone(statements):
+    # The angle cache may not change a result: each statement parses as it does
+    # alone, and the first malformed token raises at its own line and column.
+    text = "qubits 1\n" + "".join(f"{line}\n" for line, _, _ in statements)
+    first_bad = next((k for k, (_, _, msg) in enumerate(statements) if msg), None)
+    if first_bad is not None:
+        _, column, message = statements[first_bad]
+        line = first_bad + 2
+        with pytest.raises(dsl.ParseError) as excinfo:
+            dsl.parse(text)
+        err = excinfo.value
+        assert (err.line, err.column) == (line, column)
+        assert str(err) == f"line {line}, column {column}: {message}"
+        return
+    alone = [dsl.parse(f"qubits 1\n{line}\n").instructions[0] for line, _, _ in statements]
+    circuit = dsl.parse(text)
+    assert circuit == dsl.Circuit(1, tuple(alone))
+    assert [repr(ins.angle) for ins in circuit.instructions] == [repr(ins.angle) for ins in alone]
 
 
 # Angles whose text form is easy to get wrong: signed zero, subnormals, the
@@ -711,15 +801,104 @@ def test_run_stabilizer_rejects_nonclifford_with_witnesses():
     assert "line 3 column 1" in str(excinfo.value)
 
 
-def test_a_statevector_run_does_not_classify(monkeypatch):
-    def no_classify(circuit):
-        raise AssertionError("classify was called")
+def test_run_decides_and_checks_each_gate_once(monkeypatch):
+    # One lowering pass: the Clifford rule once per gate on the tableau routes and
+    # never on the dense one, and one check_gate per gate, however many kernels it has.
+    calls = {"rule": 0, "check": 0}
 
-    monkeypatch.setattr(dsl, "classify", no_classify)
-    circuit = dsl.parse("qubits 2\nh 0\nt 1\ncnot 0 1\nmeasure 1\n")
-    assert dsl.run(circuit, engine="statevector", seed=2).engine == "statevector"
-    with pytest.raises(AssertionError, match="classify was called"):
-        dsl.run(circuit, seed=2)
+    def counting(key, inner):
+        def wrapper(*args):
+            calls[key] += 1
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(st, "_clifford_kinds", counting("rule", st._clifford_kinds))
+    check = counting("check", st.check_gate)
+    monkeypatch.setattr(st, "check_gate", check)  # the tableau's _lower
+    monkeypatch.setattr(dsl, "check_gate", check)  # dense lowering
+    clifford = dsl.parse("qubits 2\nh 0\nrx 1 pi/2\ncnot 0 1\nmeasure 1\nrz 0 pi\nmeasure 0\n")
+    magic = dsl.parse("qubits 2\nh 0\nt 1\ncnot 0 1\nmeasure 1\n")
+    cases = [
+        (clifford, "auto", 4), (clifford, "stabilizer", 4), (clifford, "statevector", 4),
+        (magic, "auto", 3), (magic, "statevector", 3),
+    ]
+    for circuit, engine, gates in cases:
+        calls.update(rule=0, check=0)
+        dsl.run(circuit, engine=engine, seed=2)
+        want = {"rule": gates if engine != "statevector" else 0, "check": gates}
+        assert calls == want, engine
+    for start, rule in ((st.init_zero(2), 4), (sv.zero_state(2), 0)):
+        calls.update(rule=0, check=0)
+        dsl._execute(clifford, start, np.random.default_rng(2))
+        assert calls == {"rule": rule, "check": 4}
+    calls.update(rule=0, check=0)
+    assert dsl.classify(clifford).simulable and calls == {"rule": 4, "check": 0}
+
+
+# -- the first bad instruction in program order raises, before anything is drawn --
+
+GOOD_PREFIX = (dsl.Instruction("H", (0,)), dsl.Instruction("MEASURE", (0,)))  # a random outcome
+
+# name -> (instruction, class, message with {} for the engine's word: state or tableau);
+# the gates are in the Clifford rule, so run(engine="stabilizer") reaches their checks.
+BAD_INSTRUCTIONS = {
+    "measure-range": (dsl.Instruction("MEASURE", (5,)), QubitIndexError,
+                      "qubit 5 out of range for 2-qubit {}"),
+    "measure-angle": (dsl.Instruction("MEASURE", (0,), 0.5), InputError,
+                      "MEASURE does not take an angle"),
+    "measure-two": (dsl.Instruction("MEASURE", (0, 1)), QubitIndexError,
+                    "MEASURE takes 1 qubit, got 2"),
+    "gate-range": (dsl.Instruction("H", (5,)), QubitIndexError,
+                   "qubits (5,) out of range for 2 qubit(s)"),
+    "gate-repeat": (dsl.Instruction("CNOT", (1, 1)), QubitIndexError,
+                    "CNOT requires distinct qubits, got (1, 1)"),
+    "gate-angle": (dsl.Instruction("X", (0,), 0.5), InputError, "X does not take an angle"),
+}
+BAD_MEASURES = [name for name in BAD_INSTRUCTIONS if name.startswith("measure")]
+BAD_GATES = [name for name in BAD_INSTRUCTIONS if name.startswith("gate")]
+ORDERS = [(m, g) for m in BAD_MEASURES for g in BAD_GATES] + \
+         [(g, m) for g in BAD_GATES for m in BAD_MEASURES]
+
+
+class NoDraw:
+    def random(self, *size):
+        raise AssertionError("drew before the bad instruction raised")
+
+
+@pytest.mark.parametrize("first, second", ORDERS, ids=[f"{a}-then-{b}" for a, b in ORDERS])
+def test_the_first_bad_instruction_raises_on_every_route(monkeypatch, first, second):
+    ins, kind, message = BAD_INSTRUCTIONS[first]
+    program = GOOD_PREFIX + (ins, dsl.Instruction("X", (1,)), BAD_INSTRUCTIONS[second][0])
+    circuit = dsl.Circuit(2, program)
+
+    def no_generator(seed):
+        raise AssertionError("built a generator before the bad instruction raised")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    routes = [
+        ("run-auto", lambda: dsl.run(circuit), False),
+        ("run-stabilizer", lambda: dsl.run(circuit, engine="stabilizer"), False),
+        ("run-statevector", lambda: dsl.run(circuit, engine="statevector"), True),
+        ("execute-tableau", lambda: dsl._execute(circuit, st.init_zero(2), NoDraw()), False),
+        ("execute-dense", lambda: dsl._execute(circuit, sv.zero_state(2), NoDraw()), True),
+    ]
+    for route, call, dense in routes:
+        with pytest.raises(BellSimError) as excinfo:
+            call()
+        want = message.format("state" if dense else "tableau")
+        assert (type(excinfo.value), str(excinfo.value)) == (kind, want), route
+
+
+@pytest.mark.parametrize("start", [st.init_zero(2), sv.zero_state(2)], ids=["tableau", "dense"])
+def test_a_bad_instruction_wins_over_an_earlier_impossible_forced_outcome(start):
+    # Every instruction is checked before the first runs, so the forced outcome 1
+    # of |0>, which would raise ProjectionError when run, never runs.
+    impossible = (dsl.Instruction("MEASURE", (0,)),)
+    with pytest.raises(ProjectionError):
+        dsl._execute(dsl.Circuit(2, impossible), start, None, [1])
+    bad, kind, message = BAD_INSTRUCTIONS["gate-repeat"]
+    with pytest.raises(kind, match=re.escape(message)):
+        dsl._execute(dsl.Circuit(2, impossible + (bad,)), start, None, [1])
 
 
 def test_run_rejects_unknown_engine():
