@@ -19,8 +19,10 @@ B(pi/2) = -Y.  The correlation E(alpha, chi) is the expectation of
 Both families lie in the XY plane, so E(alpha, chi) = a.M.b with
 a = (cos alpha, sin alpha), b = (cos chi, -sin chi) and M[j, k] =
 <sigma_j (x) sigma_k> the 2x2 XY block of the correlation tensor, computed
-once per call.  The largest S is 2*sqrt(m1**2 + m2**2), m1 and m2 the
-singular values of M (Horodecki, Phys. Lett. A 200, 340 (1995)).
+once per call in closed form: M = 2 [[Re(u + w), Im(u - w)], [Im(u + w),
+Re(w - u)]] with u = conj(psi00) psi11 and w = conj(psi01) psi10.  The
+largest S is 2*sqrt(m1**2 + m2**2) = 2*|M|_F, m1, m2 = 2(|u| + |w|),
+2||u| - |w|| the singular values of M (Horodecki, Phys. Lett. A 200, 340 (1995)).
 
 For the Bell state (|01> + |10>)/sqrt(2) the correlation has the closed
 form cos(alpha + chi); for (|00> + |11>)/sqrt(2) it is cos(alpha - chi).
@@ -45,8 +47,6 @@ from .errors import ConfigError, DimensionError, InputError, finite_array, finit
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 SETTING_NAMES = ("alpha1", "alpha2", "chi1", "chi2")
-
-_PAULI_XY = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]]], dtype=complex)
 
 
 def wrap_angle(theta: float) -> float:
@@ -115,19 +115,22 @@ class SFactorResult:
 
 
 def _xy_block(state: sv.StateVector) -> np.ndarray:
-    """M[j, k] = <psi| sigma_j (x) sigma_k |psi> for sigma in (X, Y)."""
+    """M[j, k] = <psi| sigma_j (x) sigma_k |psi> for sigma in (X, Y), in the closed form above."""
     if state.num_qubits != 2:
         raise DimensionError(
             f"CHSH analysis needs a 2-qubit state, got {state.num_qubits} qubits"
         )
-    psi = state.amplitudes.reshape(2, 2)
-    return np.einsum("ij,aik,bjl,kl->ab", psi.conj(), _PAULI_XY, _PAULI_XY, psi).real
+    psi00, psi01, psi10, psi11 = state.amplitudes.tolist()
+    u = psi00.conjugate() * psi11
+    w = psi01.conjugate() * psi10
+    plus, minus = 2.0 * (u + w), 2.0 * (u - w)
+    return np.array([[plus.real, minus.imag], [plus.imag, -minus.real]])
 
 
 def _directions(angles, sign: float) -> np.ndarray:
-    """Rows (cos t, sign * sin t): a-vectors for sign +1, b-vectors for -1."""
-    t = finite_array(angles, float, InputError, "angles").reshape(-1)
-    return np.stack([np.cos(t), sign * np.sin(t)], axis=-1)
+    """Rows (cos t, sign * sin t) for checked angles: a-vectors for sign +1, b-vectors for -1."""
+    t = np.asarray(angles, dtype=float).reshape(-1, 1)
+    return np.concatenate((np.cos(t), sign * np.sin(t)), axis=1)
 
 
 def _angle(v: np.ndarray, sign: float) -> float:
@@ -148,15 +151,15 @@ def correlation_matrix(
 ) -> np.ndarray:
     """Correlations for every (alpha, chi) pair: shape (number of alphas, number of chis)."""
     m = _xy_block(state)
-    return _directions(alphas, 1.0) @ m @ _directions(chis, -1.0).T
+    a = _directions(finite_array(alphas, float, InputError, "angles"), 1.0)
+    return a @ m @ _directions(finite_array(chis, float, InputError, "angles"), -1.0).T
 
 
 def s_factor(state: sv.StateVector, settings: MeasurementSettings) -> SFactorResult:
-    """Evaluate the CHSH combination at the given settings."""
-    e = correlation_matrix(
-        state, [settings.alpha1, settings.alpha2], [settings.chi1, settings.chi2]
-    )
-    e11, e12, e21, e22 = (float(v) for v in e.ravel())
+    """Evaluate the CHSH combination at the given settings, E as in :func:`correlation_matrix`."""
+    a = _directions([settings.alpha1, settings.alpha2], 1.0)
+    e = a @ _xy_block(state) @ _directions([settings.chi1, settings.chi2], -1.0).T
+    e11, e12, e21, e22 = e.ravel().tolist()
     return SFactorResult(
         settings=settings,
         correlations=(e11, e12, e21, e22),
@@ -211,8 +214,12 @@ def maximize_s(
 
     Write S = a1.M(b1 - b2) + a2.M(b1 + b2).  With all four angles free
     the maximum is 2*sqrt(m1**2 + m2**2), m1 >= m2 the singular values of
-    M = U diag(m1, m2) V^T; it is reached at a2 = U[:, 0], a1 = U[:, 1],
-    b1, b2 = cos(t) V[:, 0] +/- sin(t) V[:, 1] with tan(t) = m2 / m1.
+    M = U diag(m1, m2) V^T, that is 2*|M|_F; it is reached at a2 = U[:, 0],
+    a1 = U[:, 1], b1, b2 = cos(t) V[:, 0] +/- sin(t) V[:, 1] with tan(t) = m2 / m1.
+    In closed form M = R(phi) diag((q + r)/2, (q - r)/2) R(theta), R(x) the
+    rotation by x, q exp(i (phi + theta)) = M00 + M11 + i (M10 - M01) and
+    r exp(i (phi - theta)) = M00 - M11 + i (M10 + M01); so alpha2 = phi,
+    alpha1 = phi + pi/2 and chi1, chi2 = theta -/+ atan2(q - r, q + r).
 
     ``fixed``, when given, is the pair (alpha1, chi1) to pin.  With
     v = M^T a1 and w = M(b1 + b2), the best a2 is w / |w|, leaving
@@ -231,20 +238,14 @@ def maximize_s(
     """
     m = _xy_block(state)
     if fixed is None:
-        u, sing, vt = np.linalg.svd(m)
-        radius = math.hypot(sing[0], sing[1])
+        (m00, m01), (m10, m11) = m.tolist()
+        radius = math.hypot(m00, m01, m10, m11)
         if radius == 0.0:
-            best = MeasurementSettings(-math.pi, -math.pi, -math.pi, -math.pi)
-        else:
-            half_sum = sing[0] / radius * vt[0]
-            half_diff = sing[1] / radius * vt[1]
-            best = MeasurementSettings(
-                alpha1=_angle(u[:, 1], 1.0),
-                alpha2=_angle(u[:, 0], 1.0),
-                chi1=_angle(half_sum + half_diff, -1.0),
-                chi2=_angle(half_sum - half_diff, -1.0),
-            )
-        return best, 2.0 * radius
+            return MeasurementSettings(-math.pi, -math.pi, -math.pi, -math.pi), 0.0
+        q, r = math.hypot(m00 + m11, m10 - m01), math.hypot(m00 - m11, m10 + m01)
+        q_angle, r_angle = math.atan2(m10 - m01, m00 + m11), math.atan2(m10 + m01, m00 - m11)
+        phi, theta, t = (q_angle + r_angle) / 2, (q_angle - r_angle) / 2, math.atan2(q - r, q + r)
+        return MeasurementSettings(phi + math.pi / 2, phi, theta - t, theta + t), 2.0 * radius
 
     alpha1, chi1 = map(wrap_angle, pair(fixed, InputError, "fixed (alpha1, chi1)"))
     a1 = _directions(alpha1, 1.0)[0]

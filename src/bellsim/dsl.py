@@ -257,7 +257,8 @@ def _clifford_pass(circuit: Circuit) -> tuple[list, tuple[tuple[int, int], ...]]
 
 def classify(circuit: Circuit) -> SimulabilityClass:
     """Decide stabilizer simulability instruction by instruction."""
-    witnesses = _clifford_pass(circuit)[1]
+    witnesses = tuple((ins.line, ins.column)
+                      for ins in circuit.instructions if not is_clifford_instruction(ins))
     value = REQUIRES_STATEVECTOR if witnesses else STABILIZER_SIMULABLE
     return SimulabilityClass(value=value, witnesses=witnesses)
 

@@ -145,14 +145,17 @@ def teleport_statevector(
     density matrix.  ``force_outcomes`` optionally pins the two
     mid-protocol measurement outcomes (m0, m1) instead of sampling them;
     every pair occurs with probability 1/4, so forcing is always legal.
-    The fidelity metric compares the receiver qubit against the input.
+    The fidelity metric is <psi|rho|psi> of the input psi and the receiver's
+    rho, as :func:`~bellsim.statevector.fidelity` computes it, rho unchecked.
     """
     import numpy as np
     from . import statevector as sv
     if input_state.num_qubits != 1:
         raise InputError(f"teleportation input must be 1 qubit, got {input_state.num_qubits}")
     forced = None if force_outcomes is None else pair(force_outcomes, InputError, "force_outcomes")
-    amps = np.kron(input_state.amplitudes, sv.zero_state(2).amplitudes)
+    psi = input_state.amplitudes
+    amps = np.zeros(8, dtype=complex)
+    amps[::4] = psi  # psi (x) |00>
     bits, _, state = dsl._execute(_TELEPORT, sv.StateVector(3, amps), rng, forced)
     rho = sv.reduced_density(state, 2)
     report = ProtocolReport(
@@ -160,7 +163,7 @@ def teleport_statevector(
         engine="statevector",
         classically_simulable=False,
         classical_bits=bits,
-        metrics={"fidelity": sv.fidelity(input_state, rho)},
+        metrics={"fidelity": float(np.vdot(psi, rho @ psi).real)},
     )
     return report, rho
 

@@ -230,8 +230,8 @@ def _gate(amps: np.ndarray, n: int, kind: str, qubits: tuple, angle: float | Non
 def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, float]:
     """Measure qubit ``q`` (``outcome`` None: an outcome of probability below
     PROJECTION_EPS either way draws nothing, else one ``rng.random()`` draw
-    is 1 below P(1)) or project it onto ``outcome``; returns it and its probability."""
-    _check_qubit(q, n, "state")
+    is 1 below P(1)) or project it onto ``outcome``, ``q`` already checked; returns it
+    and its probability."""
     v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
     p0, p1 = (float(np.vdot(half, half).real) for half in (v[:, 0], v[:, 1]))
     if outcome is None:
@@ -267,6 +267,7 @@ def project_qubit(state: StateVector, q: int, outcome: int) -> tuple[float, Stat
     Returns ``(probability, collapsed_state)``.  Raises
     :class:`ProjectionError` when the outcome probability is below 1e-12.
     """
+    _check_qubit(q, state.num_qubits, "state")
     amps = state.amplitudes.copy()
     _, prob = _collapse(amps, state.num_qubits, q, outcome, None)
     return prob, StateVector(state.num_qubits, amps)
@@ -279,6 +280,7 @@ def measure_qubit(state: StateVector, q: int, rng) -> tuple[int, float, StateVec
     A random outcome is one ``rng.random()`` draw, 1 below P(1); one of
     probability below 1e-12 either way draws nothing.
     """
+    _check_qubit(q, state.num_qubits, "state")
     amps = state.amplitudes.copy()
     outcome, prob = _collapse(amps, state.num_qubits, q, None, rng)
     return outcome, prob, StateVector(state.num_qubits, amps)

@@ -279,13 +279,75 @@ def xy_block(state):
     return np.array([[sv.expectation(state, p, q) for q in PAULI_XY] for p in PAULI_XY])
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(two_qubit_states)
+# Oracle pairs for the closed forms: the Pauli-tensor contraction that
+# _xy_block replaced, and a numerical SVD for the free maximum and its settings.
+
+PAULI_XY_STACK = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]]], dtype=complex)
+
+
+def einsum_block(state):
+    psi = state.amplitudes.reshape(2, 2)
+    return np.einsum("ij,aik,bjl,kl->ab", psi.conj(), PAULI_XY_STACK, PAULI_XY_STACK, psi).real
+
+
+unit_pairs = st.lists(
+    st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4
+).map(lambda v: np.array(v[:2]) + 1j * np.array(v[2:])).filter(
+    lambda amps: np.linalg.norm(amps) > 1e-3
+).map(lambda amps: amps / np.linalg.norm(amps))
+
+
+def on_basis_states(indices):
+    """States with a unit pair on the two given basis states, zero elsewhere."""
+    def build(pair):
+        amps = np.zeros(4, dtype=complex)
+        amps[list(indices)] = pair
+        return sv.StateVector(2, amps)
+    return unit_pairs.map(build)
+
+
+# u = conj(psi00) psi11 and w = conj(psi01) psi10: one of them zero gives
+# m1 = m2 (the Bell states among them), both zero gives M = 0.
+equal_singular_states = st.one_of(on_basis_states((0, 3)), on_basis_states((1, 2)))
+flat_states = st.one_of(*(on_basis_states(pair) for pair in ((0, 1), (0, 2), (3, 1), (3, 2))))
+product_states = st.tuples(unit_pairs, unit_pairs).map(
+    lambda f: sv.product_state([tuple(f[0]), tuple(f[1])])  # m2 = 0
+)
+any_states = st.one_of(two_qubit_states, equal_singular_states, product_states, flat_states)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(any_states)
+def test_closed_form_block_matches_the_pauli_tensor_contraction(state):
+    assert np.abs(chsh._xy_block(state) - einsum_block(state)).max() <= 1e-15
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(any_states)
 def test_free_maximum_is_horodecki_closed_form(state):
-    m1, m2 = np.linalg.svd(xy_block(state), compute_uv=False)
+    # 2|M|_F against a numerical SVD, and the closed-form SVD's settings reaching it
+    m1, m2 = np.linalg.svd(einsum_block(state), compute_uv=False)
     best, s_star = chsh.maximize_s(state)
-    assert abs(s_star - 2.0 * math.sqrt(m1**2 + m2**2)) < 1e-12
-    assert abs(chsh.s_factor(state, best).s_value - s_star) < 1e-12
+    assert abs(s_star - 2.0 * math.hypot(m1, m2)) <= 1e-14
+    assert abs(chsh.s_factor(state, best).s_value - s_star) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(flat_states)
+def test_free_maximum_of_a_flat_block_ties_at_minus_pi(state):
+    best, s_star = chsh.maximize_s(state)
+    assert s_star == 0.0
+    assert best.as_tuple() == (-math.pi, -math.pi, -math.pi, -math.pi)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(any_states, angles, angles, angles, angles)
+def test_s_factor_is_correlation_matrix_bit_for_bit(state, alpha1, alpha2, chi1, chi2):
+    wrapped = chsh.MeasurementSettings(alpha1, alpha2, chi1, chi2)
+    e = chsh.correlation_matrix(
+        state, [wrapped.alpha1, wrapped.alpha2], [wrapped.chi1, wrapped.chi2]
+    )
+    assert chsh.s_factor(state, wrapped).correlations == tuple(e.ravel().tolist())
 
 
 def chi2_grid_maximum(state, alpha1, chi1):

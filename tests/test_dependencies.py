@@ -193,12 +193,59 @@ def test_only_the_errors_module_imports_numbers():
     assert importers == ["errors.py"]
 
 
+def referenced_names(path):
+    """Every name, attribute and ``from`` import alias in the module at ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    return names
+
+
 def test_no_module_references_the_removed_index_helper():
     for path in sorted((Path(SRC) / "bellsim").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert "_is_index" not in names, path.name
+        assert "_is_index" not in referenced_names(path), path.name
+
+
+def test_no_module_contracts_pauli_tensors():
+    # one source of the correlation block: its closed form in chsh._xy_block
+    for path in sorted(Path(SRC).rglob("*.py")):
+        assert not referenced_names(path) & {"einsum", "_PAULI_XY"}, path.name
+
+
+def free_branch_linalg_uses(tree):
+    """Line numbers of every use of ``linalg`` (attribute, name or import) in the
+    ``if fixed is None:`` branch of ``maximize_s``; None if there is no such branch."""
+    for func in ast.walk(tree):
+        if not (isinstance(func, ast.FunctionDef) and func.name == "maximize_s"):
+            continue
+        for branch in ast.walk(func):
+            if isinstance(branch, ast.If) and ast.unparse(branch.test) == "fixed is None":
+                return sorted(
+                    node.lineno for stmt in branch.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Attribute) and node.attr == "linalg"
+                    or isinstance(node, ast.Name) and node.id == "linalg"
+                    or isinstance(node, ast.ImportFrom)
+                    and ("linalg" in (node.module or "").split(".")
+                         or any(alias.name == "linalg" for alias in node.names))
+                )
+    return None
+
+
+def test_the_free_maximum_calls_no_linalg():
+    # 2|M|_F and a closed-form 2x2 SVD: a LAPACK call on a 2x2 block costs more than the answer
+    tree = ast.parse((Path(SRC) / "bellsim" / "chsh.py").read_text(encoding="utf-8"))
+    assert free_branch_linalg_uses(tree) == []
+
+
+def test_the_linalg_check_sees_every_use():
+    tree = ast.parse("def maximize_s(state, fixed=None):\n    if fixed is None:\n"
+                     "        u = np.linalg.svd(m)\n        from numpy import linalg\n"
+                     "        from numpy.linalg import norm\n        return linalg.norm(m)\n"
+                     "    return np.linalg.norm(m)\n")
+    assert free_branch_linalg_uses(tree) == [3, 4, 5, 6]
+    assert free_branch_linalg_uses(ast.parse("def maximize_s(state, fixed):\n    pass\n")) is None
 
 
 def test_the_clifford_rule_is_defined_only_in_the_stabilizer_module():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bellsim import dsl
 from bellsim import protocols as pr
@@ -100,6 +102,22 @@ def test_teleport_all_forced_branches():
         assert abs(report.metrics["fidelity"] - 1.0) < 1e-10
         target = np.outer(psi.amplitudes, psi.amplitudes.conj())
         np.testing.assert_allclose(rho, target, atol=1e-10)
+
+
+one_qubit_states = hst.lists(
+    hst.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4
+).map(lambda v: np.array(v[:2]) + 1j * np.array(v[2:])).filter(
+    lambda amps: np.linalg.norm(amps) > 1e-3
+).map(lambda amps: sv.StateVector(1, amps / np.linalg.norm(amps)))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(one_qubit_states)
+def test_dense_teleport_fidelity_is_the_statevector_fidelity(psi):
+    # the driver scores the rho it built without checking it; sv.fidelity checks it first
+    for pair in pr.TELEPORT_FORCE_PAIRS:
+        report, rho = pr.teleport_statevector(psi, ExplodingRng(), force_outcomes=pair)
+        assert report.metrics["fidelity"] == sv.fidelity(psi, rho)
 
 
 def test_teleport_rejects_multiqubit_input():
