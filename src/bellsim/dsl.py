@@ -319,7 +319,9 @@ def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list
     tableau on the stabilizer engine.  One loop first checks every
     instruction in program order: each gate once, by ``check_gate`` or the
     tableau's ``st._lower``, into unchecked ``(kernel, operands)`` entries,
-    and each measurement into ``(None, qubit)``.  A second loop runs them
+    and each measurement into ``(None, qubit)``.  ``sv._fuse`` merges a dense
+    program's runs of one-qubit gates (outcomes as one ``apply_gate`` per gate
+    draw for draw, amplitudes within 1e-12).  A second loop runs the program
     on one copy of ``state``, in place; a dense state is validated once, at
     the end.  Tableau measurements call the public ``st.measure_z`` and
     ``measure_z_forced``.  ``infos`` holds each measurement's second return
@@ -355,6 +357,8 @@ def _run(circuit: Circuit, state, rng, forced, kinds) -> tuple[list[int], list, 
             program.append((sv._gate, (n, op, check_gate(op, qubits, angle, n), angle)))
         else:
             st._lower(program, n, op, qubits, angle, kinds[i])
+    if dense:
+        program = sv._fuse(program, n)
     outcomes: list[int] = []
     infos: list = []
     for kernel, args in program:

@@ -18,6 +18,12 @@ Conventions
   CZ.  ``_gate`` runs a gate that :func:`check_gate` has passed, for
   :func:`apply_gate` on a copy and for :func:`bellsim.dsl.run` on one copy
   of a whole circuit; each validates the state once, at the end.
+* ``_fuse`` merges the runner's runs of one-qubit gates on a qubit into
+  one kernel pass: a 2x2 product in scalar Python, flushed when a
+  measurement or a two-qubit gate touches the qubit (a diagonal one
+  passes a CZ and a CNOT's control).  Outcomes match one gate at a time
+  draw for draw, and amplitudes within 1e-12; a program that merges
+  nothing runs entry for entry, bit for bit.
 * The gate set (``GATES``), its check (``check_gate``), ``GateOp`` and
   ``gate`` live in the numpy-free :mod:`bellsim.gates`, so the parser and
   the tableau engine need no numpy; they are re-exported here.
@@ -50,37 +56,47 @@ PROJECTION_EPS = 1e-12
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-FIXED_GATES: dict[str, np.ndarray] = {
-    "H": np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
-    "TDG": np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex),
+# Each one-qubit matrix as a row-major tuple (m00, m01, m10, m11): the fusion
+# pass multiplies these in scalar Python, and the arrays are built from them.
+_MATRICES = {
+    "H": (_SQRT1_2, _SQRT1_2, _SQRT1_2, -_SQRT1_2),
+    "X": (0, 1, 1, 0),
+    "Y": (0, -1j, 1j, 0),
+    "Z": (1, 0, 0, -1),
+    "S": (1, 0, 0, 1j),
+    "SDG": (1, 0, 0, -1j),
+    "T": (1, 0, 0, cmath.exp(1j * math.pi / 4)),
+    "TDG": (1, 0, 0, cmath.exp(-1j * math.pi / 4)),
 }
+
+
+def _array(m: tuple) -> np.ndarray:
+    return np.array(m, dtype=complex).reshape(2, 2)
+
+
+FIXED_GATES: dict[str, np.ndarray] = {kind: _array(m) for kind, m in _MATRICES.items()}
 
 ROTATION_GATES = tuple(kind for kind, (_, takes_angle) in GATES.items() if takes_angle)
 
 # Diagonal one-qubit gates: the phase they put on the qubit's 1-half.
-_PHASES = {kind: complex(FIXED_GATES[kind][1, 1]) for kind in ("Z", "S", "SDG", "T", "TDG")}
+_PHASES = {kind: complex(_MATRICES[kind][3]) for kind in ("Z", "S", "SDG", "T", "TDG")}
 
 
 def rotation_matrix(kind: str, angle: float) -> np.ndarray:
     """The 2x2 unitary for RX, RY or RZ at a finite real angle; else :class:`InputError`."""
-    return _rotation(kind, finite_real(angle, f"{kind} angle"))
+    return _array(_rotation(kind, finite_real(angle, f"{kind} angle")))
 
 
-def _rotation(kind: str, angle: float) -> np.ndarray:
+def _rotation(kind: str, angle: float) -> tuple:
+    """RX, RY or RZ at ``angle`` as a row-major tuple, the one source of each rotation."""
     c = math.cos(angle / 2.0)
     s = math.sin(angle / 2.0)
     if kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+        return (c, -1j * s, -1j * s, c)
     if kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=complex)
+        return (c, -s, s, c)
     if kind == "RZ":
-        return np.array([[cmath.exp(-0.5j * angle), 0], [0, cmath.exp(0.5j * angle)]], dtype=complex)
+        return (complex(c, -s), 0, 0, complex(c, s))
     raise InputError(f"unknown rotation kind {kind!r}")
 
 
@@ -221,10 +237,60 @@ def _gate(amps: np.ndarray, n: int, kind: str, qubits: tuple, angle: float | Non
         v[:, 1] *= _PHASES[kind]
     elif kind == "X":
         v[...] = v[:, ::-1]
-    elif kind == "RZ":
-        v *= _rotation(kind, angle).diagonal()[:, None]
+    elif angle is None:
+        _one_qubit(amps, n, q, FIXED_GATES[kind])
     else:
-        _one_qubit(amps, n, q, FIXED_GATES[kind] if angle is None else _rotation(kind, angle))
+        _unitary(amps, n, q, _rotation(kind, angle))
+
+
+def _unitary(amps: np.ndarray, n: int, q: int, m: tuple) -> None:
+    """Apply the row-major 2x2 tuple ``m`` to qubit ``q``: one broadcast multiply
+    when it is diagonal, else one :func:`_one_qubit` matmul."""
+    a, b, c, d = m
+    if b or c:
+        _one_qubit(amps, n, q, _array(m))
+    else:
+        v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
+        v *= np.array(((a,), (d,)))
+
+
+def _fuse(program: list, n: int) -> list:
+    """Fuse a lowered dense program of ``(_gate, (n, kind, qubits, angle))`` and
+    ``(None, qubit)`` entries by the rule in the module docstring: a run of one
+    gate keeps its entry in place, a merged run is one :func:`_unitary` entry."""
+    out: list = []
+    runs: dict = {}  # qubit -> [matrix, index of the run's first entry in out, gates merged]
+
+    def flush(q: int) -> None:
+        m, first, merged = runs.pop(q)
+        if merged > 1:
+            out[first] = None
+            out.append((_unitary, (n, q, m)))
+
+    for entry in program:
+        kernel, args = entry
+        if kernel is None:
+            if args in runs:
+                flush(args)
+        elif len(args[2]) == 2:
+            for q in args[2]:
+                run = runs.get(q)  # a diagonal passes a CZ and a CNOT's control
+                if run and (run[0][1] or run[0][2] or args[1] != "CZ" and q != args[2][0]):
+                    flush(q)
+        else:
+            _, kind, (q,), angle = args
+            m = _MATRICES[kind] if angle is None else _rotation(kind, angle)
+            run = runs.get(q)
+            if run:
+                (a, b, c, d), (e, f, g, h) = m, run[0]
+                run[0] = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                run[2] += 1
+                continue
+            runs[q] = [m, len(out), 1]
+        out.append(entry)
+    for q in list(runs):
+        flush(q)
+    return [entry for entry in out if entry is not None]
 
 
 def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, float]:

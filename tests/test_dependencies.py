@@ -309,6 +309,38 @@ def test_the_random_call_check_sees_every_caller():
     assert calls_to_random(tree) == ["f", "draw", None]
 
 
+def numpy_in_functions(tree, names):
+    """Line numbers of every ``np.`` attribute, numpy import and ``@`` inside the
+    functions called ``names``, nested functions included."""
+    return sorted(
+        node.lineno
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in names
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+        or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+    )
+
+
+def test_gate_fusion_multiplies_in_scalar_python():
+    # a numpy call per merged gate costs more than the 2x2 product it computes:
+    # fusion merges row-major tuples and builds one array per merged run, in _unitary
+    tree = ast.parse((Path(SRC) / "bellsim" / "statevector.py").read_text(encoding="utf-8"))
+    assert {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)} >= {"_fuse", "_rotation"}
+    assert numpy_in_functions(tree, {"_fuse", "_rotation"}) == []
+
+
+def test_the_scalar_fusion_check_sees_every_use():
+    tree = ast.parse("def _fuse(p, n):\n    def flush(q):\n        m = np.array(q)\n"
+                     "    a = b @ c\n    a @= b\n    import numpy\n"
+                     "    from numpy.linalg import norm\n    return numpy.dot(a, b)\n"
+                     "def other():\n    return np.zeros(2) @ a\n")
+    assert numpy_in_functions(tree, {"_fuse"}) == [3, 4, 5, 6, 7, 8]
+
+
 def test_only_the_stabilizer_module_reads_its_gate_kernels():
     # one checked tableau gate step: a module indexing the kernels skips the Clifford rule
     readers = {

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from bellsim import dsl
+from bellsim import dsl, protocols
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import (
     BellSimError, ConfigError, InputError, NonCliffordGate, ProjectionError, QubitIndexError,
 )
+from bellsim.gates import GATES
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -833,6 +834,86 @@ def test_run_decides_and_checks_each_gate_once(monkeypatch):
         assert calls == {"rule": rule, "check": 4}
     calls.update(rule=0, check=0)
     assert dsl.classify(clifford).simulable and calls == {"rule": 4, "check": 0}
+
+
+def fused_programs(monkeypatch):
+    """Every (lowered, fused) program pair the runner passes through sv._fuse."""
+    seen, fuse = [], sv._fuse
+
+    def spy(program, n):
+        seen.append((list(program), fuse(program, n)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(sv, "_fuse", spy)
+    return seen
+
+
+def fused_label(entry):
+    kernel, args = entry
+    if kernel is None:
+        return f"measure {args}"
+    if kernel is sv._unitary:
+        return f"fused {args[1]}"
+    return " ".join([args[1].lower(), *map(str, args[2])])
+
+
+def test_fusion_counts_kernel_passes_by_hand(monkeypatch):
+    seen = fused_programs(monkeypatch)
+    circuit = dsl.parse(
+        "qubits 3\n"
+        "h 0\nt 0\n"           # one run on qubit 0: H then T
+        "rz 1 0.3\ns 1\n"      # a diagonal run on qubit 1
+        "cz 0 1\n"             # flushes H T; the diagonal on qubit 1 passes
+        "t 1\n"                # joins the qubit 1 run
+        "cnot 1 2\n"           # qubit 1 is the control: the diagonal passes
+        "rx 2 0.5\n"           # a run of one on qubit 2
+        "cnot 2 1\n"           # flushes RX (its own entry, in place) and RZ S T (target)
+        "measure 0\n"          # nothing pending on qubit 0
+        "x 0\nx 0\n"           # one run ...
+        "measure 0\n"          # ... flushed by the measurement
+        "y 2\n"                # a run of one flushed at the end
+    )
+    record = dsl.run(circuit, engine="statevector", seed=3)
+    assert len(record.outcomes) == 2 and len(seen) == 1
+    lowered, fused = seen[0]
+    assert sum(kernel is not None for kernel, _ in lowered) == 12
+    assert [fused_label(entry) for entry in fused] == [
+        "fused 0", "cz 0 1", "cnot 1 2", "rx 2", "fused 1", "cnot 2 1",
+        "measure 0", "fused 0", "measure 0", "y 2",
+    ]
+    assert sum(kernel is not None for kernel, _ in fused) == 8
+    # A merged diagonal run stays diagonal: one broadcast multiply, no matmul.
+    a, b, c, d = fused[4][1][2]
+    assert b == c == 0 and abs(abs(a) - 1) < 1e-15 and abs(abs(d) - 1) < 1e-15
+    # The tableau never fuses.
+    dsl.run(dsl.parse("qubits 1\nh 0\ns 0\n"), seed=3)
+    assert len(seen) == 1
+
+
+# Superdense (1, 0) and (1, 1) merge one run each: Z passes the CNOT on its control
+# and meets the closing H, and X Z is one run.  Superdense coding runs on the
+# tableau, so its reports do not change.
+@pytest.mark.parametrize("name, merged", [
+    ("teleport", 0), ((0, 0), 0), ((0, 1), 0), ((1, 0), 1), ((1, 1), 1),
+])
+def test_fusion_returns_protocol_programs_that_merge_nothing_entry_for_entry(
+        monkeypatch, name, merged):
+    circuit = protocols._TELEPORT if name == "teleport" else protocols._SUPERDENSE[name]
+    seen = fused_programs(monkeypatch)
+    dsl._execute(circuit, sv.zero_state(circuit.num_qubits), np.random.default_rng(0))
+    (lowered, fused), = seen
+    assert sum(kernel is sv._unitary for kernel, _ in fused) == merged
+    if not merged:
+        assert len(fused) == len(lowered) and all(a is b for a, b in zip(fused, lowered))
+
+
+@pytest.mark.parametrize("kind", sorted(GATES))
+def test_fusion_passes_a_single_gate_through(kind):
+    qubits = (1, 0) if GATES[kind][0] == 2 else (1,)
+    for program in ([(sv._gate, (2, kind, qubits, 0.3 if GATES[kind][1] else None))],
+                    [(None, 0)]):
+        fused = sv._fuse(program, 2)
+        assert len(fused) == 1 and fused[0] is program[0]
 
 
 # -- the first bad instruction in program order raises, before anything is drawn --

@@ -533,12 +533,67 @@ def test_execute_matches_public_functions_draw_for_draw(state, steps, seed):
     before = state.amplitudes.copy()
     got = dsl._execute(circuit, state, np.random.default_rng(seed))
     want = public_chain(circuit, state, np.random.default_rng(seed), None)
-    assert got[0] == want[0] and got[1] == want[1]
-    assert np.array_equal(got[2].amplitudes, want[2].amplitudes)
+    # The runner fuses one-qubit gates, so it rounds differently from one call per
+    # gate: outcomes agree draw for draw, numbers within 1e-12.
+    assert got[0] == want[0]
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    assert np.abs(got[2].amplitudes - want[2].amplitudes).max() < 1e-12
     # Replaying the drawn outcomes as forced ones gives the same run without draws.
     forced = dsl._execute(circuit, state, None, got[0])
     assert forced[0] == got[0] and forced[1] == got[1]
     assert np.array_equal(forced[2].amplitudes, got[2].amplitudes)
-    assert public_chain(circuit, state, None, got[0])[1] == got[1]
+    np.testing.assert_allclose(public_chain(circuit, state, None, got[0])[1], got[1],
+                               rtol=0, atol=1e-12)
     assert np.array_equal(state.amplitudes, before)
     assert not state.amplitudes.flags.writeable
+
+
+# -- fusing one-qubit gates in the runner ----------------------------------------
+
+DIAGONAL_KINDS = ("Z", "S", "SDG", "T", "TDG", "RZ")
+MIXING_KINDS = ("H", "X", "Y", "RX", "RY")
+
+# Diagonals weighted up, so runs that pass a CZ or a CNOT and then meet a gate are common.
+fusion_steps = hs.lists(
+    hs.tuples(
+        hs.sampled_from((*DIAGONAL_KINDS, *DIAGONAL_KINDS, *MIXING_KINDS,
+                         "CNOT", "CNOT", "CZ", "MEASURE", "MEASURE")),
+        hs.integers(0, 4),
+        hs.integers(0, 4),
+        angles,
+        hs.integers(0, 1),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hs.tuples(hs.integers(1, 5), hs.integers(0, 2**32 - 1)).map(lambda c: random_state(*c)),
+       fusion_steps)
+def test_fused_run_matches_gate_by_gate_application(state, steps):
+    # A pending diagonal passes a CZ on either qubit and a CNOT on its control; anything
+    # else on its qubit flushes it.  Each outcome is forced to one of probability >= 0.1.
+    n = state.num_qubits
+    instructions, forced, probs, chain = [], [], [], state
+    for kind, a, b, angle, bit in steps:
+        a, b = a % n, b % n
+        if kind == "MEASURE":
+            if sv.reduced_density(chain, a)[bit, bit].real < 0.1:
+                bit = 1 - bit
+            prob, chain = sv.project_qubit(chain, a, bit)
+            forced.append(bit)
+            probs.append(prob)
+            instructions.append(dsl.Instruction(kind, (a,)))
+            continue
+        qubits = (a, b) if kind in ("CNOT", "CZ") else (a,)
+        if len(set(qubits)) < len(qubits):
+            continue
+        angle = angle if kind in sv.ROTATION_GATES else None
+        chain = sv.apply_gate(chain, sv.GateOp(kind, qubits, angle))
+        instructions.append(dsl.Instruction(kind, qubits, angle))
+    outcomes, got_probs, final = dsl._execute(dsl.Circuit(n, tuple(instructions)), state, None,
+                                              forced)
+    assert outcomes == forced
+    np.testing.assert_allclose(got_probs, probs, rtol=0, atol=1e-12)
+    assert np.abs(final.amplitudes - chain.amplitudes).max() < 1e-12
