@@ -27,12 +27,12 @@ by a multiple of pi/2, read from the angle's cos and sin (|cos * sin| <=
 1e-12).  t/tdg, other angles (1e16 among them) and a hand-built
 rotation whose angle is NaN, inf or missing are non-Clifford witnesses.
 
-:func:`run` decides each instruction once: one pass applies the Clifford
-rule to every gate, as :func:`classify` does, and picks the engine; one
-loop then checks every instruction in program order into a flat program
-of unchecked kernel calls, so the first bad one raises before anything
-runs, and one loop runs it on a copy of the starting state, in place (a
-random tableau measurement returns a fresh copy, updated from then on).
+:func:`run` decides each instruction once: the pass that gives
+:func:`classify` its witnesses picks the engine; one loop in ``_execute``
+then checks every instruction in program order into a flat program of
+unchecked kernel calls, so the first bad one raises before anything runs,
+and one loop runs it on a copy of the starting state, in place (a random
+tableau measurement returns a fresh copy, updated from then on).
 Parsing, classifying and a tableau run that draws nothing load no numpy:
 the dense engine and the first random draw import it.
 """
@@ -257,8 +257,7 @@ def _clifford_pass(circuit: Circuit) -> tuple[list, tuple[tuple[int, int], ...]]
 
 def classify(circuit: Circuit) -> SimulabilityClass:
     """Decide stabilizer simulability instruction by instruction."""
-    witnesses = tuple((ins.line, ins.column)
-                      for ins in circuit.instructions if not is_clifford_instruction(ins))
+    witnesses = _clifford_pass(circuit)[1]
     value = REQUIRES_STATEVECTOR if witnesses else STABILIZER_SIMULABLE
     return SimulabilityClass(value=value, witnesses=witnesses)
 
@@ -312,29 +311,26 @@ class _LazyRng:
         return self.random
 
 
-def _execute(circuit: Circuit, state, rng, forced=None) -> tuple[list[int], list, object]:
+def _execute(circuit: Circuit, state, rng, forced=None,
+             kinds=None) -> tuple[list[int], list, object]:
     """Run ``circuit`` from ``state``: ``(outcomes, infos, final_state)``.
 
     A :class:`~bellsim.statevector.StateVector` runs on the dense engine, a
-    tableau on the stabilizer engine.  One loop first checks every
-    instruction in program order: each gate once, by ``check_gate`` or the
-    tableau's ``st._lower``, into unchecked ``(kernel, operands)`` entries,
-    and each measurement into ``(None, qubit)``.  ``sv._fuse`` merges a dense
-    program's runs of one-qubit gates (outcomes as one ``apply_gate`` per gate
-    draw for draw, amplitudes within 1e-12).  A second loop runs the program
-    on one copy of ``state``, in place; a dense state is validated once, at
-    the end.  Tableau measurements call the public ``st.measure_z`` and
-    ``measure_z_forced``.  ``infos`` holds each measurement's second return
-    value: its probability (dense) or whether it was deterministic
+    tableau on the stabilizer engine (``kinds``: its gates' Clifford kinds,
+    from :func:`_clifford_pass` if not given).  One loop first checks every
+    instruction in program order: each gate once, by ``check_gate`` or
+    ``st._lower``, into unchecked ``(kernel, operands)`` entries, and each
+    measurement into ``(None, qubit)``.  ``sv._fuse`` merges a dense
+    program's runs of one-qubit gates (outcomes as one ``apply_gate`` per
+    gate draw for draw, amplitudes within 1e-12).  A second loop runs the
+    program on one copy of ``state``, in place; a dense state is validated
+    once, at the end.  Tableau measurements call the public ``st.measure_z``
+    and ``measure_z_forced``.  ``infos`` holds each measurement's second
+    return value: its probability (dense) or whether it was deterministic
     (tableau).  ``forced`` gives the outcomes in order and nothing is drawn;
     otherwise both engines draw one ``rng.random()`` per random outcome and
     none per determined one.
     """
-    return _run(circuit, state, rng, forced, None)
-
-
-def _run(circuit: Circuit, state, rng, forced, kinds) -> tuple[list[int], list, object]:
-    """:func:`_execute`, given the Clifford ``kinds`` of a tableau run's gates if known."""
     dense = not isinstance(state, st.StabilizerTableau)
     n = state.num_qubits
     if dense:
@@ -374,9 +370,7 @@ def _run(circuit: Circuit, state, rng, forced, kinds) -> tuple[list[int], list, 
             info, work = st.measure_z_forced(work, args, outcome)
         outcomes.append(outcome)
         infos.append(info)
-    if dense:
-        work = sv.StateVector(n, work)
-    return outcomes, infos, work
+    return outcomes, infos, sv.StateVector(n, work) if dense else work
 
 
 def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
@@ -406,6 +400,6 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
         outcomes, _, state = _execute(circuit, sv.zero_state(circuit.num_qubits), _LazyRng(seed))
         return RunRecord(engine=chosen, outcomes=outcomes, final_statevector=state)
     start = st.init_zero(circuit.num_qubits)
-    outcomes, _, state = _run(circuit, start, _LazyRng(seed), None, kinds)
+    outcomes, _, state = _execute(circuit, start, _LazyRng(seed), kinds=kinds)
     stabilizers = st.stabilizer_strings(state)
     return RunRecord(engine=chosen, outcomes=outcomes, final_stabilizers=stabilizers)

@@ -85,12 +85,25 @@ def finite_real(value, what: str) -> float:
 
 
 def draw(rng, *size):
-    """``rng.random(*size)``, bellsim's only draw; InputError if ``rng`` cannot make it."""
+    """``rng.random(*size)``, bellsim's only draw; InputError if ``rng`` cannot make it
+    or a draw is not a real number in [0, 1) (an array: its shape, min and max)."""
     try:
-        return rng.random(*size)
+        value = rng.random(*size)
     except (AttributeError, TypeError):
         call = "random(size)" if size else "random()"
         raise InputError(f"rng must be a random generator with {call}, got {type(rng).__name__}") from None
+    if type(value) is float and not size and 0.0 <= value < 1.0:  # the common case
+        return value
+    if size:
+        import numpy as np
+        value = np.asarray(value)
+        ok = value.dtype.kind in "fiu" and value.shape == size and (
+            not value.size or 0 <= np.minimum.reduce(value) and np.maximum.reduce(value) < 1)
+    else:
+        ok = 0 <= finite_real(value, "rng.random()") < 1
+    if not ok:
+        raise InputError(f"rng.random gave {value!r}, not real numbers in [0, 1) of shape {size}")
+    return value
 
 
 def pair(value, error: type, what: str) -> tuple:

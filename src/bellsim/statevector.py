@@ -15,9 +15,12 @@ Conventions
 * One set of kernels updates a flat amplitude array in place through
   reshape views: ``(2**q, 2, 2**(n-q-1))`` for a gate or measurement on
   qubit ``q``, ``(2**lo, 2, 2**(hi-lo-1), 2, 2**(n-hi-1))`` for CNOT and
-  CZ.  ``_gate`` runs a gate that :func:`check_gate` has passed, for
-  :func:`apply_gate` on a copy and for :func:`bellsim.dsl.run` on one copy
-  of a whole circuit; each validates the state once, at the end.
+  CZ.  ``_unitary`` runs every one-qubit gate from its 2x2 tuple: a
+  diagonal scales each half whose factor is not 1, an antidiagonal swaps
+  the halves first, any other is one matmul.  ``_gate`` runs a gate that
+  :func:`check_gate` has passed, for :func:`apply_gate` on a copy and for
+  :func:`bellsim.dsl.run` on one copy of a whole circuit; each validates
+  the state once, at the end.
 * ``_fuse`` merges the runner's runs of one-qubit gates on a qubit into
   one kernel pass: a 2x2 product in scalar Python, flushed when a
   measurement or a two-qubit gate touches the qubit (a diagonal one
@@ -56,8 +59,8 @@ PROJECTION_EPS = 1e-12
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-# Each one-qubit matrix as a row-major tuple (m00, m01, m10, m11): the fusion
-# pass multiplies these in scalar Python, and the arrays are built from them.
+# Each one-qubit matrix as a row-major tuple (m00, m01, m10, m11): _unitary applies
+# these, the fusion pass multiplies them in scalar Python, and the arrays are built from them.
 _MATRICES = {
     "H": (_SQRT1_2, _SQRT1_2, _SQRT1_2, -_SQRT1_2),
     "X": (0, 1, 1, 0),
@@ -77,9 +80,6 @@ def _array(m: tuple) -> np.ndarray:
 FIXED_GATES: dict[str, np.ndarray] = {kind: _array(m) for kind, m in _MATRICES.items()}
 
 ROTATION_GATES = tuple(kind for kind, (_, takes_angle) in GATES.items() if takes_angle)
-
-# Diagonal one-qubit gates: the phase they put on the qubit's 1-half.
-_PHASES = {kind: complex(_MATRICES[kind][3]) for kind in ("Z", "S", "SDG", "T", "TDG")}
 
 
 def rotation_matrix(kind: str, angle: float) -> np.ndarray:
@@ -231,27 +231,23 @@ def _gate(amps: np.ndarray, n: int, kind: str, qubits: tuple, angle: float | Non
         else:
             v[:, :, :, 1] = v[:, ::-1, :, 1]
         return
-    q = qubits[0]
-    v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
-    if kind in _PHASES:
-        v[:, 1] *= _PHASES[kind]
-    elif kind == "X":
-        v[...] = v[:, ::-1]
-    elif angle is None:
-        _one_qubit(amps, n, q, FIXED_GATES[kind])
-    else:
-        _unitary(amps, n, q, _rotation(kind, angle))
+    _unitary(amps, n, qubits[0], _MATRICES[kind] if angle is None else _rotation(kind, angle))
 
 
 def _unitary(amps: np.ndarray, n: int, q: int, m: tuple) -> None:
-    """Apply the row-major 2x2 tuple ``m`` to qubit ``q``: one broadcast multiply
-    when it is diagonal, else one :func:`_one_qubit` matmul."""
+    """Apply the row-major 2x2 tuple ``m`` to qubit ``q`` by the module docstring's rule."""
     a, b, c, d = m
-    if b or c:
+    if (a or d) and (b or c):
         _one_qubit(amps, n, q, _array(m))
-    else:
-        v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
-        v *= np.array(((a,), (d,)))
+        return
+    v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
+    if b or c:  # antidiagonal
+        v[...] = v[:, ::-1]
+        a, d = b, c
+    if a != 1:
+        v[:, 0] *= a
+    if d != 1:
+        v[:, 1] *= d
 
 
 def _fuse(program: list, n: int) -> list:

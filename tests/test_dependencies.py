@@ -12,12 +12,14 @@ floor must stay at 3.10 or higher.  Building the CLI's parser
 builds no state: a ``--state`` default is resolved only when a
 subcommand that takes it is parsed.  Every draw from a generator is a
 ``random()`` call: no module reads an ``integers`` method, and no code but
-``errors.draw`` calls ``random``.  Only ``stabilizer`` reads its gate
-kernels, so every tableau gate is checked against the Clifford rule by its
-one lowering step, and ``dsl`` refers to no per-gate checked step (an
-engine's ``_apply`` or public apply function), so the runner checks each
-gate once, before the run.  Only
-``errors`` imports ``numbers``: every number check is one of its guards.
+``errors.draw`` calls ``random``.  Every one-qubit gate on the dense
+engine runs through ``_unitary``: only it and ``expectation`` reference the
+matmul kernel ``_one_qubit``, and no function reads ``FIXED_GATES``.  Only
+``stabilizer`` reads its gate kernels, so every tableau gate is checked
+against the Clifford rule by its one lowering step, and ``dsl`` refers to
+no per-gate checked step (an engine's ``_apply`` or public apply function),
+so the runner checks each gate once, before the run.  Only ``errors``
+imports ``numbers``: every number check is one of its guards.
 """
 
 import ast
@@ -339,6 +341,41 @@ def test_the_scalar_fusion_check_sees_every_use():
                      "    from numpy.linalg import norm\n    return numpy.dot(a, b)\n"
                      "def other():\n    return np.zeros(2) @ a\n")
     assert numpy_in_functions(tree, {"_fuse"}) == [3, 4, 5, 6, 7, 8]
+
+
+def reads_of(tree, name):
+    """The name of the innermost function around each read of ``name``, as a variable
+    or an attribute (``None`` at module level), in source order."""
+    found = []
+    stack = [(tree, None)]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load) \
+                and (node.id if isinstance(node, ast.Name) else node.attr) == name:
+            found.append((node.lineno, node.col_offset, scope))
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return [scope for *_, scope in sorted(found, key=lambda f: f[:2])]
+
+
+def test_every_one_qubit_gate_runs_through_one_kernel():
+    # one kernel: a per-kind branch beside _unitary would be a second rule for the
+    # same matrix, and a fixed gate's array in a function body a second source of it
+    tree = ast.parse((Path(SRC) / "bellsim" / "statevector.py").read_text(encoding="utf-8"))
+    assert set(reads_of(tree, "_one_qubit")) == {"_unitary", "expectation"}
+    assert [scope for scope in reads_of(tree, "FIXED_GATES") if scope is not None] == []
+    assert list(sv.FIXED_GATES) == list(sv._MATRICES)
+    assert all((sv.FIXED_GATES[kind] == sv._array(m)).all() for kind, m in sv._MATRICES.items())
+
+
+def test_the_read_check_sees_every_reader():
+    tree = ast.parse("K = f(M)\ndef f(m):\n    return _one_qubit(m)\n"
+                     "class C:\n    def g(self):\n        x = sv._one_qubit\n"
+                     "        def h():\n            return K[0]\n        _one_qubit = 1\n"
+                     "y = _one_qubit\nsv._one_qubit = None\n")
+    assert reads_of(tree, "_one_qubit") == ["f", "g", None]
+    assert reads_of(tree, "K") == ["h"]
 
 
 def test_only_the_stabilizer_module_reads_its_gate_kernels():

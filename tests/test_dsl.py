@@ -836,6 +836,22 @@ def test_run_decides_and_checks_each_gate_once(monkeypatch):
     assert dsl.classify(clifford).simulable and calls == {"rule": 4, "check": 0}
 
 
+def test_classify_calls_no_public_dsl_function_per_instruction(monkeypatch):
+    # classify takes its witnesses from the pass that run uses; a public helper per
+    # instruction would put a traced span around every instruction.
+    circuit = dsl.parse("qubits 2\nh 0\nt 1\nrz 0 0.3\nrx 1 pi/2\ncnot 0 1\nmeasure 0\n")
+    agrees = [dsl.is_clifford_instruction(ins) for ins in circuit.instructions]
+
+    def no_call(ins):
+        raise AssertionError("classify called is_clifford_instruction")
+
+    monkeypatch.setattr(dsl, "is_clifford_instruction", no_call)
+    result = dsl.classify(circuit)
+    disagreeing = tuple((ins.line, ins.column)
+                        for ins, ok in zip(circuit.instructions, agrees) if not ok)
+    assert result.witnesses == disagreeing == ((3, 1), (4, 1)) and not result.simulable
+
+
 def fused_programs(monkeypatch):
     """Every (lowered, fused) program pair the runner passes through sv._fuse."""
     seen, fuse = [], sv._fuse

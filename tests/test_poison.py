@@ -21,8 +21,9 @@ Exemptions, each with its reason:
   pinned by ``test_parse_angle_rejects_garbage``.
 
 A generator is checked where it is used, not up front: one without the
-``random()`` a draw needs raises :class:`InputError` at that draw, and a
-call that draws nothing accepts anything (``NO_GENERATOR`` and
+``random()`` a draw needs raises :class:`InputError` at that draw, as does
+a draw that is not a real number in [0, 1) (``BAD_DRAWS``), and a call
+that draws nothing accepts anything (``NO_GENERATOR`` and
 ``DRAWS_NOTHING`` below).
 """
 
@@ -370,6 +371,55 @@ def test_bb84_names_the_array_draw_it_needs():
     # random.Random has random() but not random(size)
     with pytest.raises(InputError, match=r"with random\(size\), got Random$"):
         protocols.bb84_simulate(10, True, random.Random(0))
+
+
+class Gives:
+    """A generator whose ``random(*size)`` returns ``make(*size)``."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def random(self, *size):
+        return self.make(*size)
+
+
+# A draw is a real number in [0, 1); anything else raises InputError at the draw.
+BAD_DRAWS = {
+    "nan": math.nan, "1.5": 1.5, "1.0": 1.0, "-0.1": -0.1, "inf": math.inf, "str": "0.5",
+    "complex": 0.5j, "np.complex128": np.complex128(0.5), "True": True,
+    "np.float64 nan": np.float64("nan"), "None": None,
+}
+BAD_ARRAY_DRAWS = {
+    "nan": lambda size: np.where(np.arange(size) == 1, np.nan, 0.25),
+    "1.0": lambda size: np.where(np.arange(size) == 2, 1.0, 0.25),
+    "negative": lambda size: np.full(size, -0.25),
+    "complex": lambda size: np.full(size, 0.25 + 0j),
+    "str": lambda size: ["0.25"] * size,
+    "short": lambda size: np.full(size - 1, 0.25),
+    "scalar": lambda size: 0.25,
+}
+SCALAR_DRAWS = sorted(set(NO_GENERATOR) - {"protocols.bb84_simulate"})
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_DRAWS))
+@pytest.mark.parametrize("name", SCALAR_DRAWS)
+def test_a_draw_outside_the_unit_interval_raises_input_error(name, bad):
+    value = BAD_DRAWS[bad]
+    with pytest.raises(InputError, match=r"^rng\.random(\(\) must be| gave)"):
+        NO_GENERATOR[name](Gives(lambda: value))
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ARRAY_DRAWS))
+def test_an_array_draw_outside_the_unit_interval_raises_input_error(bad):
+    with pytest.raises(InputError, match=r"(?s)^rng\.random gave .* of shape \(10,\)$"):
+        protocols.bb84_simulate(10, True, Gives(BAD_ARRAY_DRAWS[bad]))
+
+
+@pytest.mark.parametrize("good", [0.0, 0.5, np.float64(0.25), 1 - 2**-53, 0])
+def test_a_draw_at_the_edges_of_the_unit_interval_is_taken(good):
+    assert st.measure_z(tableau(), 0, Gives(lambda: good))[0] == int(good < 0.5)
+    report = protocols.bb84_simulate(10, False, Gives(lambda size: np.full(size, good)))
+    assert_finite(report)
 
 
 @pytest.mark.parametrize("bad", sorted(NOT_GENERATORS))

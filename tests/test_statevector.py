@@ -597,3 +597,60 @@ def test_fused_run_matches_gate_by_gate_application(state, steps):
     assert outcomes == forced
     np.testing.assert_allclose(got_probs, probs, rtol=0, atol=1e-12)
     assert np.abs(final.amplitudes - chain.amplitudes).max() < 1e-12
+
+
+# -- _unitary: the one kernel of every one-qubit gate ------------------------------
+
+
+def times(m, e):
+    """The row-major product ``m @ e`` of two 2x2 tuples, in scalar Python as _fuse takes it."""
+    (a, b, c, d), (p, q, r, s) = m, e
+    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+
+RZ03 = sv._rotation("RZ", 0.3)
+MATRIX = sv._MATRICES
+UNITARY_CASES = {
+    **{kind: MATRIX[kind] for kind in MATRIX},
+    **{f"{kind}({angle:g})": sv._rotation(kind, angle)
+       for kind in sv.ROTATION_GATES for angle in (0.0, 0.3, math.pi / 2, math.pi, -2.5)},
+    "S.T": times(MATRIX["S"], MATRIX["T"]),
+    "RZ.Z": times(RZ03, MATRIX["Z"]),
+    "X.Z": times(MATRIX["X"], MATRIX["Z"]),
+    "Y.S": times(MATRIX["Y"], MATRIX["S"]),
+    "X.RZ": times(MATRIX["X"], RZ03),
+    "H.T": times(MATRIX["H"], MATRIX["T"]),
+}
+EXACT = ("X", "Y", "Z", "S", "SDG")
+SHAPES = {
+    "H": "general", "X": "antidiagonal", "Y": "antidiagonal", "Z": "diagonal", "S": "diagonal",
+    "SDG": "diagonal", "T": "diagonal", "TDG": "diagonal", "S.T": "diagonal",
+    "RZ.Z": "diagonal", "X.Z": "antidiagonal", "Y.S": "antidiagonal", "X.RZ": "antidiagonal",
+    "H.T": "general",
+}
+
+
+def shape(m):
+    a, b, c, d = m
+    return "diagonal" if not (b or c) else "antidiagonal" if not (a or d) else "general"
+
+
+@pytest.mark.parametrize("name", sorted(UNITARY_CASES))
+def test_unitary_matches_the_matmul_on_every_qubit(monkeypatch, name):
+    # A diagonal scales the halves and an antidiagonal swaps them first, with no
+    # matmul; any other matrix is one _one_qubit matmul.
+    m = UNITARY_CASES[name]
+    assert shape(m) == SHAPES.get(name, shape(m))
+    matmul = sv._one_qubit
+    calls = []
+    monkeypatch.setattr(sv, "_one_qubit", lambda *args: calls.append(matmul(*args)))
+    for n in range(1, 5):
+        for q in range(n):
+            want = random_state(n, 10 * n + q).amplitudes.copy()
+            got = want.copy()
+            matmul(want, n, q, sv._array(m))
+            sv._unitary(got, n, q, m)
+            assert np.abs(got - want).max() < 1e-15, (n, q)
+            if name in EXACT:
+                assert np.array_equal(got, want), (n, q)
+    assert len(calls) == (10 if shape(m) == "general" else 0)
