@@ -21,12 +21,12 @@ Conventions
   :func:`check_gate` has passed, for :func:`apply_gate` on a copy and for
   :func:`bellsim.dsl.run` on one copy of a whole circuit; each validates
   the state once, at the end.
-* ``_fuse`` merges the runner's runs of one-qubit gates on a qubit into
-  one kernel pass: a 2x2 product in scalar Python, flushed when a
-  measurement or a two-qubit gate touches the qubit (a diagonal one
-  passes a CZ and a CNOT's control).  Outcomes match one gate at a time
-  draw for draw, and amplitudes within 1e-12; a program that merges
-  nothing runs entry for entry, bit for bit.
+* ``_fuse`` makes each run of one-qubit gates on a qubit one ``_unitary``
+  pass, a 2x2 product in scalar Python placed where a measurement or a
+  two-qubit gate on the qubit flushes it (a diagonal passes a CZ and a
+  CNOT's control), or at the end.  Outcomes match one gate at a time draw
+  for draw, amplitudes within 1e-12, and bit for bit where only CNOTs and
+  CZs lie between a run of one gate and its flush point, as in teleportation.
 * The gate set (``GATES``), its check (``check_gate``), ``GateOp`` and
   ``gate`` live in the numpy-free :mod:`bellsim.gates`, so the parser and
   the tableau engine need no numpy; they are re-exported here.
@@ -252,41 +252,31 @@ def _unitary(amps: np.ndarray, n: int, q: int, m: tuple) -> None:
 
 def _fuse(program: list, n: int) -> list:
     """Fuse a lowered dense program of ``(_gate, (n, kind, qubits, angle))`` and
-    ``(None, qubit)`` entries by the rule in the module docstring: a run of one
-    gate keeps its entry in place, a merged run is one :func:`_unitary` entry."""
+    ``(None, qubit)`` entries by the rule in the module docstring: each run of
+    one-qubit gates is one :func:`_unitary` entry, placed where it is flushed."""
     out: list = []
-    runs: dict = {}  # qubit -> [matrix, index of the run's first entry in out, gates merged]
-
-    def flush(q: int) -> None:
-        m, first, merged = runs.pop(q)
-        if merged > 1:
-            out[first] = None
-            out.append((_unitary, (n, q, m)))
-
+    runs: dict = {}  # qubit -> the row-major product of its pending run
     for entry in program:
         kernel, args = entry
         if kernel is None:
             if args in runs:
-                flush(args)
+                out.append((_unitary, (n, args, runs.pop(args))))
         elif len(args[2]) == 2:
             for q in args[2]:
-                run = runs.get(q)  # a diagonal passes a CZ and a CNOT's control
-                if run and (run[0][1] or run[0][2] or args[1] != "CZ" and q != args[2][0]):
-                    flush(q)
+                m = runs.get(q)  # a diagonal passes a CZ and a CNOT's control
+                if m and (m[1] or m[2] or args[1] != "CZ" and q != args[2][0]):
+                    out.append((_unitary, (n, q, runs.pop(q))))
         else:
             _, kind, (q,), angle = args
             m = _MATRICES[kind] if angle is None else _rotation(kind, angle)
-            run = runs.get(q)
-            if run:
-                (a, b, c, d), (e, f, g, h) = m, run[0]
-                run[0] = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-                run[2] += 1
-                continue
-            runs[q] = [m, len(out), 1]
+            if q in runs:
+                (a, b, c, d), (e, f, g, h) = m, runs[q]
+                m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            runs[q] = m
+            continue
         out.append(entry)
-    for q in list(runs):
-        flush(q)
-    return [entry for entry in out if entry is not None]
+    out.extend((_unitary, (n, q, m)) for q, m in runs.items())
+    return out
 
 
 def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, float]:

@@ -883,7 +883,7 @@ def test_fusion_counts_kernel_passes_by_hand(monkeypatch):
         "t 1\n"                # joins the qubit 1 run
         "cnot 1 2\n"           # qubit 1 is the control: the diagonal passes
         "rx 2 0.5\n"           # a run of one on qubit 2
-        "cnot 2 1\n"           # flushes RX (its own entry, in place) and RZ S T (target)
+        "cnot 2 1\n"           # flushes RX (control) and RZ S T (target), in that order
         "measure 0\n"          # nothing pending on qubit 0
         "x 0\nx 0\n"           # one run ...
         "measure 0\n"          # ... flushed by the measurement
@@ -894,10 +894,13 @@ def test_fusion_counts_kernel_passes_by_hand(monkeypatch):
     lowered, fused = seen[0]
     assert sum(kernel is not None for kernel, _ in lowered) == 12
     assert [fused_label(entry) for entry in fused] == [
-        "fused 0", "cz 0 1", "cnot 1 2", "rx 2", "fused 1", "cnot 2 1",
-        "measure 0", "fused 0", "measure 0", "y 2",
+        "fused 0", "cz 0 1", "cnot 1 2", "fused 2", "fused 1", "cnot 2 1",
+        "measure 0", "fused 0", "measure 0", "fused 2",
     ]
     assert sum(kernel is not None for kernel, _ in fused) == 8
+    # A run of one is its gate's own tuple, computed once, at its flush point.
+    assert fused[3][1] == (3, 2, sv._rotation("RX", 0.5))
+    assert fused[9][1] == (3, 2, sv._MATRICES["Y"])
     # A merged diagonal run stays diagonal: one broadcast multiply, no matmul.
     a, b, c, d = fused[4][1][2]
     assert b == c == 0 and abs(abs(a) - 1) < 1e-15 and abs(abs(d) - 1) < 1e-15
@@ -906,30 +909,72 @@ def test_fusion_counts_kernel_passes_by_hand(monkeypatch):
     assert len(seen) == 1
 
 
-# Superdense (1, 0) and (1, 1) merge one run each: Z passes the CNOT on its control
-# and meets the closing H, and X Z is one run.  Superdense coding runs on the
-# tableau, so its reports do not change.
+def entry_by_entry(program, state, bits):
+    """Run a lowered dense program one entry at a time, unfused, on a copy of ``state``."""
+    n, amps, bits, outcomes = state.num_qubits, state.amplitudes.copy(), iter(bits), []
+    for kernel, args in program:
+        if kernel is None:
+            outcomes.append(sv._collapse(amps, n, args, next(bits), None)[0])
+        else:
+            kernel(amps, *args)
+    return outcomes, amps
+
+
+# Teleportation merges nothing: only CNOTs and CZs lie between its runs of one gate
+# (H 1, H 0) and their flush points, and those move no amplitude's rounding.
+# Superdense (1, 0) and (1, 1) merge one gate each: Z passes the CNOT on its control
+# and meets the closing H, and X Z is one run; their matrices' entries are 0, +-1 and
+# +-1/sqrt(2), so the products round as the gate-by-gate chain does.  Superdense
+# coding runs on the tableau, so its reports do not change.
 @pytest.mark.parametrize("name, merged", [
     ("teleport", 0), ((0, 0), 0), ((0, 1), 0), ((1, 0), 1), ((1, 1), 1),
 ])
-def test_fusion_returns_protocol_programs_that_merge_nothing_entry_for_entry(
-        monkeypatch, name, merged):
+def test_fusion_runs_protocol_programs_bit_for_bit(monkeypatch, name, merged):
     circuit = protocols._TELEPORT if name == "teleport" else protocols._SUPERDENSE[name]
     seen = fused_programs(monkeypatch)
-    dsl._execute(circuit, sv.zero_state(circuit.num_qubits), np.random.default_rng(0))
-    (lowered, fused), = seen
-    assert sum(kernel is sv._unitary for kernel, _ in fused) == merged
-    if not merged:
-        assert len(fused) == len(lowered) and all(a is b for a, b in zip(fused, lowered))
+    rng = np.random.default_rng(7)
+    if name == "teleport":
+        starts = []
+        for _ in range(50):
+            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            amps = np.zeros(8, dtype=complex)
+            amps[::4] = psi / np.linalg.norm(psi)
+            starts += [(sv.StateVector(3, amps), [m0, m1]) for m0 in (0, 1) for m1 in (0, 1)]
+    else:
+        starts = [(sv.zero_state(2), list(name))]
+    for state, bits in starts:
+        outcomes, _, final = dsl._execute(circuit, state, None, bits)
+        lowered, fused = seen[-1]
+        assert outcomes == bits
+        want_outcomes, want = entry_by_entry(lowered, state, bits)
+        assert want_outcomes == bits and np.array_equal(final.amplitudes, want)
+    passes = [sum(kernel is not None for kernel, _ in program) for program in seen[-1]]
+    assert passes[1] == passes[0] - merged
 
 
 @pytest.mark.parametrize("kind", sorted(GATES))
 def test_fusion_passes_a_single_gate_through(kind):
-    qubits = (1, 0) if GATES[kind][0] == 2 else (1,)
-    for program in ([(sv._gate, (2, kind, qubits, 0.3 if GATES[kind][1] else None))],
-                    [(None, 0)]):
-        fused = sv._fuse(program, 2)
+    arity, takes_angle = GATES[kind]
+    qubits = (1, 0) if arity == 2 else (1,)
+    angle = 0.3 if takes_angle else None
+    program = [(sv._gate, (2, kind, qubits, angle))]
+    fused = sv._fuse(program, 2)
+    if arity == 2:
         assert len(fused) == 1 and fused[0] is program[0]
+    else:
+        # A lone one-qubit gate is one _unitary entry, bit for bit the gate.
+        m = sv._MATRICES[kind] if angle is None else sv._rotation(kind, angle)
+        assert fused == [(sv._unitary, (2, 1, m))]
+        rng = np.random.default_rng(sorted(GATES).index(kind))
+        want = rng.normal(size=4) + 1j * rng.normal(size=4)
+        want /= np.linalg.norm(want)
+        got = want.copy()
+        sv._gate(want, *program[0][1])
+        sv._unitary(got, 2, 1, m)
+        assert np.array_equal(got, want)
+    measure = [(None, 0)]
+    fused = sv._fuse(measure, 2)
+    assert len(fused) == 1 and fused[0] is measure[0]
 
 
 # -- the first bad instruction in program order raises, before anything is drawn --

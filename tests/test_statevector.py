@@ -599,6 +599,40 @@ def test_fused_run_matches_gate_by_gate_application(state, steps):
     assert np.abs(final.amplitudes - chain.amplitudes).max() < 1e-12
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hs.integers(1, 5), fusion_steps)
+def test_fusion_misses_no_merge(n, steps):
+    # Each run is one _unitary entry, flushed only when it must be: between two entries
+    # on a qubit lies a measurement of it, or a two-qubit gate on it that the first
+    # entry's matrix cannot pass.  A pass that flushed too eagerly would keep every
+    # amplitude within 1e-12 and show only as extra kernel passes.
+    program = []
+    for kind, a, b, angle, _ in steps:
+        a, b = a % n, b % n
+        if kind == "MEASURE":
+            program.append((None, a))
+        elif kind in ("CNOT", "CZ"):
+            if a != b:
+                program.append((sv._gate, (n, kind, (a, b), None)))
+        else:
+            program.append((sv._gate, (n, kind, (a,), angle if kind in sv.ROTATION_GATES else None)))
+    pending = {}  # qubit -> the matrix of its last _unitary entry, while nothing has flushed it
+    for kernel, args in sv._fuse(program, n):
+        if kernel is None:
+            pending.pop(args, None)
+        elif kernel is sv._unitary:
+            _, q, m = args
+            assert q not in pending, "a run left unmerged"
+            pending[q] = m
+        else:
+            _, kind, qubits, _ = args
+            assert len(qubits) == 2, "a one-qubit gate outside _unitary"
+            for q in qubits:
+                m = pending.get(q)
+                if m and (m[1] or m[2] or kind == "CNOT" and q == qubits[1]):
+                    del pending[q]
+
+
 # -- _unitary: the one kernel of every one-qubit gate ------------------------------
 
 
