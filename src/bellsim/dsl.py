@@ -31,8 +31,8 @@ rotation whose angle is NaN, inf or missing are non-Clifford witnesses.
 :func:`classify` its witnesses picks the engine; one loop in ``_execute``
 then checks every instruction in program order into a flat program of
 unchecked kernel calls, so the first bad one raises before anything runs,
-and one loop runs it on a copy of the starting state, in place (a random
-tableau measurement returns a fresh copy, updated from then on).
+and one loop runs it on a copy of the starting state, in place: a gate
+through its kernel, a measurement through the engine's one ``_measure`` step.
 Parsing, classifying and a tableau run that draws nothing load no numpy:
 the dense engine and the first random draw import it.
 """
@@ -323,21 +323,21 @@ def _execute(circuit: Circuit, state, rng, forced=None,
     measurement into ``(None, qubit)``.  ``sv._fuse`` merges a dense
     program's runs of one-qubit gates (outcomes as one ``apply_gate`` per
     gate draw for draw, amplitudes within 1e-12).  A second loop runs the
-    program on one copy of ``state``, in place; a dense state is validated
-    once, at the end.  Tableau measurements call the public ``st.measure_z``
-    and ``measure_z_forced``.  ``infos`` holds each measurement's second
-    return value: its probability (dense) or whether it was deterministic
-    (tableau).  ``forced`` gives the outcomes in order and nothing is drawn;
-    otherwise both engines draw one ``rng.random()`` per random outcome and
-    none per determined one.
+    program on one copy of ``state``, in place: each gate entry's kernel, and
+    for each measurement the engine's one unchecked step, ``sv._measure`` or
+    ``st._measure``; a dense state is validated once, at the end.  ``infos``
+    holds each measurement's second return value: its probability (dense) or
+    whether it was deterministic (tableau).  ``forced`` gives the outcomes in
+    order and nothing is drawn; otherwise both engines draw one
+    ``rng.random()`` per random outcome and none per determined one.
     """
     dense = not isinstance(state, st.StabilizerTableau)
     n = state.num_qubits
     if dense:
         from . import statevector as sv
-        engine, work = "state", state.amplitudes.copy()
+        engine, work, measure = "state", state.amplitudes.copy(), sv._measure
     else:
-        engine, work = "tableau", state.copy()
+        engine, work, measure = "tableau", state.copy(), st._measure
         kinds = _clifford_pass(circuit)[0] if kinds is None else kinds
     program: list = []
     for i, ins in enumerate(circuit.instructions):
@@ -362,12 +362,7 @@ def _execute(circuit: Circuit, state, rng, forced=None,
             kernel(work, *args)
             continue
         outcome = None if forced is None else forced[len(outcomes)]
-        if dense:
-            outcome, info = sv._collapse(work, n, args, outcome, rng)
-        elif forced is None:
-            outcome, info, work = st.measure_z(work, args, rng)
-        else:
-            info, work = st.measure_z_forced(work, args, outcome)
+        outcome, info = measure(work, n, args, outcome, rng)
         outcomes.append(outcome)
         infos.append(info)
     return outcomes, infos, sv.StateVector(n, work) if dense else work

@@ -37,7 +37,9 @@ checks a gate against the rule, given its kinds, and appends its kernels to
 a flat program: :func:`bellsim.dsl.run` lowers a whole circuit that way
 before it runs any of it, and :func:`apply_clifford` lowers one gate and
 runs it on a copy; like every public operation, it returns a new tableau
-and never mutates its input.  A random outcome is one
+and never mutates its input.  ``_measure``, the one measurement step, works
+in place on a checked qubit; :func:`measure_z` and :func:`measure_z_forced`
+check the qubit and run it on a copy.  A random outcome is one
 :func:`~bellsim.errors.draw`, 1 below 0.5, and a determined one draws
 nothing, as on the dense engine.
 
@@ -315,7 +317,7 @@ def _product_sign(t: StabilizerTableau, anti: int) -> int | None:
     return ((total >> 1) + ((t._r >> n) & anti).bit_count()) & 1
 
 
-def _collapse(t: StabilizerTableau, q: int, outcome: int) -> None:
+def _collapse(t: StabilizerTableau, n: int, q: int, outcome: int) -> None:
     """Collapse a random z-measurement of ``q`` onto ``outcome``, in place.
 
     Every row with an x bit on ``q`` except the first such stabilizer row
@@ -327,7 +329,6 @@ def _collapse(t: StabilizerTableau, q: int, outcome: int) -> None:
     can land on an odd exponent, whose imaginary part is dropped, as
     destabilizer signs carry no observable meaning.
     """
-    n = t.num_qubits
     xs, zs = t._x, t._z
     stab = xs[q] >> n
     p = n + (stab & -stab).bit_length() - 1
@@ -366,30 +367,32 @@ def _collapse(t: StabilizerTableau, q: int, outcome: int) -> None:
     t._r = (r & keep) | (bd if sign else 0) | (bp if outcome else 0)
 
 
-def _measure(t: StabilizerTableau, q: int, outcome: int | None, rng) -> tuple:
-    """Measure ``q``: a random outcome is drawn from ``rng`` if ``outcome`` is None,
-    else forced.  A determined one returns the input tableau, a random one a copy."""
+def _measure(t: StabilizerTableau, n: int, q: int, outcome, rng) -> tuple[int, bool]:
+    """Measure qubit ``q`` of ``t``, already checked, in place: a random outcome is
+    drawn from ``rng`` if ``outcome`` is None, else forced.  Returns it and
+    whether it was determined; the dense engine's ``_measure`` has this shape."""
+    if outcome is not None and not is_int(outcome, 0, 1):
+        raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
     sign = _product_sign(t, t._x[q])
     if sign is not None:
         if outcome is not None and outcome != sign:
             raise ProjectionError(f"outcome {outcome} on qubit {q} has probability 0")
-        return sign, True, t
-    if outcome is None:
-        outcome = int(draw(rng) < 0.5)
-    out = t.copy()
-    _collapse(out, q, outcome)
-    return outcome, False, out
+        return sign, True
+    outcome = int(draw(rng) < 0.5) if outcome is None else int(outcome)
+    _collapse(t, n, q, outcome)
+    return outcome, False
 
 
 def measure_z(t: StabilizerTableau, q: int, rng) -> tuple[int, bool, StabilizerTableau]:
     """Measure qubit ``q`` in the computational basis.
 
-    Returns ``(outcome, was_deterministic, tableau_after)``.  A random
-    outcome is one ``rng.random()`` draw, 1 below 0.5; a deterministic
-    one draws nothing and returns the input tableau unchanged.
+    Returns ``(outcome, was_deterministic, tableau_after)``, the input left
+    as it was.  A random outcome is one ``rng.random()`` draw, 1 below 0.5;
+    a deterministic one draws nothing and returns an equal tableau.
     """
     _check_qubit(q, t.num_qubits, "tableau")
-    return _measure(t, q, None, rng)
+    out = t.copy()
+    return (*_measure(out, t.num_qubits, q, None, rng), out)
 
 
 def measure_z_forced(t: StabilizerTableau, q: int, outcome: int) -> tuple[bool, StabilizerTableau]:
@@ -399,9 +402,8 @@ def measure_z_forced(t: StabilizerTableau, q: int, outcome: int) -> tuple[bool, 
     of probability zero raises :class:`ProjectionError`.
     """
     _check_qubit(q, t.num_qubits, "tableau")
-    if not is_int(outcome, 0, 1):
-        raise ProjectionError(f"outcome must be 0 or 1, got {outcome!r}")
-    return _measure(t, q, outcome, None)[1:]
+    out = t.copy()
+    return _measure(out, t.num_qubits, q, outcome, None)[1], out
 
 
 def outcome_probability(t: StabilizerTableau, q: int) -> float:
@@ -441,7 +443,7 @@ def to_statevector(t: StabilizerTableau) -> StateVector:
     for q in range(n):
         bit = _product_sign(probe, probe._x[q])
         if bit is None:
-            _collapse(probe, q, 0)
+            _collapse(probe, n, q, 0)
             bit = 0
         index = (index << 1) | bit
     amps = np.zeros(2**n, dtype=complex)

@@ -18,9 +18,10 @@ Conventions
   CZ.  ``_unitary`` runs every one-qubit gate from its 2x2 tuple: a
   diagonal scales each half whose factor is not 1, an antidiagonal swaps
   the halves first, any other is one matmul.  ``_gate`` runs a gate that
-  :func:`check_gate` has passed, for :func:`apply_gate` on a copy and for
-  :func:`bellsim.dsl.run` on one copy of a whole circuit; each validates
-  the state once, at the end.
+  :func:`check_gate` has passed, and ``_measure``, as the tableau's step
+  does, measures a checked qubit: the public functions run one on a copy,
+  and :func:`bellsim.dsl.run` runs them on one copy of a whole circuit;
+  each validates the state once, at the end.
 * ``_fuse`` makes each run of one-qubit gates on a qubit one ``_unitary``
   pass, a 2x2 product in scalar Python placed where a measurement or a
   two-qubit gate on the qubit flushes it (a diagonal passes a CZ and a
@@ -279,7 +280,7 @@ def _fuse(program: list, n: int) -> list:
     return out
 
 
-def _collapse(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, float]:
+def _measure(amps: np.ndarray, n: int, q: int, outcome, rng) -> tuple[int, float]:
     """Measure qubit ``q`` (``outcome`` None: an outcome of probability below
     PROJECTION_EPS either way draws nothing, else one ``rng.random()`` draw
     is 1 below P(1)) or project it onto ``outcome``, ``q`` already checked; returns it
@@ -321,7 +322,7 @@ def project_qubit(state: StateVector, q: int, outcome: int) -> tuple[float, Stat
     """
     _check_qubit(q, state.num_qubits, "state")
     amps = state.amplitudes.copy()
-    _, prob = _collapse(amps, state.num_qubits, q, outcome, None)
+    _, prob = _measure(amps, state.num_qubits, q, outcome, None)
     return prob, StateVector(state.num_qubits, amps)
 
 
@@ -334,7 +335,7 @@ def measure_qubit(state: StateVector, q: int, rng) -> tuple[int, float, StateVec
     """
     _check_qubit(q, state.num_qubits, "state")
     amps = state.amplitudes.copy()
-    outcome, prob = _collapse(amps, state.num_qubits, q, None, rng)
+    outcome, prob = _measure(amps, state.num_qubits, q, None, rng)
     return outcome, prob, StateVector(state.num_qubits, amps)
 
 

@@ -390,33 +390,36 @@ def test_only_the_stabilizer_module_reads_its_gate_kernels():
     assert readers == {"stabilizer.py"}
 
 
-# Names of a per-gate checked step of either engine, private or public.
-GATE_STEPS = {"_apply", "apply", "apply_gate", "apply_clifford"}
+# Names of a checked step of either engine, private or public: per gate, or per measurement.
+CHECKED_STEPS = {"_apply", "apply", "apply_gate", "apply_clifford",
+                 "measure_z", "measure_z_forced", "measure_qubit", "project_qubit"}
 
 
-def gate_step_uses(tree):
-    """Line numbers of every reference to a name in GATE_STEPS: attribute, name or import."""
+def checked_step_uses(tree):
+    """Line numbers of every reference to a name in CHECKED_STEPS: attribute, name or import."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in GATE_STEPS \
-                or isinstance(node, ast.Name) and node.id in GATE_STEPS \
+        if isinstance(node, ast.Attribute) and node.attr in CHECKED_STEPS \
+                or isinstance(node, ast.Name) and node.id in CHECKED_STEPS \
                 or isinstance(node, ast.ImportFrom) \
-                and any(alias.name in GATE_STEPS for alias in node.names):
+                and any(alias.name in CHECKED_STEPS for alias in node.names):
             found.append(node.lineno)
     return sorted(found)
 
 
 def test_the_runner_uses_no_checked_gate_step():
-    # one check per gate: st._apply, sv._apply or a public apply function in the runner
-    # would check each gate again as it runs, after the lowering loop has checked it
+    # one check per instruction: st._apply, sv._apply, a public apply function or a
+    # public measurement in the runner would check each gate or measured qubit again
+    # as it runs, after the lowering loop has checked it, and a measurement would copy
     tree = ast.parse((Path(SRC) / "bellsim" / "dsl.py").read_text(encoding="utf-8"))
-    assert gate_step_uses(tree) == []
+    assert checked_step_uses(tree) == []
 
 
 def test_the_gate_step_check_sees_every_use():
     tree = ast.parse("st._apply(t, n, k, q, a)\nwork, step = x, sv._apply\n"
-                     "from .stabilizer import apply_clifford\n_apply(t)\nsv.apply_gate(s, op)\n")
-    assert gate_step_uses(tree) == [1, 2, 3, 4, 5]
+                     "from .stabilizer import apply_clifford\n_apply(t)\nsv.apply_gate(s, op)\n"
+                     "measure_qubit()\nst.measure_z()\nsv.project_qubit()\nf = measure_z_forced\n")
+    assert checked_step_uses(tree) == [1, 2, 3, 4, 5, 6, 7, 8, 9]
 
 
 def test_building_the_cli_parser_builds_no_state(monkeypatch):

@@ -657,31 +657,50 @@ def test_tableau_execute_matches_public_calls_draw_for_draw(n, seed, length):
     assert tableau_bits(start) == before
 
 
-def test_tableau_measurements_go_through_the_public_calls(monkeypatch):
-    # Tracing tools count tableau measurements by wrapping these two names.
-    calls = {"measure_z": 0, "measure_z_forced": 0}
+def test_the_runner_measures_through_each_engines_one_step(monkeypatch):
+    # One in-place step per engine, once per measurement; a public measurement
+    # function would check the qubit again and copy the state.
+    calls = []
 
-    def counting(name):
-        inner = getattr(st, name)
+    def counting(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls.append(f"{module.__name__.rsplit('.', 1)[1]}.{name}")
             return inner(*args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(st, name, counting(name))
+    for module, names in ((st, ("_measure", "measure_z", "measure_z_forced")),
+                          (sv, ("_measure", "measure_qubit", "project_qubit"))):
+        for name in names:
+            monkeypatch.setattr(module, name, counting(module, name))
     # Two random measurements and three deterministic ones.
     circuit = dsl.parse("qubits 3\nh 0\ncnot 0 1\nmeasure 0\nmeasure 1\nh 2\n"
                         "measure 2\nx 2\nmeasure 2\nmeasure 1\n")
     outcomes, deterministic, _ = dsl._execute(circuit, st.init_zero(3), np.random.default_rng(5))
     assert deterministic == [False, True, False, True, True]
-    assert calls == {"measure_z": 5, "measure_z_forced": 0}
-    dsl._execute(circuit, st.init_zero(3), None, outcomes)
-    assert calls == {"measure_z": 5, "measure_z_forced": 5}
-    dsl.run(circuit, engine="stabilizer", seed=5)
-    dsl.run(circuit, engine="statevector", seed=5)
-    assert calls == {"measure_z": 10, "measure_z_forced": 5}
+    assert calls == ["stabilizer._measure"] * 5
+    for start, step in ((st.init_zero(3), "stabilizer._measure"),
+                        (sv.zero_state(3), "statevector._measure")):
+        del calls[:]
+        assert dsl._execute(circuit, start, None, outcomes)[0] == outcomes
+        assert calls == [step] * 5
+    del calls[:]
+    assert dsl.run(circuit, engine="stabilizer", seed=5).outcomes == outcomes
+    assert dsl.run(circuit, engine="statevector", seed=5).outcomes == outcomes
+    assert calls == ["stabilizer._measure"] * 5 + ["statevector._measure"] * 5
+
+
+@pytest.mark.parametrize("bad", [2, True, -1])
+def test_a_bad_forced_outcome_raises_the_same_error_on_both_engines(bad):
+    # The first measurement is random and the second determined: each step checks
+    # a forced outcome before it looks at the state.
+    circuit = dsl.parse("qubits 2\nh 0\nmeasure 0\nmeasure 1\n")
+    for forced in ([bad, 0], [0, bad]):
+        for start in (st.init_zero(2), sv.zero_state(2)):
+            with pytest.raises(ProjectionError) as err:
+                dsl._execute(circuit, start, None, forced)
+            assert str(err.value) == f"outcome must be 0 or 1, got {bad!r}"
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -914,7 +933,7 @@ def entry_by_entry(program, state, bits):
     n, amps, bits, outcomes = state.num_qubits, state.amplitudes.copy(), iter(bits), []
     for kernel, args in program:
         if kernel is None:
-            outcomes.append(sv._collapse(amps, n, args, next(bits), None)[0])
+            outcomes.append(sv._measure(amps, n, args, next(bits), None)[0])
         else:
             kernel(amps, *args)
     return outcomes, amps

@@ -93,6 +93,19 @@ def test_apply_does_not_mutate_input():
     before = st.stabilizer_strings(t)
     st.apply(t, "X", 0)
     assert st.stabilizer_strings(t) == before
+    # Nor does a measurement, random or determined: the in-place step runs on a copy.
+    bell = st.apply(st.apply(st.init_zero(2), "H", 0), "CNOT", 0, 1)
+    collapsed = st.measure_z_forced(bell, 0, 1)[1]
+    assert st.outcome_probability(collapsed, 1) == 1.0
+    for t, measure in (
+        (bell, lambda t: st.measure_z(t, 0, np.random.default_rng(3))),
+        (collapsed, lambda t: st.measure_z(t, 1, np.random.default_rng(3))),
+        (bell, lambda t: st.measure_z_forced(t, 0, 0)),
+        (collapsed, lambda t: st.measure_z_forced(t, 1, 1)),
+    ):
+        before = t.x.tolist(), t.z.tolist(), t.phase.tolist()
+        measure(t)
+        assert (t.x.tolist(), t.z.tolist(), t.phase.tolist()) == before
 
 
 def test_deterministic_measurement_consumes_no_randomness():
