@@ -26,6 +26,8 @@ instruction is a measurement or passes the tableau's own Clifford rule
 by a multiple of pi/2, read from the angle's cos and sin (|cos * sin| <=
 1e-12).  t/tdg, other angles (1e16 among them) and a hand-built
 rotation whose angle is NaN, inf or missing are non-Clifford witnesses.
+A :class:`SimulabilityClass` derives its verdict from its witnesses, and a
+:class:`RunRecord` its ``engine`` from which final state it carries.
 
 :func:`run` decides each instruction once: the pass that gives
 :func:`classify` its witnesses picks the engine; one loop in ``_execute``
@@ -105,10 +107,6 @@ class Instruction:
 class Circuit:
     num_qubits: int
     instructions: tuple[Instruction, ...]
-
-    def source_map(self) -> dict[int, tuple[int, int]]:
-        """Instruction index -> (line, column) in the source text."""
-        return {i: (ins.line, ins.column) for i, ins in enumerate(self.instructions)}
 
 
 def parse_angle(token: str) -> float:
@@ -226,24 +224,22 @@ REQUIRES_STATEVECTOR = "RequiresStatevector"
 
 @dataclass(frozen=True)
 class SimulabilityClass:
-    """Whether the stabilizer engine can run the circuit, with witnesses.
+    """Whether the stabilizer engine can run a circuit: ``simulable`` exactly when
+    ``witnesses``, the (line, column) of each non-Clifford instruction, is empty."""
 
-    ``witnesses`` holds (line, column) of every non-Clifford instruction;
-    it is empty exactly when ``value`` is ``StabilizerSimulable``.
-    """
-
-    value: str
     witnesses: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.value not in (STABILIZER_SIMULABLE, REQUIRES_STATEVECTOR):
-            raise ConfigError(f"unknown simulability class {self.value!r}")
-        if not isinstance(self.witnesses, tuple) or self.simulable == bool(self.witnesses):
-            raise ConfigError("witnesses must be a tuple consistent with the simulability class")
+        if not isinstance(self.witnesses, tuple):
+            raise ConfigError(f"witnesses must be a tuple, got {type(self.witnesses).__name__}")
 
     @property
     def simulable(self) -> bool:
-        return self.value == STABILIZER_SIMULABLE
+        return not self.witnesses
+
+    @property
+    def value(self) -> str:
+        return STABILIZER_SIMULABLE if self.simulable else REQUIRES_STATEVECTOR
 
 
 def _clifford_pass(circuit: Circuit) -> tuple[list, tuple[tuple[int, int], ...]]:
@@ -257,9 +253,7 @@ def _clifford_pass(circuit: Circuit) -> tuple[list, tuple[tuple[int, int], ...]]
 
 def classify(circuit: Circuit) -> SimulabilityClass:
     """Decide stabilizer simulability instruction by instruction."""
-    witnesses = _clifford_pass(circuit)[1]
-    value = REQUIRES_STATEVECTOR if witnesses else STABILIZER_SIMULABLE
-    return SimulabilityClass(value=value, witnesses=witnesses)
+    return SimulabilityClass(_clifford_pass(circuit)[1])
 
 
 def rotation_to_cliffords(opcode: str, angle: float) -> tuple[str, ...]:
@@ -280,13 +274,16 @@ class RunRecord:
 
     ``outcomes`` has one entry per measure instruction, in program order.
     Exactly one of ``final_statevector`` / ``final_stabilizers`` is set,
-    matching the engine that ran.
+    and ``engine`` is derived from which: "statevector" or "stabilizer".
     """
 
-    engine: str
     outcomes: list[int]
     final_statevector: StateVector | None = None
     final_stabilizers: list[str] | None = None
+
+    @property
+    def engine(self) -> str:
+        return "stabilizer" if self.final_statevector is None else "statevector"
 
 
 class _LazyRng:
@@ -343,6 +340,8 @@ def _execute(circuit: Circuit, state, rng, forced=None,
     for i, ins in enumerate(circuit.instructions):
         op, qubits, angle = ins.opcode, ins.qubit_args, ins.angle
         if op == "MEASURE":
+            if not hasattr(qubits, "__len__"):  # worded as check_gate words it for a gate
+                raise QubitIndexError(f"qubits must be a sequence of integers, got {qubits!r}")
             if len(qubits) != 1:
                 raise QubitIndexError(f"MEASURE takes 1 qubit, got {len(qubits)}")
             if angle is not None:
@@ -389,12 +388,10 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
     if engine == "stabilizer" and witnesses:
         spots = ", ".join(f"line {ln} column {col}" for ln, col in witnesses)
         raise NonCliffordGate(f"circuit has non-Clifford instructions at {spots}")
-    chosen = engine if engine != "auto" else ("statevector" if witnesses else "stabilizer")
-    if chosen == "statevector":
+    if engine == "statevector" or witnesses:
         from . import statevector as sv
         outcomes, _, state = _execute(circuit, sv.zero_state(circuit.num_qubits), _LazyRng(seed))
-        return RunRecord(engine=chosen, outcomes=outcomes, final_statevector=state)
+        return RunRecord(outcomes, final_statevector=state)
     start = st.init_zero(circuit.num_qubits)
     outcomes, _, state = _execute(circuit, start, _LazyRng(seed), kinds=kinds)
-    stabilizers = st.stabilizer_strings(state)
-    return RunRecord(engine=chosen, outcomes=outcomes, final_stabilizers=stabilizers)
+    return RunRecord(outcomes, final_stabilizers=st.stabilizer_strings(state))

@@ -2,8 +2,10 @@
 
 Each driver returns a :class:`ProtocolReport` with the engine used, the
 classical bits produced, and numeric quality metrics (fidelity, error
-rates).  Teleportation and superdense coding are circuits run through
-``dsl.run``'s gate-and-measure loop; BB84 is a sampler.
+rates).  The report derives its verdict from its engine: classically
+simulable unless the engine is the dense statevector.  Teleportation and
+superdense coding are circuits run through ``dsl.run``'s gate-and-measure
+loop; BB84 is a sampler.
 
 Wire layout conventions:
 
@@ -82,13 +84,16 @@ _INPUT_ALIASES = {
 
 @dataclass
 class ProtocolReport:
-    """Outcome record for one protocol run."""
+    """Outcome record for one protocol run; the verdict is derived from ``engine``."""
 
     protocol: str
     engine: str
-    classically_simulable: bool
     classical_bits: list[int] = field(default_factory=list)
     metrics: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def classically_simulable(self) -> bool:
+        return self.engine != "statevector"
 
     def to_key_value_lines(self) -> list[str]:
         """Line-oriented key=value serialization (metrics at 10 decimals)."""
@@ -161,7 +166,6 @@ def teleport_statevector(
     report = ProtocolReport(
         protocol="teleport",
         engine="statevector",
-        classically_simulable=False,
         classical_bits=bits,
         metrics={"fidelity": float(np.vdot(psi, rho @ psi).real)},
     )
@@ -185,7 +189,6 @@ def teleport_stabilizer(input_name: str, rng) -> ProtocolReport:
     return ProtocolReport(
         protocol="teleport",
         engine="stabilizer",
-        classically_simulable=True,
         classical_bits=bits,
         metrics={"fidelity": fidelity, **dict(zip(("output_x", "output_y", "output_z"), r_out))},
     )
@@ -204,7 +207,6 @@ def superdense_code(bits: tuple[int, int], rng) -> ProtocolReport:
     return ProtocolReport(
         protocol="superdense",
         engine="stabilizer",
-        classically_simulable=True,
         classical_bits=outcomes,
         metrics={
             "success": float(outcomes == [b1, b2]),
@@ -265,7 +267,6 @@ def bb84_simulate(num_rounds: int, intercept_resend: bool, rng) -> ProtocolRepor
     return ProtocolReport(
         protocol="bb84",
         engine="sampler",
-        classically_simulable=True,
         classical_bits=key.tolist(),
         metrics={
             "rounds": float(num_rounds),

@@ -188,26 +188,6 @@ def product_state(factors: "list[tuple[complex, complex]]") -> StateVector:
     return StateVector(len(pairs), amps)
 
 
-def prepare_named(
-    name: str,
-    num_qubits: int = 1,
-    factors: "list[tuple[complex, complex]] | None" = None,
-) -> StateVector:
-    """Dispatch to the named constructors: zero_n, psi_plus, phi_plus, product.
-
-    ``num_qubits`` applies to zero_n; ``factors`` applies to product.
-    """
-    if name == "zero_n":
-        return zero_state(num_qubits)
-    if name == "psi_plus":
-        return bell_psi_plus()
-    if name == "phi_plus":
-        return bell_phi_plus()
-    if name == "product":
-        return product_state(factors)
-    raise InputError(f"unknown state name {name!r}")
-
-
 # -- kernels: update a flat, writable amplitude array in place -----------------
 
 def _one_qubit(amps: np.ndarray, n: int, q: int, m: np.ndarray) -> None:

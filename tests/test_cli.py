@@ -445,8 +445,9 @@ def test_amplitudes_whose_norm_overflows_print_only_the_error_line():
         (["--e22", "-inf"], "argument --e22: bad correlation '-inf': must be finite"),
         (["--e11", "-NaN"], "argument --e11: bad correlation '-NaN': must be finite"),
         (["--e11=-inf"], "argument --e11: bad correlation '-inf': must be finite"),
+        (["--e11", "abc"], "argument --e11: bad correlation 'abc'"),
     ],
-    ids=["nan", "inf", "1e400", "-inf", "-NaN", "--e11=-inf"],
+    ids=["nan", "inf", "1e400", "-inf", "-NaN", "--e11=-inf", "abc"],
 )
 def test_non_finite_correlations_are_usage_errors(argv, message, capsys):
     flags = {"--e11": "0", "--e12": "0", "--e21": "0", "--e22": "0"}

@@ -19,10 +19,13 @@ matmul kernel ``_one_qubit``, and no function reads ``FIXED_GATES``.  Only
 against the Clifford rule by its one lowering step, and ``dsl`` refers to
 no per-gate checked step (an engine's ``_apply`` or public apply function),
 so the runner checks each gate once, before the run.  Only ``errors``
-imports ``numbers``: every number check is one of its guards.
+imports ``numbers``: every number check is one of its guards.  The result
+records store evidence and no verdict: ``SimulabilityClass`` its witnesses,
+``RunRecord`` its final state, ``ProtocolReport`` its engine.
 """
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -32,7 +35,7 @@ from pathlib import Path
 import pytest
 
 import bellsim
-from bellsim import cli
+from bellsim import cli, dsl, protocols
 from bellsim import statevector as sv
 
 SRC = str(Path(bellsim.__file__).resolve().parents[1])
@@ -429,3 +432,13 @@ def test_building_the_cli_parser_builds_no_state(monkeypatch):
     monkeypatch.setattr(sv, "bell_psi_plus", no_state)
     monkeypatch.setattr(sv.StateVector, "__post_init__", no_state)
     assert cli.build_parser().parse_args(["lhv-bound"]).command == "lhv-bound"
+
+
+@pytest.mark.parametrize("record, names", [
+    (dsl.SimulabilityClass, ("witnesses",)),
+    (dsl.RunRecord, ("outcomes", "final_statevector", "final_stabilizers")),
+    (protocols.ProtocolReport, ("protocol", "engine", "classical_bits", "metrics")),
+], ids=["SimulabilityClass", "RunRecord", "ProtocolReport"])
+def test_the_records_store_no_verdict(record, names):
+    # value, simulable, engine and classically_simulable are derived, not fields
+    assert tuple(f.name for f in dataclasses.fields(record)) == names

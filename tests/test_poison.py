@@ -42,7 +42,7 @@ from bellsim import statevector as sv
 from bellsim.errors import BellSimError, InputError
 
 MODULES = (gates, sv, st, chsh, lhv, protocols, dsl)
-PUBLIC_CALLABLES = 69
+PUBLIC_CALLABLES = 68
 
 EXEMPT = {
     "dsl.Instruction", "dsl.Circuit", "dsl.RunRecord", "chsh.SFactorResult",
@@ -101,9 +101,6 @@ VALID = {
     "statevector.bell_psi_plus": (sv.bell_psi_plus, dict),
     "statevector.bell_phi_plus": (sv.bell_phi_plus, dict),
     "statevector.product_state": (sv.product_state, lambda: dict(factors=[(1, 0), (0.6, 0.8)])),
-    "statevector.prepare_named": (
-        sv.prepare_named, lambda: dict(name="product", num_qubits=2, factors=[(1, 0)])
-    ),
     "statevector.apply_gate": (
         sv.apply_gate, lambda: dict(state=sv.zero_state(2), op=sv.gate("H", 0))
     ),
@@ -212,7 +209,7 @@ VALID = {
         dsl.is_clifford_instruction, lambda: dict(ins=dsl.Instruction("RZ", (0,), 0.3))
     ),
     "dsl.SimulabilityClass": (
-        dsl.SimulabilityClass, lambda: dict(value=dsl.REQUIRES_STATEVECTOR, witnesses=((2, 1),))
+        dsl.SimulabilityClass, lambda: dict(witnesses=((2, 1),))
     ),
     "dsl.classify": (dsl.classify, lambda: dict(circuit=dsl.parse("qubits 1\nt 0\n"))),
     "dsl.rotation_to_cliffords": (

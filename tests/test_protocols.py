@@ -347,7 +347,6 @@ def test_report_key_value_lines():
     report = pr.ProtocolReport(
         protocol="teleport",
         engine="stabilizer",
-        classically_simulable=True,
         classical_bits=[0, 1],
         metrics={"fidelity": 1.0},
     )
@@ -358,7 +357,7 @@ def test_report_key_value_lines():
         "classical_bits=01",
         "fidelity=1.0000000000",
     ]
-    empty = pr.ProtocolReport("bb84", "stabilizer", False)
+    empty = pr.ProtocolReport("teleport", "statevector")
     lines = empty.to_key_value_lines()
     assert lines[2] == "simulable=false"
     assert lines[3] == "classical_bits="

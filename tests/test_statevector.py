@@ -72,22 +72,6 @@ def test_product_state_checks_the_size_before_building_the_product(monkeypatch):
         sv.product_state([(1, 0)] * 13)
 
 
-def test_prepare_named_dispatch():
-    assert sv.prepare_named("zero_n", num_qubits=2).num_qubits == 2
-    np.testing.assert_allclose(
-        sv.prepare_named("psi_plus").amplitudes, sv.bell_psi_plus().amplitudes
-    )
-    np.testing.assert_allclose(
-        sv.prepare_named("phi_plus").amplitudes, sv.bell_phi_plus().amplitudes
-    )
-    prod = sv.prepare_named("product", factors=[(1.0, 0.0), (0.0, 1.0)])
-    np.testing.assert_allclose(prod.amplitudes, [0, 1, 0, 0])
-    with pytest.raises(InputError):
-        sv.prepare_named("product")
-    with pytest.raises(InputError):
-        sv.prepare_named("w_state")
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
 def test_state_rejects_non_finite_amplitudes(bad):
     with pytest.raises(InputError):
@@ -368,7 +352,8 @@ def test_measure_error_classes(q):
 
 @pytest.mark.parametrize(
     "qubits, angle, error",
-    [((0, 1), None, QubitIndexError), ((), None, QubitIndexError), ((0,), 1.0, InputError)],
+    [((0, 1), None, QubitIndexError), ((), None, QubitIndexError), ((0,), 1.0, InputError),
+     (None, None, QubitIndexError), (0, None, QubitIndexError)],
 )
 def test_measure_instruction_error_classes(qubits, angle, error):
     circuit = dsl.Circuit(2, (dsl.Instruction("MEASURE", qubits, angle),))
