@@ -44,8 +44,6 @@ from . import statevector as sv
 from .errors import SCAN_MAX_RESOLUTION as _SCAN_MAX_RESOLUTION
 from .errors import ConfigError, DimensionError, InputError, finite_array, finite_real, is_int, pair
 
-TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-
 SETTING_NAMES = ("alpha1", "alpha2", "chi1", "chi2")
 
 

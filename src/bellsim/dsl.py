@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 
 from . import stabilizer as st
 from .errors import BellSimError, ConfigError, InputError, NonCliffordGate, QubitIndexError, is_int
-from .gates import GATES, _check_qubit, check_gate
+from .gates import GATES, _check_qubit, _sequence, check_gate
 
 if TYPE_CHECKING:
     from .statevector import StateVector
@@ -214,10 +214,6 @@ def format_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def is_clifford_instruction(ins: Instruction) -> bool:
-    return ins.opcode == "MEASURE" or st._clifford_kinds(ins.opcode, ins.angle) is not None
-
-
 STABILIZER_SIMULABLE = "StabilizerSimulable"
 REQUIRES_STATEVECTOR = "RequiresStatevector"
 
@@ -254,18 +250,6 @@ def _clifford_pass(circuit: Circuit) -> tuple[list, tuple[tuple[int, int], ...]]
 def classify(circuit: Circuit) -> SimulabilityClass:
     """Decide stabilizer simulability instruction by instruction."""
     return SimulabilityClass(_clifford_pass(circuit)[1])
-
-
-def rotation_to_cliffords(opcode: str, angle: float) -> tuple[str, ...]:
-    """Clifford gate sequence (time order) equal to the rotation up to phase.
-
-    Only valid for a Clifford kind (its own sequence) or an angle that is an integer
-    multiple of pi/2 (the classifier's test); else raises :class:`NonCliffordGate`.
-    """
-    kinds = st._clifford_kinds(opcode, angle)
-    if kinds is None:
-        raise st._non_clifford(opcode, angle)
-    return kinds
 
 
 @dataclass
@@ -340,8 +324,8 @@ def _execute(circuit: Circuit, state, rng, forced=None,
     for i, ins in enumerate(circuit.instructions):
         op, qubits, angle = ins.opcode, ins.qubit_args, ins.angle
         if op == "MEASURE":
-            if not hasattr(qubits, "__len__"):  # worded as check_gate words it for a gate
-                raise QubitIndexError(f"qubits must be a sequence of integers, got {qubits!r}")
+            if type(qubits) is not tuple:
+                qubits = _sequence(qubits)
             if len(qubits) != 1:
                 raise QubitIndexError(f"MEASURE takes 1 qubit, got {len(qubits)}")
             if angle is not None:

@@ -3,7 +3,8 @@
 :data:`GATES` names every gate kind with its number of qubits and whether
 it takes an angle; :func:`check_gate` is the only gate check, used by
 :class:`GateOp`, by :func:`bellsim.dsl.run` (through ``stabilizer._lower``
-on the tableau) and by the public apply functions.  The module
+on the tableau) and by the public apply functions; it and the runner's
+MEASURE check take qubit collections through ``_sequence``.  The module
 needs only the standard library, so the parser and the tableau engine
 load no numpy through it.
 """
@@ -11,6 +12,7 @@ load no numpy through it.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 from .errors import InputError, QubitIndexError, finite_real, is_int
@@ -35,29 +37,39 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(check_gate(self.kind, self.qubits, self.angle)))
+        object.__setattr__(self, "qubits", check_gate(self.kind, self.qubits, self.angle))
 
 
-def check_gate(kind: str, qubits, angle: float | None, n: int | None = None):
-    """Check one gate against :data:`GATES`; return its qubits as ints.
+def _sequence(qubits) -> tuple:
+    """``qubits``, not a tuple, as one; :class:`QubitIndexError` for a set, a
+    mapping or an object without a length, none of which is a sequence."""
+    if not isinstance(qubits, (Set, Mapping)):
+        try:
+            len(qubits)
+            return tuple(qubits)
+        except TypeError:
+            pass
+    raise QubitIndexError(f"qubits must be a sequence of integers, got {qubits!r}")
+
+
+def check_gate(kind: str, qubits, angle: float | None, n: int | None = None) -> tuple:
+    """Check one gate against :data:`GATES`; return its qubits as a tuple of ints.
 
     In this order: :class:`InputError` for an unknown kind;
-    :class:`QubitIndexError` for the wrong qubit count, an index that is
-    not a non-negative integer (``bool`` and floats are not) or a repeated
-    one; :class:`InputError` for an angle missing, not a real number, not
-    finite or not taken; last, when ``n`` is given, :class:`QubitIndexError`
-    for an index >= n or an ``n`` that is not a positive integer.
+    :class:`QubitIndexError` for qubits that are not a sequence, the wrong
+    count, an index that is not a non-negative integer (``bool`` and floats
+    are not) or a repeated one; :class:`InputError` for an angle missing,
+    not real, not finite or not taken; last, when ``n`` is given,
+    :class:`QubitIndexError` for an index >= n or an ``n`` that is not a positive integer.
     """
     try:
         arity, takes_angle = GATES[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise InputError(f"unknown gate kind {kind!r}") from None
-    try:
-        count = len(qubits)
-    except TypeError:
-        raise QubitIndexError(f"qubits must be a sequence of integers, got {qubits!r}") from None
-    if count != arity:
-        raise QubitIndexError(f"{kind} takes {arity} qubit(s), got {count}")
+    if type(qubits) is not tuple:  # parsed instructions carry tuples
+        qubits = _sequence(qubits)
+    if len(qubits) != arity:
+        raise QubitIndexError(f"{kind} takes {arity} qubit(s), got {len(qubits)}")
     for q in qubits:
         if type(q) is not int or q < 0:
             if not all(is_int(q, 0, math.inf) for q in qubits):

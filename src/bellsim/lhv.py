@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 from .errors import InputError, ModelError, draw, finite_real, is_int, pair
 
-CLASSICAL_BOUND = 2.0
-
 _WEIGHT_SUM_ATOL = 1e-10
 _WEIGHT_NEG_ATOL = 1e-12
 # How far fit_lhv's targets may stray outside [-1, 1] and the CHSH facets.

@@ -237,13 +237,6 @@ def _clifford_kinds(kind: str, angle: float | None) -> tuple[str, ...] | None:
     return None if k is None else _ROTATION_SEQUENCES[kind][k]
 
 
-def _non_clifford(kind: str, angle: float | None) -> NonCliffordGate:
-    """The one error for a single gate outside the rule."""
-    if angle is None:
-        return NonCliffordGate(f"{kind} is not a Clifford gate")
-    return NonCliffordGate(f"{kind} angle {angle!r} is not a multiple of pi/2")
-
-
 def _lower(program: list, n: int, kind: str, qubits, angle: float | None, kinds) -> None:
     """The one gate check: append a ``(kernel, qubits)`` entry per :func:`_clifford_kinds`
     ``kinds`` of a gate on an ``n``-qubit tableau.  A malformed gate raises its
@@ -251,7 +244,9 @@ def _lower(program: list, n: int, kind: str, qubits, angle: float | None, kinds)
     :class:`NonCliffordGate`, and only then are the qubits checked against ``n``."""
     if kinds is None:
         check_gate(kind, qubits, angle)
-        raise _non_clifford(kind, angle)
+        if angle is None:
+            raise NonCliffordGate(f"{kind} is not a Clifford gate")
+        raise NonCliffordGate(f"{kind} angle {angle!r} is not a multiple of pi/2")
     qubits = check_gate(kind, qubits, angle, n)
     for k in kinds:
         program.append((_KERNELS[k], qubits))

@@ -50,7 +50,7 @@ from .errors import (
     QubitIndexError,
     SizeError,
 )
-from .errors import draw, finite_array, finite_real, is_int, pair
+from .errors import draw, finite_array, is_int, pair
 from .gates import GATES, GateOp, check_gate, gate  # noqa: F401 - re-exported
 from .gates import _check_qubit
 
@@ -60,8 +60,8 @@ PROJECTION_EPS = 1e-12
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-# Each one-qubit matrix as a row-major tuple (m00, m01, m10, m11): _unitary applies
-# these, the fusion pass multiplies them in scalar Python, and the arrays are built from them.
+# Each fixed one-qubit matrix as a row-major tuple (m00, m01, m10, m11), its one source
+# (_rotation is each rotation's): _unitary applies them, _fuse multiplies them in scalar Python.
 _MATRICES = {
     "H": (_SQRT1_2, _SQRT1_2, _SQRT1_2, -_SQRT1_2),
     "X": (0, 1, 1, 0),
@@ -74,31 +74,15 @@ _MATRICES = {
 }
 
 
-def _array(m: tuple) -> np.ndarray:
-    return np.array(m, dtype=complex).reshape(2, 2)
-
-
-FIXED_GATES: dict[str, np.ndarray] = {kind: _array(m) for kind, m in _MATRICES.items()}
-
-ROTATION_GATES = tuple(kind for kind, (_, takes_angle) in GATES.items() if takes_angle)
-
-
-def rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    """The 2x2 unitary for RX, RY or RZ at a finite real angle; else :class:`InputError`."""
-    return _array(_rotation(kind, finite_real(angle, f"{kind} angle")))
-
-
 def _rotation(kind: str, angle: float) -> tuple:
-    """RX, RY or RZ at ``angle`` as a row-major tuple, the one source of each rotation."""
+    """A checked RX, RY or RZ at ``angle`` as a row-major tuple, each rotation's one source."""
     c = math.cos(angle / 2.0)
     s = math.sin(angle / 2.0)
     if kind == "RX":
         return (c, -1j * s, -1j * s, c)
     if kind == "RY":
         return (c, -s, s, c)
-    if kind == "RZ":
-        return (complex(c, -s), 0, 0, complex(c, s))
-    raise InputError(f"unknown rotation kind {kind!r}")
+    return (complex(c, -s), 0, 0, complex(c, s))  # RZ
 
 
 def _check_size(num_qubits) -> None:
@@ -135,9 +119,6 @@ class StateVector:
             raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than {NORM_ATOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> np.ndarray:
         """Born probabilities over the computational basis."""
@@ -219,7 +200,7 @@ def _unitary(amps: np.ndarray, n: int, q: int, m: tuple) -> None:
     """Apply the row-major 2x2 tuple ``m`` to qubit ``q`` by the module docstring's rule."""
     a, b, c, d = m
     if (a or d) and (b or c):
-        _one_qubit(amps, n, q, _array(m))
+        _one_qubit(amps, n, q, np.array(m, dtype=complex).reshape(2, 2))
         return
     v = amps.reshape(1 << q, 2, 1 << (n - q - 1))
     if b or c:  # antidiagonal

@@ -5,7 +5,7 @@ import pytest
 
 import math
 
-from bellsim import chsh, dsl, lhv, protocols
+from bellsim import chsh, dsl, gates, lhv, protocols
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import (
@@ -13,13 +13,17 @@ from bellsim.errors import (
     ObservableError, ProjectionError, QubitIndexError, SizeError,
 )
 
-X = sv.FIXED_GATES["X"]
+X = np.array([[0, 1], [1, 0]], dtype=complex)
 NP_COMPLEX = np.complex128(0.3 + 1j)
 BELL = dsl.parse("qubits 2\nh 0\ncnot 0 1\nmeasure 0\n")
 
 
 def rng():
     return np.random.default_rng(0)
+
+
+def one_rotation(opcode, angle):
+    return dsl.Circuit(1, (dsl.Instruction(opcode, (0,), angle),))
 
 
 BAD_CALLS = {
@@ -58,9 +62,6 @@ BAD_CALLS = {
     "product_state triple": (lambda: sv.product_state([(1, 0, 0)]), InputError),
     "product_state scalar": (lambda: sv.product_state([1]), InputError),
     "stabilizer input not a string": (lambda: protocols.resolve_stabilizer_input(1), InputError),
-    "rotation_matrix nan angle": (lambda: sv.rotation_matrix("RX", math.nan), InputError),
-    "rotation_matrix inf angle": (lambda: sv.rotation_matrix("RY", math.inf), InputError),
-    "rotation_matrix text angle": (lambda: sv.rotation_matrix("RX", "0.3"), InputError),
     "observable_a nan": (lambda: chsh.observable_a(math.nan), InputError),
     "observable_b inf": (lambda: chsh.observable_b(math.inf), InputError),
     "psi_plus_correlation inf": (lambda: chsh.psi_plus_correlation(math.inf, 0), InputError),
@@ -95,16 +96,33 @@ BAD_CALLS = {
         lambda: protocols.teleport_statevector(sv.zero_state(1), rng(), force_outcomes=5),
         InputError,
     ),
+    # a set or a mapping is not a sequence of qubits: GateOp("H", {0: 1}) once meant qubit 0
+    "GateOp set": (lambda: gates.GateOp("H", {0}), QubitIndexError),
+    "GateOp pair set": (lambda: gates.GateOp("CNOT", {0, 1}), QubitIndexError),
+    "GateOp dict keys": (lambda: gates.GateOp("CNOT", {0: 1, 1: 0}.keys()), QubitIndexError),
+    "GateOp dict": (lambda: gates.GateOp("H", {0: 1}), QubitIndexError),
+    "check_gate set": (lambda: gates.check_gate("H", {0}, None, 2), QubitIndexError),
+    "check_gate dict": (lambda: gates.check_gate("H", {0: 1}, None), QubitIndexError),
+    "check_gate dict keys": (
+        lambda: gates.check_gate("CNOT", {0: 1, 1: 0}.keys(), None, 2), QubitIndexError
+    ),
+    "apply_gate set": (
+        lambda: sv.apply_gate(sv.zero_state(2), gates.GateOp("CNOT", {0, 1})), QubitIndexError
+    ),
+    "apply_clifford dict": (
+        lambda: st.apply_clifford(st.init_zero(2), gates.GateOp("H", {0: 1})), QubitIndexError
+    ),
     "run negative seed": (lambda: dsl.run(BELL, seed=-1), ConfigError),
     "run float seed": (lambda: dsl.run(BELL, seed=1.5), ConfigError),
     "run bool seed": (lambda: dsl.run(BELL, seed=True), ConfigError),
     "parse bytes": (lambda: dsl.parse(b"qubits 1\nh 0\n"), InputError),
     "parse None": (lambda: dsl.parse(None), InputError),
-    "rotation_to_cliffords text angle": (
-        lambda: dsl.rotation_to_cliffords("RZ", "0.3"), NonCliffordGate
+    # classify's witnesses refuse a hand-built rotation outside the Clifford rule
+    "stabilizer run text angle": (
+        lambda: dsl.run(one_rotation("RZ", "0.3"), engine="stabilizer"), NonCliffordGate
     ),
-    "rotation_to_cliffords list opcode": (
-        lambda: dsl.rotation_to_cliffords(["RZ"], 0.0), NonCliffordGate
+    "stabilizer run list opcode": (
+        lambda: dsl.run(one_rotation(["RZ"], 0.0), engine="stabilizer"), NonCliffordGate
     ),
     "pauli_expectation list pauli": (
         lambda: st.pauli_expectation(st.init_zero(1), 0, ["X"]), InputError

@@ -31,8 +31,8 @@ def random_product_state(seed):
 
 
 def test_observables_at_special_angles():
-    x = sv.FIXED_GATES["X"]
-    y = sv.FIXED_GATES["Y"]
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]])
     np.testing.assert_allclose(chsh.observable_a(0.0), x, atol=1e-15)
     np.testing.assert_allclose(chsh.observable_b(0.0), x, atol=1e-15)
     np.testing.assert_allclose(chsh.observable_a(math.pi / 2), y, atol=1e-15)
@@ -264,7 +264,7 @@ def test_non_finite_angles_are_rejected(bad):
 # M[j, k] = <sigma_j (x) sigma_k> is built here from sv.expectation, and
 # E(alpha, chi) = a.M.b with a = (cos alpha, sin alpha), b = (cos chi, -sin chi).
 
-PAULI_XY = (sv.FIXED_GATES["X"], sv.FIXED_GATES["Y"])
+PAULI_XY = (np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]))
 
 two_qubit_states = st.lists(
     st.floats(-1.0, 1.0, allow_nan=False), min_size=8, max_size=8

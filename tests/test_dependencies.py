@@ -14,9 +14,9 @@ subcommand that takes it is parsed.  Every draw from a generator is a
 ``random()`` call: no module reads an ``integers`` method, and no code but
 ``errors.draw`` calls ``random``.  Every one-qubit gate on the dense
 engine runs through ``_unitary``: only it and ``expectation`` reference the
-matmul kernel ``_one_qubit``, and no function reads ``FIXED_GATES``.  Only
-``stabilizer`` reads its gate kernels, so every tableau gate is checked
-against the Clifford rule by its one lowering step, and ``dsl`` refers to
+matmul kernel ``_one_qubit``.  Only ``stabilizer`` reads its gate kernels, so
+every tableau gate is checked against the Clifford rule by its one lowering
+step; in ``dsl`` only ``_clifford_pass`` reads the rule, and ``dsl`` refers to
 no per-gate checked step (an engine's ``_apply`` or public apply function),
 so the runner checks each gate once, before the run.  Only ``errors``
 imports ``numbers``: every number check is one of its guards.  The result
@@ -363,13 +363,9 @@ def reads_of(tree, name):
 
 
 def test_every_one_qubit_gate_runs_through_one_kernel():
-    # one kernel: a per-kind branch beside _unitary would be a second rule for the
-    # same matrix, and a fixed gate's array in a function body a second source of it
+    # one kernel: a per-kind branch beside _unitary would be a second rule for the same matrix
     tree = ast.parse((Path(SRC) / "bellsim" / "statevector.py").read_text(encoding="utf-8"))
     assert set(reads_of(tree, "_one_qubit")) == {"_unitary", "expectation"}
-    assert [scope for scope in reads_of(tree, "FIXED_GATES") if scope is not None] == []
-    assert list(sv.FIXED_GATES) == list(sv._MATRICES)
-    assert all((sv.FIXED_GATES[kind] == sv._array(m)).all() for kind, m in sv._MATRICES.items())
 
 
 def test_the_read_check_sees_every_reader():
@@ -379,6 +375,13 @@ def test_the_read_check_sees_every_reader():
                      "y = _one_qubit\nsv._one_qubit = None\n")
     assert reads_of(tree, "_one_qubit") == ["f", "g", None]
     assert reads_of(tree, "K") == ["h"]
+
+
+def test_one_dsl_function_reads_the_clifford_rule():
+    # classify and run take each instruction's verdict from one pass; a second reader
+    # of the rule in dsl would be a second place that decides what is Clifford
+    tree = ast.parse((Path(SRC) / "bellsim" / "dsl.py").read_text(encoding="utf-8"))
+    assert reads_of(tree, "_clifford_kinds") == ["_clifford_pass"]
 
 
 def test_only_the_stabilizer_module_reads_its_gate_kernels():

@@ -450,16 +450,34 @@ def test_simulability_class_validates_consistency():
         dsl.SimulabilityClass([(1, 1)])
 
 
-def test_rotation_to_cliffords_matches_unitaries():
+R2 = 1.0 / math.sqrt(2.0)
+# The unitaries of the tableau's one-qubit kernels, written out as a reference.
+CLIFFORD_MATRICES = {
+    "H": [[R2, R2], [R2, -R2]],
+    "S": [[1, 0], [0, 1j]],
+    "SDG": [[1, 0], [0, -1j]],
+    "X": [[0, 1], [1, 0]],
+    "Y": [[0, -1j], [1j, 0]],
+    "Z": [[1, 0], [0, -1]],
+}
+
+
+def reference_rotation(opcode, angle):
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return np.array({"RX": [[c, -1j * s], [-1j * s, c]], "RY": [[c, -s], [s, c]],
+                     "RZ": [[c - 1j * s, 0], [0, c + 1j * s]]}[opcode], dtype=complex)
+
+
+def test_clifford_sequences_match_unitaries():
     for opcode in ("RX", "RY", "RZ"):
         for quarter_turns in range(-4, 8):
             angle = quarter_turns * math.pi / 2.0
-            sequence = dsl.rotation_to_cliffords(opcode, angle)
+            sequence = st._clifford_kinds(opcode, angle)
             assert len(sequence) <= 3, (opcode, quarter_turns, sequence)
             mat = np.eye(2, dtype=complex)
             for kind in sequence:
-                mat = sv.FIXED_GATES[kind] @ mat
-            target = sv.rotation_matrix(opcode, angle)
+                mat = np.array(CLIFFORD_MATRICES[kind], dtype=complex) @ mat
+            target = reference_rotation(opcode, angle)
             # compare up to global phase via the largest entry
             idx = np.unravel_index(np.abs(target).argmax(), target.shape)
             phase = mat[idx] / target[idx]
@@ -467,11 +485,9 @@ def test_rotation_to_cliffords_matches_unitaries():
             np.testing.assert_allclose(mat, phase * target, atol=1e-12)
 
 
-def test_rotation_to_cliffords_rejects_other_angles():
-    with pytest.raises(NonCliffordGate):
-        dsl.rotation_to_cliffords("RZ", math.pi / 4)
-    with pytest.raises(NonCliffordGate):
-        dsl.rotation_to_cliffords("RX", 1.0)
+def test_clifford_rule_rejects_other_angles():
+    assert st._clifford_kinds("RZ", math.pi / 4) is None
+    assert st._clifford_kinds("RX", 1.0) is None
 
 
 HUGE_ANGLES = ("1e308", "-1e308", "1e16", "99999999999999999999pi", "12345678pi/2")
@@ -482,8 +498,7 @@ def test_quarter_turn_rule_rejects_huge_angles():
         for opcode in ("rx", "ry", "rz"):
             circuit = dsl.parse(f"qubits 1\n{opcode} 0 {token}\n")
             assert not dsl.classify(circuit).simulable, token
-            with pytest.raises(NonCliffordGate):
-                dsl.rotation_to_cliffords(opcode.upper(), circuit.instructions[0].angle)
+            assert st._clifford_kinds(opcode.upper(), circuit.instructions[0].angle) is None
 
 
 def test_quarter_turn_rule_accepts_small_multiples():
@@ -504,7 +519,7 @@ def test_non_finite_and_missing_rotation_angles_are_rejected(angle):
             dsl._execute(circuit, start, None)
 
 
-PAULIS = {name: sv.FIXED_GATES[name] for name in ("X", "Y", "Z")}
+PAULIS = {name: np.array(CLIFFORD_MATRICES[name], dtype=complex) for name in ("X", "Y", "Z")}
 ANGLE_TOKENS = hs.one_of(
     hs.sampled_from(HUGE_ANGLES),
     hs.integers(-40, 40).map(lambda k: f"{k}pi/2"),
@@ -611,7 +626,7 @@ def public_chain(circuit, t, rng, forced=None):
             outcomes.append(outcome)
             deterministic.append(det)
         elif ins.opcode in ("RX", "RY", "RZ"):
-            for kind in dsl.rotation_to_cliffords(ins.opcode, ins.angle):
+            for kind in st._clifford_kinds(ins.opcode, ins.angle):
                 t = st.apply(t, kind, q)
         else:
             t = st.apply(t, ins.opcode, *ins.qubit_args)
@@ -862,20 +877,14 @@ def test_run_decides_and_checks_each_gate_once(monkeypatch):
     assert dsl.classify(clifford).simulable and calls == {"rule": 4, "check": 0}
 
 
-def test_classify_calls_no_public_dsl_function_per_instruction(monkeypatch):
-    # classify takes its witnesses from the pass that run uses; a public helper per
-    # instruction would put a traced span around every instruction.
+def test_classify_witnesses_are_the_gates_outside_the_clifford_rule():
+    # classify takes its witnesses from the pass that run uses, which reads the tableau's rule
     circuit = dsl.parse("qubits 2\nh 0\nt 1\nrz 0 0.3\nrx 1 pi/2\ncnot 0 1\nmeasure 0\n")
-    agrees = [dsl.is_clifford_instruction(ins) for ins in circuit.instructions]
-
-    def no_call(ins):
-        raise AssertionError("classify called is_clifford_instruction")
-
-    monkeypatch.setattr(dsl, "is_clifford_instruction", no_call)
+    outside = tuple((ins.line, ins.column) for ins in circuit.instructions
+                    if ins.opcode != "MEASURE"
+                    and st._clifford_kinds(ins.opcode, ins.angle) is None)
     result = dsl.classify(circuit)
-    disagreeing = tuple((ins.line, ins.column)
-                        for ins, ok in zip(circuit.instructions, agrees) if not ok)
-    assert result.witnesses == disagreeing == ((3, 1), (4, 1)) and not result.simulable
+    assert result.witnesses == outside == ((3, 1), (4, 1)) and not result.simulable
 
 
 def fused_programs(monkeypatch):
@@ -1021,6 +1030,19 @@ BAD_INSTRUCTIONS = {
     "gate-repeat": (dsl.Instruction("CNOT", (1, 1)), QubitIndexError,
                     "CNOT requires distinct qubits, got (1, 1)"),
     "gate-angle": (dsl.Instruction("X", (0,), 0.5), InputError, "X does not take an angle"),
+    # a set or a mapping is not a sequence of qubits, whatever its length or values
+    "measure-set": (dsl.Instruction("MEASURE", {0}), QubitIndexError,
+                    "qubits must be a sequence of integers, got {{0}}"),
+    "measure-dict": (dsl.Instruction("MEASURE", {0: 1}), QubitIndexError,
+                     "qubits must be a sequence of integers, got {{0: 1}}"),
+    "gate-set": (dsl.Instruction("H", {0}), QubitIndexError,
+                 "qubits must be a sequence of integers, got {{0}}"),
+    "gate-pair-set": (dsl.Instruction("CNOT", {0, 1}), QubitIndexError,
+                      "qubits must be a sequence of integers, got {{0, 1}}"),
+    "gate-keys": (dsl.Instruction("CNOT", {0: 1, 1: 0}.keys()), QubitIndexError,
+                  "qubits must be a sequence of integers, got dict_keys([0, 1])"),
+    "gate-dict": (dsl.Instruction("H", {0: 1}), QubitIndexError,
+                  "qubits must be a sequence of integers, got {{0: 1}}"),
 }
 BAD_MEASURES = [name for name in BAD_INSTRUCTIONS if name.startswith("measure")]
 BAD_GATES = [name for name in BAD_INSTRUCTIONS if name.startswith("gate")]

@@ -14,9 +14,9 @@ from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import ConfigError, InputError, NonCliffordGate
 
-X = sv.FIXED_GATES["X"]
-Y = sv.FIXED_GATES["Y"]
-Z = sv.FIXED_GATES["Z"]
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]])
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class ExplodingRng:

@@ -385,7 +385,6 @@ def test_every_route_refuses_a_non_clifford_gate_with_one_message(kind, angle, m
     routes = (
         lambda: st.apply_clifford(t, sv.gate(kind, 0, angle=angle)),
         lambda: dsl._execute(circuit, t, None),
-        lambda: dsl.rotation_to_cliffords(kind, angle),
     )
     for refuse in routes:
         with pytest.raises(NonCliffordGate) as info:

@@ -23,6 +23,7 @@ from bellsim.errors import (
 )
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
+ROTATIONS = ("RX", "RY", "RZ")
 
 
 def random_state(num_qubits, seed):
@@ -134,15 +135,16 @@ def test_sdg_tdg_are_inverses():
         assert abs(sv.fidelity(back, state) - 1.0) < 1e-12
 
 
-def test_rotation_matrix_special_angles():
+def test_rotation_special_angles():
+    def rotation(kind, angle):
+        return np.array(sv._rotation(kind, angle), dtype=complex).reshape(2, 2)
+
     # rz(pi/2) equals S up to the global phase exp(-i pi/4)
-    rz = sv.rotation_matrix("RZ", math.pi / 2)
-    np.testing.assert_allclose(
-        rz * np.exp(1j * math.pi / 4), sv.FIXED_GATES["S"], atol=1e-12
-    )
-    rx = sv.rotation_matrix("RX", math.pi)
-    np.testing.assert_allclose(rx, -1j * sv.FIXED_GATES["X"], atol=1e-12)
-    ry = sv.rotation_matrix("RY", 2 * math.pi)
+    rz = rotation("RZ", math.pi / 2)
+    np.testing.assert_allclose(rz * np.exp(1j * math.pi / 4), REF_FIXED["S"], atol=1e-12)
+    rx = rotation("RX", math.pi)
+    np.testing.assert_allclose(rx, -1j * np.array(REF_FIXED["X"]), atol=1e-12)
+    ry = rotation("RY", 2 * math.pi)
     np.testing.assert_allclose(ry, -np.eye(2), atol=1e-12)
 
 
@@ -178,11 +180,11 @@ def test_norm_preserved_under_random_circuits():
             elif roll < 0.7:
                 state = sv.apply(state, kinds_1q[int(rng.integers(0, 8))], int(rng.integers(0, n)))
             else:
-                kind = sv.ROTATION_GATES[int(rng.integers(0, 3))]
+                kind = ROTATIONS[int(rng.integers(0, 3))]
                 state = sv.apply(
                     state, kind, int(rng.integers(0, n)), angle=float(rng.uniform(-7, 7))
                 )
-        assert abs(state.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
 
 def test_project_qubit_probabilities():
@@ -229,8 +231,8 @@ def test_expectation_requires_hermitian():
 
 
 def test_expectation_of_pauli_pairs():
-    x = sv.FIXED_GATES["X"]
-    z = sv.FIXED_GATES["Z"]
+    x = np.array(REF_FIXED["X"], dtype=complex)
+    z = np.array(REF_FIXED["Z"], dtype=complex)
     assert abs(sv.expectation(sv.bell_phi_plus(), x, x) - 1.0) < 1e-12
     assert abs(sv.expectation(sv.bell_phi_plus(), z, z) - 1.0) < 1e-12
     assert abs(sv.expectation(sv.bell_psi_plus(), z, z) + 1.0) < 1e-12
@@ -353,7 +355,8 @@ def test_measure_error_classes(q):
 @pytest.mark.parametrize(
     "qubits, angle, error",
     [((0, 1), None, QubitIndexError), ((), None, QubitIndexError), ((0,), 1.0, InputError),
-     (None, None, QubitIndexError), (0, None, QubitIndexError)],
+     (None, None, QubitIndexError), (0, None, QubitIndexError), ({0}, None, QubitIndexError),
+     ({0: 1}, None, QubitIndexError), ({1: 0}.keys(), None, QubitIndexError)],
 )
 def test_measure_instruction_error_classes(qubits, angle, error):
     circuit = dsl.Circuit(2, (dsl.Instruction("MEASURE", qubits, angle),))
@@ -367,6 +370,8 @@ def test_measure_instruction_error_classes(qubits, angle, error):
 def test_numpy_integer_qubits_are_accepted():
     state = sv.apply(sv.zero_state(2), "H", np.int64(1))
     assert sv.gate("CNOT", np.int32(1), np.int64(0)).qubits == (1, 0)
+    assert sv.check_gate("CNOT", [np.int32(1), 0], None, 2) == (1, 0)
+    assert sv.check_gate("CNOT", [1, 0], None, 2) == (1, 0)  # always a tuple
     np.testing.assert_allclose(state.amplitudes, [SQRT1_2, SQRT1_2, 0, 0], atol=1e-15)
 
 
@@ -439,7 +444,7 @@ angles = hs.floats(-4 * math.pi, 4 * math.pi, allow_nan=False)
 def test_gate_kernels_match_kronecker_reference(state, kind, angle):
     n = state.num_qubits
     before = state.amplitudes.copy()
-    angle = angle if kind in sv.ROTATION_GATES else None
+    angle = angle if kind in ROTATIONS else None
     for qubits in placements(n, kind):
         got = sv.apply(state, kind, *qubits, angle=angle).amplitudes
         want = ref_gate(n, kind, qubits, angle) @ before
@@ -512,7 +517,7 @@ def test_execute_matches_public_functions_draw_for_draw(state, steps, seed):
             if n > 1:
                 instructions.append(dsl.Instruction(kind, (q, (q + 1 + shift % (n - 1)) % n)))
         else:
-            angle = angle if kind in sv.ROTATION_GATES else None
+            angle = angle if kind in ROTATIONS else None
             instructions.append(dsl.Instruction(kind, (q,), angle))
     circuit = dsl.Circuit(n, tuple(instructions))
     before = state.amplitudes.copy()
@@ -574,7 +579,7 @@ def test_fused_run_matches_gate_by_gate_application(state, steps):
         qubits = (a, b) if kind in ("CNOT", "CZ") else (a,)
         if len(set(qubits)) < len(qubits):
             continue
-        angle = angle if kind in sv.ROTATION_GATES else None
+        angle = angle if kind in ROTATIONS else None
         chain = sv.apply_gate(chain, sv.GateOp(kind, qubits, angle))
         instructions.append(dsl.Instruction(kind, qubits, angle))
     outcomes, got_probs, final = dsl._execute(dsl.Circuit(n, tuple(instructions)), state, None,
@@ -600,7 +605,7 @@ def test_fusion_misses_no_merge(n, steps):
             if a != b:
                 program.append((sv._gate, (n, kind, (a, b), None)))
         else:
-            program.append((sv._gate, (n, kind, (a,), angle if kind in sv.ROTATION_GATES else None)))
+            program.append((sv._gate, (n, kind, (a,), angle if kind in ROTATIONS else None)))
     pending = {}  # qubit -> the matrix of its last _unitary entry, while nothing has flushed it
     for kernel, args in sv._fuse(program, n):
         if kernel is None:
@@ -632,7 +637,7 @@ MATRIX = sv._MATRICES
 UNITARY_CASES = {
     **{kind: MATRIX[kind] for kind in MATRIX},
     **{f"{kind}({angle:g})": sv._rotation(kind, angle)
-       for kind in sv.ROTATION_GATES for angle in (0.0, 0.3, math.pi / 2, math.pi, -2.5)},
+       for kind in ROTATIONS for angle in (0.0, 0.3, math.pi / 2, math.pi, -2.5)},
     "S.T": times(MATRIX["S"], MATRIX["T"]),
     "RZ.Z": times(RZ03, MATRIX["Z"]),
     "X.Z": times(MATRIX["X"], MATRIX["Z"]),
@@ -667,7 +672,7 @@ def test_unitary_matches_the_matmul_on_every_qubit(monkeypatch, name):
         for q in range(n):
             want = random_state(n, 10 * n + q).amplitudes.copy()
             got = want.copy()
-            matmul(want, n, q, sv._array(m))
+            matmul(want, n, q, np.array(m, dtype=complex).reshape(2, 2))
             sv._unitary(got, n, q, m)
             assert np.abs(got - want).max() < 1e-15, (n, q)
             if name in EXACT:
