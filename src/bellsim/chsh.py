@@ -16,13 +16,14 @@ B(pi/2) = -Y.  The correlation E(alpha, chi) is the expectation of
 
     S = E(alpha1, chi1) - E(alpha1, chi2) + E(alpha2, chi1) + E(alpha2, chi2)
 
-Both families lie in the XY plane, so E(alpha, chi) = a.M.b with
-a = (cos alpha, sin alpha), b = (cos chi, -sin chi) and M[j, k] =
-<sigma_j (x) sigma_k> the 2x2 XY block of the correlation tensor, computed
-once per call in closed form: M = 2 [[Re(u + w), Im(u - w)], [Im(u + w),
-Re(w - u)]] with u = conj(psi00) psi11 and w = conj(psi01) psi10.  The
-largest S is 2*sqrt(m1**2 + m2**2) = 2*|M|_F, m1, m2 = 2(|u| + |w|),
-2||u| - |w|| the singular values of M (Horodecki, Phys. Lett. A 200, 340 (1995)).
+Both observables are antidiagonal, so a correlation reads only two
+amplitude products, u = conj(psi00) psi11 and w = conj(psi01) psi10:
+
+    E(alpha, chi) = 2 Re(exp(-i alpha) g(chi)),   g(chi) = u exp(i chi) + w exp(-i chi)
+
+The largest S is 4 sqrt(2) hypot(|u|, |w|), that is 2*sqrt(m1**2 + m2**2)
+with m1, m2 = 2(|u| + |w|), 2||u| - |w|| the singular values of the 2x2 XY
+block of the correlation tensor (Horodecki, Phys. Lett. A 200, 340 (1995)).
 
 For the Bell state (|01> + |10>)/sqrt(2) the correlation has the closed
 form cos(alpha + chi); for (|00> + |11>)/sqrt(2) it is cos(alpha - chi).
@@ -30,7 +31,7 @@ Quantum states keep |S| <= 2*sqrt(2); local hidden variable models keep
 |S| <= 2.
 
 Angles must be finite and are canonicalized to [-pi, pi].  Everything is
-exact linear algebra; no sampling is involved.
+computed from u and w; nothing is drawn at random.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ from .errors import SCAN_MAX_RESOLUTION as _SCAN_MAX_RESOLUTION
 from .errors import ConfigError, DimensionError, InputError, finite_array, finite_real, is_int, pair
 
 SETTING_NAMES = ("alpha1", "alpha2", "chi1", "chi2")
+
+# maximize_s's 8 sample angles; _DFT @ samples gives the coefficients of exp(3i chi) .. exp(-3i chi)
+_SAMPLES = np.arange(8) * (math.tau / 8)
+_DFT = np.exp(-1j * np.outer(np.arange(3, -4, -1), _SAMPLES)) / 8
 
 
 def wrap_angle(theta: float) -> float:
@@ -112,31 +117,27 @@ class SFactorResult:
     s_value: float
 
 
-def _xy_block(state: sv.StateVector) -> np.ndarray:
-    """M[j, k] = <psi| sigma_j (x) sigma_k |psi> for sigma in (X, Y), in the closed form above."""
+def _products(state: sv.StateVector) -> tuple[complex, complex]:
+    """(u, w) = (conj(psi00) psi11, conj(psi01) psi10), the two numbers every correlation reads."""
     if state.num_qubits != 2:
         raise DimensionError(
             f"CHSH analysis needs a 2-qubit state, got {state.num_qubits} qubits"
         )
     psi00, psi01, psi10, psi11 = state.amplitudes.tolist()
-    u = psi00.conjugate() * psi11
-    w = psi01.conjugate() * psi10
-    plus, minus = 2.0 * (u + w), 2.0 * (u - w)
-    return np.array([[plus.real, minus.imag], [plus.imag, -minus.real]])
+    return psi00.conjugate() * psi11, psi01.conjugate() * psi10
 
 
-def _directions(angles, sign: float) -> np.ndarray:
-    """Rows (cos t, sign * sin t) for checked angles: a-vectors for sign +1, b-vectors for -1."""
-    t = np.asarray(angles, dtype=float).reshape(-1, 1)
-    return np.concatenate((np.cos(t), sign * np.sin(t)), axis=1)
+def _g(u: complex, w: complex, chis) -> np.ndarray:
+    """g(chi) = u exp(i chi) + w exp(-i chi) at each checked angle; g(chi + pi/2) = g'(chi)."""
+    chis = np.asarray(chis, dtype=float).reshape(-1)
+    return (u + w) * np.cos(chis) + 1j * (u - w) * np.sin(chis)
 
 
-def _angle(v: np.ndarray, sign: float) -> float:
-    """Inverse of :func:`_directions` for one vector; -pi for a zero vector,
-    where every angle ties and the smallest is kept."""
-    if not v.any():
-        return -math.pi
-    return math.atan2(sign * v[1], v[0])
+def _correlations(u: complex, w: complex, alphas, chis) -> np.ndarray:
+    """E[i, j] = 2 Re(exp(-i alpha_i) g(chi_j)) for checked angles."""
+    alphas = np.asarray(alphas, dtype=float).reshape(-1, 1)
+    g = _g(u, w, chis)
+    return 2.0 * (np.cos(alphas) * g.real + np.sin(alphas) * g.imag)
 
 
 def correlation(state: sv.StateVector, alpha: float, chi: float) -> float:
@@ -148,16 +149,15 @@ def correlation_matrix(
     state: sv.StateVector, alphas: np.ndarray, chis: np.ndarray
 ) -> np.ndarray:
     """Correlations for every (alpha, chi) pair: shape (number of alphas, number of chis)."""
-    m = _xy_block(state)
-    a = _directions(finite_array(alphas, float, InputError, "angles"), 1.0)
-    return a @ m @ _directions(finite_array(chis, float, InputError, "angles"), -1.0).T
+    u, w = _products(state)
+    alphas, chis = (finite_array(x, float, InputError, "angles") for x in (alphas, chis))
+    return _correlations(u, w, alphas, chis)
 
 
 def s_factor(state: sv.StateVector, settings: MeasurementSettings) -> SFactorResult:
     """Evaluate the CHSH combination at the given settings, E as in :func:`correlation_matrix`."""
-    a = _directions([settings.alpha1, settings.alpha2], 1.0)
-    e = a @ _xy_block(state) @ _directions([settings.chi1, settings.chi2], -1.0).T
-    e11, e12, e21, e22 = e.ravel().tolist()
+    alphas, chis = (settings.alpha1, settings.alpha2), (settings.chi1, settings.chi2)
+    e11, e12, e21, e22 = _correlations(*_products(state), alphas, chis).ravel().tolist()
     return SFactorResult(
         settings=settings,
         correlations=(e11, e12, e21, e22),
@@ -210,58 +210,53 @@ def maximize_s(
 ) -> tuple[MeasurementSettings, float]:
     """Maximize S over the analyzer angles; returns ``(best_settings, best_s)``.
 
-    Write S = a1.M(b1 - b2) + a2.M(b1 + b2).  With all four angles free
-    the maximum is 2*sqrt(m1**2 + m2**2), m1 >= m2 the singular values of
-    M = U diag(m1, m2) V^T, that is 2*|M|_F; it is reached at a2 = U[:, 0],
-    a1 = U[:, 1], b1, b2 = cos(t) V[:, 0] +/- sin(t) V[:, 1] with tan(t) = m2 / m1.
-    In closed form M = R(phi) diag((q + r)/2, (q - r)/2) R(theta), R(x) the
-    rotation by x, q exp(i (phi + theta)) = M00 + M11 + i (M10 - M01) and
-    r exp(i (phi - theta)) = M00 - M11 + i (M10 + M01); so alpha2 = phi,
-    alpha1 = phi + pi/2 and chi1, chi2 = theta -/+ atan2(q - r, q + r).
+    With all four angles free, write u = |u| exp(i a), w = |w| exp(i b),
+    phi = (b + a)/2 and theta = (b - a)/2.  Then g(theta + s) =
+    exp(i phi) (|u| exp(i s) + |w| exp(-i s)), so E(phi, theta + s) =
+    2(|u| + |w|) cos s and E(phi + pi/2, theta + s) = 2(|u| - |w|) sin s.
+    At alpha1, alpha2 = phi + pi/2, phi and chi1, chi2 = theta -/+ t,
+    S = 4(|w| + |u|) cos t + 4(|w| - |u|) sin t, and t = atan2(|w| - |u|,
+    |w| + |u|) makes it the maximum, 4 sqrt(2) hypot(|u|, |w|).
 
     ``fixed``, when given, is the pair (alpha1, chi1) to pin.  With
-    v = M^T a1 and w = M(b1 + b2), the best a2 is w / |w|, leaving
-    S(chi2) = a1.M b1 - v.b2 + |w|.  Squared, S' = 0 reads
-    (w.w')**2 = (v.b2')**2 |w|**2; as b1 + b2 = 2 cos((chi2 - chi1)/2) u,
-    u = b((chi1 + chi2)/2), dividing out the cos**2 (a double root at the
-    kink b2 = -b1, never a peak) leaves Q = ((Mu).(M b2'))**2 -
-    (v.b2')**2 |Mu|**2, a trigonometric polynomial of degree 3.  Its 7
-    coefficients follow from 8 samples, and the 6 roots of z**3 Q, z =
-    exp(i chi2), are companion-matrix eigenvalues (Boyd, J. Eng. Math. 56,
-    203 (2006)).  Their angles, the angle of -v (the peak where Q vanishes
-    identically) and -pi are scored exactly, and the first best is kept.
+    e1 = exp(-i alpha1) and g1, g2 = g(chi1), g(chi2), S = 2 Re(e1 (g1 - g2))
+    + 2 Re(exp(-i alpha2) (g1 + g2)); the best alpha2 is arg(g1 + g2),
+    leaving S(chi2) = 2 Re(e1 (g1 - g2)) + 2 |g1 + g2|.  Squared, S' = 0
+    reads Re(conj(g1 + g2) g2')**2 = Re(e1 g2')**2 |g1 + g2|**2, g' = dg/dchi;
+    as g1 + g2 = 2 cos((chi2 - chi1)/2) g(sigma), sigma = (chi1 + chi2)/2,
+    dividing out the cos**2 (a double root at the kink chi2 = chi1 + pi,
+    never a peak) leaves Q = Re(conj(g(sigma)) g2')**2 -
+    Re(e1 g2')**2 |g(sigma)|**2, a trigonometric polynomial of degree 3.
+    Its 7 coefficients follow from 8 samples, and the 6 roots of z**3 Q,
+    z = exp(i chi2), are companion-matrix eigenvalues (Boyd, J. Eng. Math.
+    56, 203 (2006)).  Their angles, the peak of the linear term
+    -2 Re(e1 g2) (the peak where Q vanishes identically) and -pi are scored
+    exactly, and the first best is kept.
 
-    Where every angle ties (M = 0, or M(b1 + b2) = 0 for alpha2), the
+    Where every angle ties (u = w = 0, or g1 + g2 = 0 for alpha2), the
     angle returned is -pi.
     """
-    m = _xy_block(state)
+    u, w = _products(state)
     if fixed is None:
-        (m00, m01), (m10, m11) = m.tolist()
-        radius = math.hypot(m00, m01, m10, m11)
-        if radius == 0.0:
+        ru, rw = abs(u), abs(w)
+        if ru == rw == 0.0:
             return MeasurementSettings(-math.pi, -math.pi, -math.pi, -math.pi), 0.0
-        q, r = math.hypot(m00 + m11, m10 - m01), math.hypot(m00 - m11, m10 + m01)
-        q_angle, r_angle = math.atan2(m10 - m01, m00 + m11), math.atan2(m10 + m01, m00 - m11)
-        phi, theta, t = (q_angle + r_angle) / 2, (q_angle - r_angle) / 2, math.atan2(q - r, q + r)
-        return MeasurementSettings(phi + math.pi / 2, phi, theta - t, theta + t), 2.0 * radius
+        au, aw = math.atan2(u.imag, u.real), math.atan2(w.imag, w.real)
+        phi, theta, t = (aw + au) / 2, (aw - au) / 2, math.atan2(rw - ru, rw + ru)
+        best = MeasurementSettings(phi + math.pi / 2, phi, theta - t, theta + t)
+        return best, 4.0 * math.sqrt(2.0) * math.hypot(ru, rw)
 
     alpha1, chi1 = map(wrap_angle, pair(fixed, InputError, "fixed (alpha1, chi1)"))
-    a1 = _directions(alpha1, 1.0)[0]
-    b1 = _directions(chi1, -1.0)[0]
-    v = a1 @ m
-
-    def curve(chis: np.ndarray) -> np.ndarray:
-        """S at each chi2, with alpha2 at its best."""
-        b2 = _directions(chis, -1.0).T
-        return a1 @ m @ (b1[:, None] - b2) + np.linalg.norm(m @ (b1[:, None] + b2), axis=0)
-
-    t = np.arange(8) * (math.tau / 8)
-    mu = m @ _directions((t + chi1) / 2, -1.0).T
-    b2_prime = _directions(t + math.pi / 2, -1.0).T  # d b2 / d chi2
-    q = (mu * (m @ b2_prime)).sum(0) ** 2 - (v @ b2_prime) ** 2 * (mu * mu).sum(0)
-    coeffs = np.exp(-1j * np.outer(np.arange(3, -4, -1), t)) @ q / 8
-    chis = np.concatenate(([-math.pi, _angle(-v, -1.0)], np.angle(np.roots(coeffs))))
-    scores = curve(chis)
-    chi2 = float(chis[scores.argmax()])
-    a2 = m @ (b1 + _directions(chi2, -1.0)[0])
-    return MeasurementSettings(alpha1, _angle(a2, 1.0), chi1, chi2), float(scores.max())
+    e1 = complex(math.cos(alpha1), -math.sin(alpha1))
+    g = _g(u, w, np.concatenate(((_SAMPLES + chi1) / 2, _SAMPLES + math.pi / 2)))
+    mid, slope = g[:8], g[8:]  # g(sigma) and g'(chi2) at the samples chi2 = _SAMPLES
+    q = (mid.conjugate() * slope).real ** 2 - (e1 * slope).real ** 2 * (mid.real ** 2 + mid.imag ** 2)
+    h = e1 * u + (e1 * w).conjugate()  # Re(e1 g(chi)) = Re(h exp(i chi))
+    peak = math.atan2(h.imag, -h.real) if h else -math.pi
+    chis = np.concatenate(([chi1, -math.pi, peak], np.angle(np.roots(_DFT @ q))))
+    g = _g(u, w, chis)
+    scores = 2.0 * (e1 * (g[0] - g[1:])).real + 2.0 * abs(g[0] + g[1:])
+    best = int(scores.argmax())
+    total = complex(g[0] + g[1 + best])
+    alpha2 = math.atan2(total.imag, total.real) if total else -math.pi
+    return MeasurementSettings(alpha1, alpha2, chi1, float(chis[1 + best])), float(scores[best])

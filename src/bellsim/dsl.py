@@ -117,18 +117,14 @@ def parse_angle(token: str) -> float:
     Raises ValueError for anything else, including nan and inf.
     """
     m = _PI_RE.match(token)
-    if m:
-        try:
-            value = math.pi * int(m.group(2) or 1)
-            if m.group(3):
-                value /= int(m.group(3))
-        except OverflowError:
-            raise ValueError(f"angle {token!r} is outside the float range") from None
-        return -value if m.group(1) == "-" else value
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"angle must be finite, got {token!r}")
-    return value
+    try:
+        value = float(token) if m is None else math.pi * int(m.group(2) or 1) / int(m.group(3) or 1)
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
+    if not math.isfinite(value):  # nan or inf named, or a number outside the float range
+        raise ValueError(f"angle must be finite, got {token!r}" if m is None
+                         else f"angle {token!r} is outside the float range")
+    return -value if m is not None and m.group(1) == "-" else value
 
 
 def _column(body: str, k: int) -> int:

@@ -279,8 +279,8 @@ def xy_block(state):
     return np.array([[sv.expectation(state, p, q) for q in PAULI_XY] for p in PAULI_XY])
 
 
-# Oracle pairs for the closed forms: the Pauli-tensor contraction that
-# _xy_block replaced, and a numerical SVD for the free maximum and its settings.
+# Oracle pairs for the closed forms: the Pauli-tensor contraction that the
+# u, w formula replaced, and a numerical SVD for the free maximum and its settings.
 
 PAULI_XY_STACK = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]]], dtype=complex)
 
@@ -319,7 +319,9 @@ any_states = st.one_of(two_qubit_states, equal_singular_states, product_states, 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(any_states)
 def test_closed_form_block_matches_the_pauli_tensor_contraction(state):
-    assert np.abs(chsh._xy_block(state) - einsum_block(state)).max() <= 1e-15
+    # a = (1, 0), (0, 1) and b = (1, 0), (0, 1) pick out the entries of M
+    block = chsh.correlation_matrix(state, [0.0, math.pi / 2], [0.0, -math.pi / 2])
+    assert np.abs(block - einsum_block(state)).max() <= 1e-15
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

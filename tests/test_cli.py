@@ -467,6 +467,16 @@ def test_negative_non_finite_angles_reach_the_angle_check(value, capsys):
     assert f"argument --alpha1: bad angle {value!r}: angle must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["9" * 308 + "pi", "-" + "9" * 308 + "pi", "9" * 308 + "pi/2"],
+                         ids=["308-digit pi", "-308-digit pi", "308-digit pi/2"])
+def test_pi_tokens_outside_the_float_range_are_usage_errors(value, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["chsh-eval", f"--alpha1={value}", "--chi1", "0", "--alpha2", "0", "--chi2", "0"])
+    captured = capsys.readouterr()
+    assert (caught.value.code, captured.out) == (2, "")
+    assert f"--alpha1: bad angle {value!r}: angle {value!r} is outside the float range" in captured.err
+
+
 @pytest.mark.parametrize("value, angle", [("-PI", "-pi"), ("-Pi/2", "-pi/2"), ("-3PI/4", "-3pi/4")])
 def test_negative_pi_tokens_in_any_case_are_angles(value, angle, capsys):
     # The same reading as the joined form --alpha1=-PI and as lower case.

@@ -214,34 +214,28 @@ def test_no_module_references_the_removed_index_helper():
 
 
 def test_no_module_contracts_pauli_tensors():
-    # one source of the correlation block: its closed form in chsh._xy_block
+    # one source of the correlations: the u, w formula in chsh
     for path in sorted(Path(SRC).rglob("*.py")):
         assert not referenced_names(path) & {"einsum", "_PAULI_XY"}, path.name
 
 
-def free_branch_linalg_uses(tree):
-    """Line numbers of every use of ``linalg`` (attribute, name or import) in the
-    ``if fixed is None:`` branch of ``maximize_s``; None if there is no such branch."""
-    for func in ast.walk(tree):
-        if not (isinstance(func, ast.FunctionDef) and func.name == "maximize_s"):
-            continue
-        for branch in ast.walk(func):
-            if isinstance(branch, ast.If) and ast.unparse(branch.test) == "fixed is None":
-                return sorted(
-                    node.lineno for stmt in branch.body for node in ast.walk(stmt)
-                    if isinstance(node, ast.Attribute) and node.attr == "linalg"
-                    or isinstance(node, ast.Name) and node.id == "linalg"
-                    or isinstance(node, ast.ImportFrom)
-                    and ("linalg" in (node.module or "").split(".")
-                         or any(alias.name == "linalg" for alias in node.names))
-                )
-    return None
+def linalg_uses(tree):
+    """Line numbers of every use of ``linalg`` (attribute, name or import) in ``tree``."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "linalg"
+        or isinstance(node, ast.Name) and node.id == "linalg"
+        or isinstance(node, ast.ImportFrom)
+        and ("linalg" in (node.module or "").split(".")
+             or any(alias.name == "linalg" for alias in node.names))
+    )
 
 
-def test_the_free_maximum_calls_no_linalg():
-    # 2|M|_F and a closed-form 2x2 SVD: a LAPACK call on a 2x2 block costs more than the answer
+def test_chsh_calls_no_linalg():
+    # every correlation and both maxima come from u and w in closed form: a LAPACK call or
+    # a norm of a 2x2 block costs more than the answer (np.roots' eigenvalues are its own)
     tree = ast.parse((Path(SRC) / "bellsim" / "chsh.py").read_text(encoding="utf-8"))
-    assert free_branch_linalg_uses(tree) == []
+    assert linalg_uses(tree) == []
 
 
 def test_the_linalg_check_sees_every_use():
@@ -249,8 +243,8 @@ def test_the_linalg_check_sees_every_use():
                      "        u = np.linalg.svd(m)\n        from numpy import linalg\n"
                      "        from numpy.linalg import norm\n        return linalg.norm(m)\n"
                      "    return np.linalg.norm(m)\n")
-    assert free_branch_linalg_uses(tree) == [3, 4, 5, 6]
-    assert free_branch_linalg_uses(ast.parse("def maximize_s(state, fixed):\n    pass\n")) is None
+    assert linalg_uses(tree) == [3, 4, 5, 6, 7]
+    assert linalg_uses(ast.parse("def maximize_s(state, fixed):\n    return np.roots(q)\n")) == []
 
 
 def test_the_clifford_rule_is_defined_only_in_the_stabilizer_module():
@@ -382,6 +376,13 @@ def test_one_dsl_function_reads_the_clifford_rule():
     # of the rule in dsl would be a second place that decides what is Clifford
     tree = ast.parse((Path(SRC) / "bellsim" / "dsl.py").read_text(encoding="utf-8"))
     assert reads_of(tree, "_clifford_kinds") == ["_clifford_pass"]
+
+
+def test_one_chsh_function_reads_the_amplitudes():
+    # every correlation is made of u and w; a second reader of the amplitudes would be a
+    # second formula for them
+    tree = ast.parse((Path(SRC) / "bellsim" / "chsh.py").read_text(encoding="utf-8"))
+    assert reads_of(tree, "amplitudes") == ["_products"]
 
 
 def test_only_the_stabilizer_module_reads_its_gate_kernels():

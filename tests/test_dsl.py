@@ -52,12 +52,25 @@ def test_parse_angle_tokens():
     assert dsl.parse_angle("-1e-3") == -1e-3
 
 
+# Pi-tokens beyond the float range: a 400-digit integer does not convert to a float,
+# and a 308-digit one does, but its product with pi overflows to inf.
+HUGE_PI_TOKENS = ("9" * 400 + "pi", "-" + "9" * 400 + "pi/2", "pi/" + "9" * 400,
+                  "9" * 308 + "pi", "-" + "9" * 308 + "pi", "9" * 308 + "pi/2")
+
+
 def test_parse_angle_rejects_garbage():
-    huge = "9" * 400  # pi-tokens beyond the float range
-    for token in ("banana", "nan", "inf", "-inf", "pi/0", "pi/", "2pi/", "pipi",
-                  f"{huge}pi", f"-{huge}pi/2", f"pi/{huge}"):
+    for token in ("banana", "nan", "inf", "-inf", "pi/0", "pi/", "2pi/", "pipi", *HUGE_PI_TOKENS):
         with pytest.raises(ValueError):
             dsl.parse_angle(token)
+
+
+@pytest.mark.parametrize("token", HUGE_PI_TOKENS)
+def test_pi_tokens_outside_the_float_range_are_located_angle_errors(token):
+    with pytest.raises(dsl.AngleError) as excinfo:
+        dsl.parse(f"qubits 1\nrz 0 {token}\n")
+    assert (excinfo.value.line, excinfo.value.column) == (2, 6)
+    with pytest.raises(ValueError, match="is outside the float range"):
+        dsl.parse_angle(token)
 
 
 def test_parse_basic_circuit():
