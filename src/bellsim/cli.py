@@ -20,8 +20,9 @@ hits the stabilizer engine; 1 any other failure.
 
 numpy, and the modules that need it, load only in the handlers and
 argument types that compute with arrays: ``lhv-bound``, ``lhv-fit``,
-``classify``, ``superdense`` and a ``run`` on the tableau that draws
-nothing never import it.
+``classify``, ``superdense``, ``teleport --engine stabilizer`` and a
+``run`` on the tableau never import it: they draw numpy's seeded stream in
+pure Python.  ``bb84`` samples arrays with numpy's own generator.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def correlation_argument(text: str) -> float:
 
 
 def seed_argument(text: str) -> int:
-    """A seed for :func:`numpy.random.default_rng`: a non-negative integer."""
+    """A seed for the stream of :func:`numpy.random.default_rng`: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -205,8 +206,11 @@ def _cmd_superdense(args: argparse.Namespace) -> int:
 
 
 def _cmd_bb84(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from . import protocols
-    _print_report(protocols.bb84_simulate(args.rounds, args.eavesdrop, dsl._LazyRng(args.seed)))
+    rng = np.random.default_rng(args.seed)  # the sampler draws random(size)
+    _print_report(protocols.bb84_simulate(args.rounds, args.eavesdrop, rng))
     return 0
 
 

@@ -35,8 +35,9 @@ then checks every instruction in program order into a flat program of
 unchecked kernel calls, so the first bad one raises before anything runs,
 and one loop runs it on a copy of the starting state, in place: a gate
 through its kernel, a measurement through the engine's one ``_measure`` step.
-Parsing, classifying and a tableau run that draws nothing load no numpy:
-the dense engine and the first random draw import it.
+Parsing, classifying and every tableau run load no numpy: the draws are
+numpy's ``default_rng(seed)`` stream computed in pure Python
+(:mod:`bellsim._pcg64`), and only the dense engine imports numpy.
 """
 
 from __future__ import annotations
@@ -113,13 +114,23 @@ def parse_angle(token: str) -> float:
     """Parse an angle operand: float literal or pi-token.
 
     Pi-tokens carry an optional sign, integer numerator and integer
-    divisor: ``pi``, ``-pi/2``, ``3pi/4``, ``-3pi/4``, ``2pi``.
-    Raises ValueError for anything else, including nan and inf.
+    divisor: ``pi``, ``-pi/2``, ``3pi/4``, ``-3pi/4``, ``2pi``; the value is
+    π·n / d, or π·(n / d) where π·n overflows.  Raises ValueError for
+    anything else, including nan, inf and a value outside the float range.
     """
     m = _PI_RE.match(token)
     try:
-        value = float(token) if m is None else math.pi * int(m.group(2) or 1) / int(m.group(3) or 1)
-    except OverflowError:  # an integer too large for a float
+        if m is None:
+            value = float(token)
+        else:
+            n, d = int(m.group(2) or 1), int(m.group(3) or 1)
+            try:
+                value = math.pi * n / d
+            except OverflowError:  # an integer too large for a float
+                value = math.inf
+            if value == math.inf:  # divide the integers first: int / int is correctly rounded
+                value = math.pi * (n / d) or math.inf  # 0: a quotient below the float range
+    except OverflowError:  # a quotient too large for a float
         value = math.inf
     if not math.isfinite(value):  # nan or inf named, or a number outside the float range
         raise ValueError(f"angle must be finite, got {token!r}" if m is None
@@ -267,8 +278,9 @@ class RunRecord:
 
 
 class _LazyRng:
-    """``numpy.random.default_rng(seed)``, built at the first draw, so a run
-    that draws nothing never imports numpy; the stream is the same.
+    """``numpy.random.default_rng(seed)``'s stream in pure Python
+    (:class:`bellsim._pcg64.PCG64`), built at the first draw, so no run imports
+    numpy to draw and a run that draws nothing never loads the generator.
 
     Only ``random``, the one method bellsim draws through, is offered.  Its
     first lookup builds the generator and stores the bound method in the
@@ -283,8 +295,8 @@ class _LazyRng:
     def __getattr__(self, name: str):  # reached only while the slot is empty
         if name != "random":
             raise AttributeError(name)
-        import numpy as np
-        self.random = np.random.default_rng(self._seed).random
+        from ._pcg64 import PCG64
+        self.random = PCG64(self._seed).random
         return self.random
 
 
@@ -356,9 +368,9 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
     :class:`NonCliffordGate` naming the witness locations.  Measurement
     randomness is seeded, and both engines draw one ``random()`` per
     random outcome and none per determined one, so a Clifford circuit gets
-    the same outcomes from either engine for the same seed.  The generator
-    is ``numpy.random.default_rng(seed)``, built at the first random draw:
-    a tableau run whose measurements are all deterministic imports no numpy.
+    the same outcomes from either engine for the same seed.  The draws are
+    ``numpy.random.default_rng(seed).random()``'s, computed in pure Python
+    from the first random draw on: a tableau run imports no numpy.
     """
     if engine not in ("auto", "statevector", "stabilizer"):
         raise ConfigError(f"engine must be auto, statevector or stabilizer, got {engine!r}")

@@ -467,8 +467,8 @@ def test_negative_non_finite_angles_reach_the_angle_check(value, capsys):
     assert f"argument --alpha1: bad angle {value!r}: angle must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["9" * 308 + "pi", "-" + "9" * 308 + "pi", "9" * 308 + "pi/2"],
-                         ids=["308-digit pi", "-308-digit pi", "308-digit pi/2"])
+@pytest.mark.parametrize("value", ["9" * 308 + "pi", "-" + "9" * 308 + "pi", "9" * 309 + "pi/2"],
+                         ids=["308-digit pi", "-308-digit pi", "309-digit pi/2"])
 def test_pi_tokens_outside_the_float_range_are_usage_errors(value, capsys):
     with pytest.raises(SystemExit) as caught:
         main(["chsh-eval", f"--alpha1={value}", "--chi1", "0", "--alpha2", "0", "--chi2", "0"])

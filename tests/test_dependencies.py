@@ -2,11 +2,15 @@
 
 SciPy must never load.  ``import bellsim`` loads no numpy: its submodules
 load on first access.  ``lhv-bound``, ``lhv-fit``, ``classify``,
-``superdense`` and a ``run`` on the tableau whose measurements are all
-deterministic run without importing numpy, so the modules on their path
-(the package, ``cli``, ``dsl``, ``gates``, ``stabilizer``, ``protocols``,
-``lhv`` and ``errors``) import neither numpy nor the modules that need it
-at module level.  ``lhv`` imports numpy nowhere, not even in a function.
+``superdense``, ``teleport --engine stabilizer`` and a ``run`` on the
+tableau, random measurements included, run without importing numpy: their
+draws come from ``_pcg64``, numpy's ``default_rng`` stream in pure Python.
+So the modules on their path (the package, ``cli``, ``dsl``, ``gates``,
+``stabilizer``, ``protocols``, ``lhv``, ``errors`` and ``_pcg64``) import
+neither numpy nor the modules that need it at module level, and
+``import bellsim.cli`` does not load ``_pcg64``: a command that draws
+nothing does not compile it.  ``lhv`` imports numpy nowhere, not even in a
+function.
 The stabilizer kernels call ``int.bit_count``, so the supported Python
 floor must stay at 3.10 or higher.  Building the CLI's parser
 builds no state: a ``--state`` default is resolved only when a
@@ -62,7 +66,8 @@ print(code, "numpy" in sys.modules)
 
 # Modules that the numpy-free commands import, and what they must not import
 # at module level.
-NUMPY_FREE = ("__init__", "cli", "dsl", "errors", "gates", "lhv", "protocols", "stabilizer")
+NUMPY_FREE = ("__init__", "_pcg64", "cli", "dsl", "errors", "gates", "lhv", "protocols",
+              "stabilizer")
 NEEDS_NUMPY = {"numpy", "bellsim.statevector", "bellsim.chsh"}
 
 REVERSIBLE = "qubits 3\nx 0\ncnot 0 1\nrx 2 pi\ncz 1 2\ns 0\nmeasure 0\nmeasure 1\nmeasure 2\n"
@@ -100,19 +105,27 @@ def test_import_bellsim_leaves_numpy_unloaded():
         (["classify", "-"], "qubits 2\nh 0\nt 1\n", 3),
         (["superdense", "--bits", "10", "--seed", "4"], "", 0),
         (["run", "-", "--seed", "7"], REVERSIBLE, 0),
+        (["teleport", "--input=+", "--engine", "stabilizer", "--seed", "3"], "", 0),
+        (["run", "-"], "qubits 1\nh 0\nmeasure 0\n", 0),
     ],
     ids=[
         "lhv-bound", "lhv-fit", "lhv-fit-infeasible", "classify-clifford", "classify-nonclifford",
-        "superdense", "run",
+        "superdense", "run", "teleport-stabilizer", "run-that-draws",
     ],
 )
 def test_commands_that_compute_no_numbers_leave_numpy_unloaded(argv, stdin, code):
     assert python("-c", CLI_MAIN, *argv, stdin) == f"{code} False"
 
 
-def test_a_run_that_draws_loads_numpy():
-    # The probe above can see numpy: a random measurement imports it.
-    assert python("-c", CLI_MAIN, "run", "-", "qubits 1\nh 0\nmeasure 0\n") == "0 True"
+def test_bb84_loads_numpy():
+    # The probe above can see numpy: the BB84 sampler draws arrays.
+    assert python("-c", CLI_MAIN, "bb84", "--rounds", "20", "") == "0 True"
+
+
+def test_import_bellsim_cli_leaves_the_stream_uncompiled():
+    # the stream module loads at the first draw: under PYTHONDONTWRITEBYTECODE every
+    # command would otherwise compile it at startup
+    assert python("-c", "import sys, bellsim.cli\nprint('bellsim._pcg64' in sys.modules)") == "False"
 
 
 def module_level_imports(tree, every_scope=False):

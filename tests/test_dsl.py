@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from bellsim import dsl, protocols
+from bellsim import _pcg64, dsl, protocols
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
 from bellsim.errors import (
@@ -53,9 +53,12 @@ def test_parse_angle_tokens():
 
 
 # Pi-tokens beyond the float range: a 400-digit integer does not convert to a float,
-# and a 308-digit one does, but its product with pi overflows to inf.
+# and a 308-digit one does, but its product with pi overflows to inf; so does pi times
+# the quotient of a 309-digit one by 2.  Dividing the integers first does not help the
+# others: 1e350 is above the float range and 1e-392 below it.
 HUGE_PI_TOKENS = ("9" * 400 + "pi", "-" + "9" * 400 + "pi/2", "pi/" + "9" * 400,
-                  "9" * 308 + "pi", "-" + "9" * 308 + "pi", "9" * 308 + "pi/2")
+                  "9" * 308 + "pi", "-" + "9" * 308 + "pi", "9" * 309 + "pi/2",
+                  "1" + "0" * 400 + "pi/1" + "0" * 50, "1" + "0" * 308 + "pi/1" + "0" * 700)
 
 
 def test_parse_angle_rejects_garbage():
@@ -71,6 +74,15 @@ def test_pi_tokens_outside_the_float_range_are_located_angle_errors(token):
     assert (excinfo.value.line, excinfo.value.column) == (2, 6)
     with pytest.raises(ValueError, match="is outside the float range"):
         dsl.parse_angle(token)
+
+
+def test_a_pi_token_whose_numerator_overflows_divides_the_integers_first():
+    # π·n overflows, but n / d of two ints is correctly rounded
+    token = "1" + "0" * 308 + "pi/1" + "0" * 308
+    assert dsl.parse_angle(token) == math.pi
+    assert dsl.parse(f"qubits 1\nrz 0 {token}\n").instructions[0].angle == math.pi
+    assert dsl.parse_angle("-3" + "0" * 400 + "pi/4" + "0" * 400) == -math.pi * 0.75
+    assert dsl.parse_angle("9" * 308 + "pi/2") == math.pi * ((10**308 - 1) / 2)  # 1.57e308
 
 
 def test_parse_basic_circuit():
@@ -777,7 +789,7 @@ def test_a_run_that_draws_nothing_builds_no_generator(monkeypatch):
     def no_generator(seed):
         raise AssertionError("a generator was built")
 
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(_pcg64, "PCG64", no_generator)
     reversible = dsl.parse("qubits 3\nx 0\ncnot 0 1\nh 2\nh 2\nmeasure 0\nmeasure 1\nmeasure 2\n")
     assert dsl.run(reversible, seed=3).outcomes == [1, 1, 0]
     with pytest.raises(AssertionError, match="a generator was built"):
@@ -1077,7 +1089,7 @@ def test_the_first_bad_instruction_raises_on_every_route(monkeypatch, first, sec
     def no_generator(seed):
         raise AssertionError("built a generator before the bad instruction raised")
 
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(_pcg64, "PCG64", no_generator)
     routes = [
         ("run-auto", lambda: dsl.run(circuit), False),
         ("run-stabilizer", lambda: dsl.run(circuit, engine="stabilizer"), False),

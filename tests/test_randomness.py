@@ -4,7 +4,9 @@ Both engines, the LHV sampler and the protocol drivers draw one
 ``random()`` per random outcome and none per determined one.  So any
 generator with that method serves, :class:`random.Random` included, and
 on a Clifford circuit the two engines read one stream the same way.
-BB84 alone draws arrays, ``random(size)``.
+BB84 alone draws arrays, ``random(size)``.  A seeded run and the CLI's
+scalar draws read ``bellsim._pcg64``, numpy's ``default_rng(seed)`` stream
+computed in pure Python, so no tableau run needs numpy for its draws.
 """
 
 import math
@@ -12,8 +14,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from bellsim import dsl, lhv
+from bellsim import _pcg64, dsl, lhv
 from bellsim import protocols as pr
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
@@ -145,3 +149,20 @@ def test_random_random_serves_every_scalar_draw():
     # a random outcome is 1 exactly when its draw is below 0.5
     u = random.Random(4).random()
     assert st.measure_z(plus, 0, random.Random(4))[0] == int(u < 0.5)
+
+
+NUMPY_SEEDS = hs.tuples(hs.sampled_from([np.int8, np.uint8, np.int64, np.uint64]),
+                        hs.integers(0, 127)).map(lambda pair: pair[0](pair[1]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hs.one_of(hs.integers(0, 2**400), NUMPY_SEEDS), hs.integers(1, 64))
+def test_the_stdlib_stream_is_numpys_draw_for_draw(seed, k):
+    stream = _pcg64.PCG64(seed)
+    assert [stream.random() for _ in range(k)] == np.random.default_rng(seed).random(k).tolist()
+
+
+def test_the_stdlib_stream_pins_seed_zero_and_rejects_negative_seeds():
+    assert _pcg64.PCG64(0).random() == 0.6369616873214543
+    with pytest.raises(ValueError, match="non-negative"):
+        _pcg64.PCG64(-1)
