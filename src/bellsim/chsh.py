@@ -31,25 +31,37 @@ Quantum states keep |S| <= 2*sqrt(2); local hidden variable models keep
 |S| <= 2.
 
 Angles must be finite and are canonicalized to [-pi, pi].  Everything is
-computed from u and w; nothing is drawn at random.
+computed from u and w; nothing is drawn at random.  :func:`s_factor` and the
+free :func:`maximize_s` are plain Python; numpy loads only for the arrays of
+:func:`correlation_matrix`, :func:`scan_s` and the fixed-pair maximum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import statevector as sv
 from .errors import SCAN_MAX_RESOLUTION as _SCAN_MAX_RESOLUTION
 from .errors import ConfigError, DimensionError, InputError, finite_array, finite_real, is_int, pair
 
+if TYPE_CHECKING:
+    import numpy as np
+    from . import statevector as sv
+
 SETTING_NAMES = ("alpha1", "alpha2", "chi1", "chi2")
 
-# maximize_s's 8 sample angles; _DFT @ samples gives the coefficients of exp(3i chi) .. exp(-3i chi)
-_SAMPLES = np.arange(8) * (math.tau / 8)
-_DFT = np.exp(-1j * np.outer(np.arange(3, -4, -1), _SAMPLES)) / 8
+
+@functools.cache
+def _dft() -> tuple[np.ndarray, np.ndarray]:
+    """maximize_s's 8 sample angles and the matrix that maps samples to the coefficients
+    of exp(3i chi) .. exp(-3i chi), built once, at the first fixed-pair call."""
+    import numpy as np
+    samples = np.arange(8) * (math.tau / 8)
+    dft = np.exp(-1j * np.outer(np.arange(3, -4, -1), samples)) / 8
+    samples.flags.writeable = dft.flags.writeable = False  # every call shares them
+    return samples, dft
 
 
 def wrap_angle(theta: float) -> float:
@@ -58,32 +70,6 @@ def wrap_angle(theta: float) -> float:
     NaN, +/-inf and a value that is not a real number raise :class:`InputError`.
     """
     return math.remainder(finite_real(theta, "angle"), math.tau)
-
-
-def observable_a(alpha: float) -> np.ndarray:
-    """Side-A observable at analyzer angle ``alpha`` (Hermitian, eigenvalues +/-1)."""
-    alpha = finite_real(alpha, "alpha")
-    return np.array(
-        [[0.0, np.exp(-1j * alpha)], [np.exp(1j * alpha), 0.0]], dtype=complex
-    )
-
-
-def observable_b(chi: float) -> np.ndarray:
-    """Side-B observable at analyzer angle ``chi`` (Hermitian, eigenvalues +/-1)."""
-    chi = finite_real(chi, "chi")
-    return np.array(
-        [[0.0, np.exp(1j * chi)], [np.exp(-1j * chi), 0.0]], dtype=complex
-    )
-
-
-def psi_plus_correlation(alpha: float, chi: float) -> float:
-    """Closed-form correlation for (|01> + |10>)/sqrt(2): cos(alpha + chi)."""
-    return math.cos(wrap_angle(alpha) + wrap_angle(chi))
-
-
-def phi_plus_correlation(alpha: float, chi: float) -> float:
-    """Closed-form correlation for (|00> + |11>)/sqrt(2): cos(alpha - chi)."""
-    return math.cos(wrap_angle(alpha) - wrap_angle(chi))
 
 
 @dataclass(frozen=True)
@@ -118,26 +104,22 @@ class SFactorResult:
 
 
 def _products(state: sv.StateVector) -> tuple[complex, complex]:
-    """(u, w) = (conj(psi00) psi11, conj(psi01) psi10), the two numbers every correlation reads."""
+    """(u, w) of a two-qubit state, the two numbers every correlation reads."""
     if state.num_qubits != 2:
-        raise DimensionError(
-            f"CHSH analysis needs a 2-qubit state, got {state.num_qubits} qubits"
-        )
-    psi00, psi01, psi10, psi11 = state.amplitudes.tolist()
+        raise DimensionError(f"CHSH analysis needs a 2-qubit state, got {state.num_qubits} qubits")
+    return _uw(*state.amplitudes.tolist())
+
+
+def _uw(psi00: complex, psi01: complex, psi10: complex, psi11: complex) -> tuple[complex, complex]:
+    """(u, w) = (conj(psi00) psi11, conj(psi01) psi10) from the four amplitudes."""
     return psi00.conjugate() * psi11, psi01.conjugate() * psi10
 
 
 def _g(u: complex, w: complex, chis) -> np.ndarray:
     """g(chi) = u exp(i chi) + w exp(-i chi) at each checked angle; g(chi + pi/2) = g'(chi)."""
+    import numpy as np
     chis = np.asarray(chis, dtype=float).reshape(-1)
     return (u + w) * np.cos(chis) + 1j * (u - w) * np.sin(chis)
-
-
-def _correlations(u: complex, w: complex, alphas, chis) -> np.ndarray:
-    """E[i, j] = 2 Re(exp(-i alpha_i) g(chi_j)) for checked angles."""
-    alphas = np.asarray(alphas, dtype=float).reshape(-1, 1)
-    g = _g(u, w, chis)
-    return 2.0 * (np.cos(alphas) * g.real + np.sin(alphas) * g.imag)
 
 
 def correlation(state: sv.StateVector, alpha: float, chi: float) -> float:
@@ -145,24 +127,31 @@ def correlation(state: sv.StateVector, alpha: float, chi: float) -> float:
     return float(correlation_matrix(state, alpha, chi)[0, 0])
 
 
-def correlation_matrix(
-    state: sv.StateVector, alphas: np.ndarray, chis: np.ndarray
-) -> np.ndarray:
-    """Correlations for every (alpha, chi) pair: shape (number of alphas, number of chis)."""
+def correlation_matrix(state: sv.StateVector, alphas: np.ndarray, chis: np.ndarray) -> np.ndarray:
+    """Correlations for every (alpha, chi) pair: shape (number of alphas, number of chis).
+
+    E[i, j] = 2 Re(exp(-i alpha_i) g(chi_j)).
+    """
+    import numpy as np
     u, w = _products(state)
     alphas, chis = (finite_array(x, float, InputError, "angles") for x in (alphas, chis))
-    return _correlations(u, w, alphas, chis)
+    alphas, g = alphas.reshape(-1, 1), _g(u, w, chis)
+    return 2.0 * (np.cos(alphas) * g.real + np.sin(alphas) * g.imag)
 
 
 def s_factor(state: sv.StateVector, settings: MeasurementSettings) -> SFactorResult:
     """Evaluate the CHSH combination at the given settings, E as in :func:`correlation_matrix`."""
-    alphas, chis = (settings.alpha1, settings.alpha2), (settings.chi1, settings.chi2)
-    e11, e12, e21, e22 = _correlations(*_products(state), alphas, chis).ravel().tolist()
-    return SFactorResult(
-        settings=settings,
-        correlations=(e11, e12, e21, e22),
-        s_value=e11 - e12 + e21 + e22,
-    )
+    return _s_factor(*_products(state), settings)
+
+
+def _s_factor(u: complex, w: complex, settings: MeasurementSettings) -> SFactorResult:
+    """:func:`s_factor` from u and w in plain Python: per angle the operations of
+    :func:`correlation_matrix`, so the two agree bit for bit."""
+    cos, sin, plus, minus = math.cos, math.sin, u + w, 1j * (u - w)
+    g1, g2 = [plus * cos(chi) + minus * sin(chi) for chi in (settings.chi1, settings.chi2)]
+    e11, e12, e21, e22 = [2.0 * (cos(alpha) * g.real + sin(alpha) * g.imag)
+                          for alpha in (settings.alpha1, settings.alpha2) for g in (g1, g2)]
+    return SFactorResult(settings, (e11, e12, e21, e22), e11 - e12 + e21 + e22)
 
 
 @dataclass(eq=False)
@@ -193,6 +182,7 @@ def scan_s(
         raise ConfigError(
             f"scan resolution must lie in 2..{_SCAN_MAX_RESOLUTION}, got {resolution}"
         )
+    import numpy as np
     alpha1 = wrap_angle(alpha1)
     chi1 = wrap_angle(chi1)
     axis = np.linspace(-math.pi, math.pi, resolution)
@@ -246,14 +236,16 @@ def maximize_s(
         best = MeasurementSettings(phi + math.pi / 2, phi, theta - t, theta + t)
         return best, 4.0 * math.sqrt(2.0) * math.hypot(ru, rw)
 
+    import numpy as np
     alpha1, chi1 = map(wrap_angle, pair(fixed, InputError, "fixed (alpha1, chi1)"))
+    samples, dft = _dft()
     e1 = complex(math.cos(alpha1), -math.sin(alpha1))
-    g = _g(u, w, np.concatenate(((_SAMPLES + chi1) / 2, _SAMPLES + math.pi / 2)))
-    mid, slope = g[:8], g[8:]  # g(sigma) and g'(chi2) at the samples chi2 = _SAMPLES
+    g = _g(u, w, np.concatenate(((samples + chi1) / 2, samples + math.pi / 2)))
+    mid, slope = g[:8], g[8:]  # g(sigma) and g'(chi2) at the samples chi2
     q = (mid.conjugate() * slope).real ** 2 - (e1 * slope).real ** 2 * (mid.real ** 2 + mid.imag ** 2)
     h = e1 * u + (e1 * w).conjugate()  # Re(e1 g(chi)) = Re(h exp(i chi))
     peak = math.atan2(h.imag, -h.real) if h else -math.pi
-    chis = np.concatenate(([chi1, -math.pi, peak], np.angle(np.roots(_DFT @ q))))
+    chis = np.concatenate(([chi1, -math.pi, peak], np.angle(np.roots(dft @ q))))
     g = _g(u, w, chis)
     scores = 2.0 * (e1 * (g[0] - g[1:])).real + 2.0 * abs(g[0] + g[1:])
     best = int(scores.argmax())

@@ -18,59 +18,72 @@ same lexer the circuit language uses.  Exit codes: 0 success (including
 3 when classify answers RequiresStatevector or a non-Clifford request
 hits the stabilizer engine; 1 any other failure.
 
-numpy, and the modules that need it, load only in the handlers and
-argument types that compute with arrays: ``lhv-bound``, ``lhv-fit``,
-``classify``, ``superdense``, ``teleport --engine stabilizer`` and a
-``run`` on the tableau never import it: they draw numpy's seeded stream in
-pure Python.  ``bb84`` samples arrays with numpy's own generator.
+numpy, and the modules that need it, load only in the handlers that compute
+with arrays: ``chsh-scan``, the dense ``teleport`` and a dense ``run``.  A
+``--state`` is four complex numbers checked in plain Python, from which
+``chsh-eval`` takes u and w.  Seeded draws are numpy's ``default_rng(seed)``
+stream in pure Python; ``bb84`` seeds its coins from one such draw.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import re
 import sys
 from typing import TYPE_CHECKING
 
 from . import dsl
-from .errors import SCAN_MAX_RESOLUTION, BellSimError, IoError, NonCliffordGate
+from .errors import (NORM_ATOL, SCAN_MAX_RESOLUTION, BellSimError, DimensionError, InputError,
+                     IoError, NonCliffordGate, NormalizationError)
 
 if TYPE_CHECKING:
     from .protocols import ProtocolReport
-    from .statevector import StateVector
+
+_R = 1.0 / math.sqrt(2.0)
+_NAMED_STATES = {"psi-plus": (0j, _R + 0j, _R + 0j, 0j), "phi-plus": (_R + 0j, 0j, 0j, _R + 0j)}
 
 
-def _state(text: str, num_qubits: int) -> StateVector:
-    """The state with the comma-separated amplitudes in ``text`` (e.g. ``0.6,0.8j``).
+def _amplitudes(text: str, count: int, wrong_count: type = DimensionError) -> list[complex]:
+    """The comma-separated amplitudes in ``text``, e.g. ``0.6,0.8j``: finite (else
+    InputError) and ``count`` of them (else ``wrong_count``), as StateVector checks."""
+    amps = [complex(part.replace(" ", "")) for part in text.split(",")]
+    if not all(math.isfinite(x) for a in amps for x in (a.real, a.imag)):
+        raise InputError(f"amplitudes must be finite numbers, got {text!r}")
+    if len(amps) != count:
+        raise wrong_count(f"expected {count} amplitudes, got {len(amps)}")
+    return amps
 
-    :class:`~bellsim.statevector.StateVector` checks their count, finiteness and norm.
-    """
-    from . import statevector as sv
-    return sv.StateVector(num_qubits, [complex(part.replace(" ", "")) for part in text.split(",")])
+
+def _unit(amps: list[complex], what: str = "state") -> list[complex]:
+    """``amps`` if their norm is 1 within NORM_ATOL (an overflow reads inf), as StateVector checks."""
+    norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amps))
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise NormalizationError(f"{what} norm {norm!r} differs from 1 by more than {NORM_ATOL}")
+    return amps
 
 
-def state_argument(text: str) -> StateVector:
+def state_argument(text: str) -> tuple[complex, ...] | list[complex]:
     """Two-qubit state spec: psi-plus, phi-plus, product:<f0;f1>, or 4 amplitudes.
 
     Names ignore case and may use ``_`` for ``-``.  Product factors are
     semicolon-separated single-qubit amplitude pairs, e.g.
-    ``product:1,0;0.6,0.8``.  Raw amplitudes are comma-separated, e.g.
-    ``0,0.7071067811865476,0.7071067811865476,0``.
+    ``product:1,0;0.6,0.8``, checked as ``product_state`` checks them.  Raw
+    amplitudes are comma-separated, e.g. ``0,0.7071067811865476,0.7071067811865476,0``.
     """
-    from . import statevector as sv
-    named = {"psi-plus": sv.bell_psi_plus, "phi-plus": sv.bell_phi_plus}
+    key = text.strip().lower().replace("_", "-")
+    if key in _NAMED_STATES:
+        return _NAMED_STATES[key]
     try:
-        key = text.strip().lower().replace("_", "-")
-        if key in named:
-            return named[key]()
-        if key.startswith("product:"):
-            factors = [_state(part, 1).amplitudes for part in text.split(":", 1)[1].split(";")]
-            if len(factors) != 2:
-                raise ValueError("product state needs exactly two factors")
-            return sv.product_state(factors)
-        return _state(text, 2)
+        if not key.startswith("product:"):
+            return _unit(_amplitudes(text, 4))
+        factors = [_amplitudes(part, 2, InputError) for part in text.split(":", 1)[1].split(";")]
+        if len(factors) != 2:
+            raise InputError("product state needs exactly two factors")
+        amps = [1 + 0j]  # np.kron's products, in its order
+        for factor in factors:
+            amps = [a * b for a in amps for b in _unit(factor, "factor")]
+        return _unit(amps)
     except (ValueError, BellSimError) as exc:
         raise argparse.ArgumentTypeError(f"bad state {text!r}: {exc}") from None
 
@@ -135,10 +148,8 @@ def _print_report(report: ProtocolReport) -> None:
 
 def _cmd_chsh_eval(args: argparse.Namespace) -> int:
     from . import chsh
-    settings = chsh.MeasurementSettings(
-        alpha1=args.alpha1, alpha2=args.alpha2, chi1=args.chi1, chi2=args.chi2
-    )
-    result = chsh.s_factor(args.state, settings)
+    settings = chsh.MeasurementSettings(args.alpha1, args.alpha2, args.chi1, args.chi2)
+    result = chsh._s_factor(*chsh._uw(*args.state), settings)
     for name, value in zip(("E11", "E12", "E21", "E22"), result.correlations):
         print(f"{name}={value:#.10g}")
     print(f"S={result.s_value:#.10g}")
@@ -146,8 +157,11 @@ def _cmd_chsh_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_chsh_scan(args: argparse.Namespace) -> int:
+    import csv
+
     from . import chsh
-    grid = chsh.scan_s(args.state, args.alpha1, args.chi1, resolution=args.resolution)
+    from . import statevector as sv
+    grid = chsh.scan_s(sv.StateVector(2, args.state), args.alpha1, args.chi1, resolution=args.resolution)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -187,9 +201,11 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
     if args.engine == "stabilizer":
         report = protocols.teleport_stabilizer(args.input, rng)
     else:
+        from . import statevector as sv
         named = "," not in args.input
         try:
-            state = protocols.stabilizer_input_state(args.input) if named else _state(args.input, 1)
+            state = (protocols.stabilizer_input_state(args.input) if named
+                     else sv.StateVector(1, _amplitudes(args.input, 2)))
         except (ValueError, BellSimError) as exc:
             reason = "expected 0, 1, +, -, +i, -i or amplitudes a0,a1" if named else exc
             print(f"error: bad input state {args.input!r}: {reason}", file=sys.stderr)
@@ -206,11 +222,8 @@ def _cmd_superdense(args: argparse.Namespace) -> int:
 
 
 def _cmd_bb84(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from . import protocols
-    rng = np.random.default_rng(args.seed)  # the sampler draws random(size)
-    _print_report(protocols.bb84_simulate(args.rounds, args.eavesdrop, rng))
+    _print_report(protocols.bb84_simulate(args.rounds, args.eavesdrop, dsl._LazyRng(args.seed)))
     return 0
 
 

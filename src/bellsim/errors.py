@@ -9,6 +9,10 @@ subclass :class:`BellSimError` as well.  Every random outcome is one :func:`draw
 import math
 import numbers
 
+# How far from 1 a state's norm may be: statevector and the CLI's numpy-free check of
+# --state amplitudes read it here.
+NORM_ATOL = 1e-10
+
 # Largest chsh.scan_s resolution: an uncapped grid grows as resolution**2
 # (200000 points per axis would need about 300 GiB).  It is kept here, not
 # in chsh, so the CLI's help can state it without importing numpy.
@@ -84,25 +88,17 @@ def finite_real(value, what: str) -> float:
     return value
 
 
-def draw(rng, *size):
-    """``rng.random(*size)``, bellsim's only draw; InputError if ``rng`` cannot make it
-    or a draw is not a real number in [0, 1) (an array: its shape, min and max)."""
+def draw(rng):
+    """``rng.random()``, bellsim's only draw, one number per call; InputError if ``rng``
+    cannot make it or the draw is not a real number in [0, 1)."""
     try:
-        value = rng.random(*size)
+        value = rng.random()
     except (AttributeError, TypeError):
-        call = "random(size)" if size else "random()"
-        raise InputError(f"rng must be a random generator with {call}, got {type(rng).__name__}") from None
-    if type(value) is float and not size and 0.0 <= value < 1.0:  # the common case
+        raise InputError(f"rng must be a random generator with random(), got {type(rng).__name__}") from None
+    if type(value) is float and 0.0 <= value < 1.0:  # the common case
         return value
-    if size:
-        import numpy as np
-        value = np.asarray(value)
-        ok = value.dtype.kind in "fiu" and value.shape == size and (
-            not value.size or 0 <= np.minimum.reduce(value) and np.maximum.reduce(value) < 1)
-    else:
-        ok = 0 <= finite_real(value, "rng.random()") < 1
-    if not ok:
-        raise InputError(f"rng.random gave {value!r}, not real numbers in [0, 1) of shape {size}")
+    if not 0 <= finite_real(value, "rng.random()") < 1:
+        raise InputError(f"rng.random gave {value!r}, not a real number in [0, 1)")
     return value
 
 

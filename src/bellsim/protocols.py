@@ -23,18 +23,19 @@ Wire layout conventions:
   No state is simulated: a qubit measured in the basis it was prepared in
   returns the prepared bit, and in the other basis a fair coin, so the
   report says ``engine=sampler``.  All rounds are drawn at once, at most
-  1,000,000 per call.
+  1,000,000 per call, as ints with one bit per round.
 
 Randomness is drawn only from the caller-supplied generator, in a fixed
 documented order, so seeded runs are exactly reproducible.  A random
 outcome is one ``rng.random()`` draw, as in both engines, and a determined
-one draws nothing.  Superdense coding and tableau teleportation need no
-numpy of their own; the dense teleport and BB84 import it when called.
+one draws nothing; BB84 takes one draw per run and seeds its coins with it.
+Only the dense teleport imports numpy, when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from . import dsl
@@ -60,6 +61,7 @@ _SUPERDENSE = {
 }
 
 _BB84_MAX_ROUNDS = 1_000_000
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # a binary string's digits as byte values
 
 # Gate sequences preparing the six single-qubit stabilizer states from |0>.
 STABILIZER_INPUTS: dict[str, tuple[str, ...]] = {
@@ -215,63 +217,58 @@ def superdense_code(bits: tuple[int, int], rng) -> ProtocolReport:
     )
 
 
-def _coins(rng, size: int) -> np.ndarray:
-    """``size`` fair 0/1 coins as uint8 from one ``rng.random(size)`` draw, 1 below 0.5."""
-    return (draw(rng, size) < 0.5).view("u1")
+def _bb84_measure(bits: int, sent_bases: int, bases: int, coins: int) -> int:
+    """Outcomes of measuring qubits prepared as ``bits`` in ``sent_bases`` in ``bases``,
+    one round per bit: a matching basis returns the prepared bit, a mismatched one its coin."""
+    return bits ^ (bits ^ coins) & (sent_bases ^ bases)
 
 
-def _bb84_measure(bits: np.ndarray, sent_bases: np.ndarray, bases: np.ndarray, rng) -> np.ndarray:
-    """Outcomes of measuring qubits prepared as ``bits`` in ``sent_bases`` in ``bases``.
-
-    A matching basis returns the prepared bit; a mismatched one returns a
-    fair coin, drawn only for those rounds, in round order.
-    """
-    out = bits.copy()
-    mismatched = sent_bases != bases
-    out[mismatched] = _coins(rng, int(mismatched.sum()))
-    return out
+def _round_bits(mask: int, num_rounds: int) -> bytes:
+    """One byte, 0 or 1, per round of ``mask``, round 0 (the lowest bit) first."""
+    return format(mask, f"0{num_rounds}b").encode().translate(_BIT_BYTES)[::-1]
 
 
 def bb84_simulate(num_rounds: int, intercept_resend: bool, rng) -> ProtocolReport:
     """BB84 key distribution, optionally with an intercept-resend attacker.
 
-    A sampler vectorised over rounds (see the module docstring).  The
-    generator is consumed array by array, each in round order: sender
-    bits; sender bases; with an attacker, the attacker's bases and then
-    coins for the rounds where they differ from the sender's; receiver
-    bases; receiver coins for the rounds where the receiver's basis
-    differs from the one the qubit was last prepared in.  Each array is
-    one ``rng.random(size)`` draw, a coin 1 below 0.5: unlike the other
-    drivers, BB84 needs a numpy-style ``random(size)``.  Rounds where
-    sender and receiver bases match are sifted; qber is the error
-    fraction among them (0.0 when none), and the report's classical bits
-    are the receiver's sifted key.  ``num_rounds`` that is not an integer
-    in 1..1,000,000 raises :class:`ConfigError`.
+    A sampler bit-sliced over rounds (see the module docstring): each coin
+    array is one ``num_rounds``-bit int, round i its bit i.  The caller's
+    generator gives exactly one ``rng.random()`` draw x, and
+    ``random.Random(int(x * 2**53))`` gives the arrays by ``getrandbits``, in
+    this order: sender bits; sender bases; with an attacker, the attacker's
+    bases and coins; receiver bases; receiver coins.  A coin array covers
+    every round, and a measurement reads it only where the bases differ.  Any
+    generator with ``random()`` serves, :class:`random.Random` included.
+    Rounds where sender and receiver bases match are sifted; qber is the
+    error fraction among them (0.0 when none), and the report's classical
+    bits are the receiver's sifted key.  ``num_rounds`` that is not an
+    integer in 1..1,000,000 raises :class:`ConfigError`.
     """
-    import numpy as np
     if not is_int(num_rounds, 1, _BB84_MAX_ROUNDS):
         raise ConfigError(f"num_rounds must lie in 1..{_BB84_MAX_ROUNDS}, got {num_rounds}")
-    bits = _coins(rng, num_rounds)
-    bases = _coins(rng, num_rounds)
+    import random
+    n = int(num_rounds)
+    coins = random.Random(int(draw(rng) * 2**53)).getrandbits
+    bits, bases = coins(n), coins(n)
     sent, sent_bases = bits, bases
     if intercept_resend:
-        sent_bases = _coins(rng, num_rounds)
-        sent = _bb84_measure(bits, bases, sent_bases, rng)
-    bob_bases = _coins(rng, num_rounds)
-    received = _bb84_measure(sent, sent_bases, bob_bases, rng)
-    sifted_rounds = bob_bases == bases
-    key = received[sifted_rounds]
+        sent_bases = coins(n)
+        sent = _bb84_measure(bits, bases, sent_bases, coins(n))
+    bob_bases = coins(n)
+    received = _bb84_measure(sent, sent_bases, bob_bases, coins(n))
+    sifted_rounds = ~(bob_bases ^ bases) & ((1 << n) - 1)
+    key = list(compress(_round_bits(received, n), _round_bits(sifted_rounds, n)))
     sifted = len(key)
-    errors = int(np.count_nonzero(key != bits[sifted_rounds]))
+    errors = ((received ^ bits) & sifted_rounds).bit_count()
     qber = errors / sifted if sifted else 0.0
     return ProtocolReport(
         protocol="bb84",
         engine="sampler",
-        classical_bits=key.tolist(),
+        classical_bits=key,
         metrics={
-            "rounds": float(num_rounds),
+            "rounds": float(n),
             "sifted_count": float(sifted),
-            "sift_rate": sifted / num_rounds,
+            "sift_rate": sifted / n,
             "error_count": float(errors),
             "qber": qber,
         },

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    NORM_ATOL,
     DimensionError,
     InputError,
     NormalizationError,
@@ -55,7 +56,6 @@ from .gates import GATES, GateOp, check_gate, gate  # noqa: F401 - re-exported
 from .gates import _check_qubit
 
 MAX_QUBITS = 12
-NORM_ATOL = 1e-10
 PROJECTION_EPS = 1e-12
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)

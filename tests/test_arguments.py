@@ -62,10 +62,6 @@ BAD_CALLS = {
     "product_state triple": (lambda: sv.product_state([(1, 0, 0)]), InputError),
     "product_state scalar": (lambda: sv.product_state([1]), InputError),
     "stabilizer input not a string": (lambda: protocols.resolve_stabilizer_input(1), InputError),
-    "observable_a nan": (lambda: chsh.observable_a(math.nan), InputError),
-    "observable_b inf": (lambda: chsh.observable_b(math.inf), InputError),
-    "psi_plus_correlation inf": (lambda: chsh.psi_plus_correlation(math.inf, 0), InputError),
-    "phi_plus_correlation nan": (lambda: chsh.phi_plus_correlation(math.nan, 0), InputError),
     "gate numpy complex angle": (lambda: sv.gate("RZ", 0, angle=NP_COMPLEX), InputError),
     "wrap_angle numpy complex": (lambda: chsh.wrap_angle(NP_COMPLEX), InputError),
     "MeasurementSettings numpy complex": (

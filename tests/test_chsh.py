@@ -30,22 +30,62 @@ def random_product_state(seed):
     return sv.product_state(factors)
 
 
+# The matrix oracle: the module docstring's observables, measured on the dense
+# engine, and the two Bell states' closed forms.
+
+def observable_a(alpha):
+    """Side-A observable at analyzer angle ``alpha`` (Hermitian, eigenvalues +/-1)."""
+    return np.array([[0.0, np.exp(-1j * alpha)], [np.exp(1j * alpha), 0.0]], dtype=complex)
+
+
+def observable_b(chi):
+    """Side-B observable at analyzer angle ``chi`` (Hermitian, eigenvalues +/-1)."""
+    return np.array([[0.0, np.exp(1j * chi)], [np.exp(-1j * chi), 0.0]], dtype=complex)
+
+
+def psi_plus_correlation(alpha, chi):
+    """Closed-form correlation for (|01> + |10>)/sqrt(2): cos(alpha + chi)."""
+    return math.cos(alpha + chi)
+
+
+def phi_plus_correlation(alpha, chi):
+    """Closed-form correlation for (|00> + |11>)/sqrt(2): cos(alpha - chi)."""
+    return math.cos(alpha - chi)
+
+
+def matrix_correlation(state, alpha, chi):
+    return sv.expectation(state, observable_a(alpha), observable_b(chi))
+
+
 def test_observables_at_special_angles():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]])
-    np.testing.assert_allclose(chsh.observable_a(0.0), x, atol=1e-15)
-    np.testing.assert_allclose(chsh.observable_b(0.0), x, atol=1e-15)
-    np.testing.assert_allclose(chsh.observable_a(math.pi / 2), y, atol=1e-15)
-    np.testing.assert_allclose(chsh.observable_b(math.pi / 2), -y, atol=1e-15)
+    np.testing.assert_allclose(observable_a(0.0), x, atol=1e-15)
+    np.testing.assert_allclose(observable_b(0.0), x, atol=1e-15)
+    np.testing.assert_allclose(observable_a(math.pi / 2), y, atol=1e-15)
+    np.testing.assert_allclose(observable_b(math.pi / 2), -y, atol=1e-15)
 
 
 def test_observables_are_hermitian_involutions():
     rng = np.random.default_rng(3)
     for _ in range(50):
         angle = float(rng.uniform(-math.pi, math.pi))
-        for obs in (chsh.observable_a(angle), chsh.observable_b(angle)):
+        for obs in (observable_a(angle), observable_b(angle)):
             np.testing.assert_allclose(obs, obs.conj().T, atol=1e-12)
             np.testing.assert_allclose(obs @ obs, np.eye(2), atol=1e-12)
+
+
+def test_s_factor_matches_the_matrix_oracle_on_haar_states():
+    # a normalized complex Gaussian vector is Haar-distributed
+    rng = np.random.default_rng(11)
+    for seed in range(300):
+        state = random_two_qubit_state(20_000 + seed)
+        settings = chsh.MeasurementSettings(*rng.uniform(-4, 4, size=4))
+        a1, a2, c1, c2 = settings.as_tuple()
+        oracle = [matrix_correlation(state, a, c) for a in (a1, a2) for c in (c1, c2)]
+        result = chsh.s_factor(state, settings)
+        assert max(abs(e - o) for e, o in zip(result.correlations, oracle)) <= 1e-14, seed
+        assert abs(result.s_value - (oracle[0] - oracle[1] + oracle[2] + oracle[3])) <= 1e-14, seed
 
 
 def test_wrap_angle_canonical_interval():
@@ -68,8 +108,12 @@ def test_correlation_matches_closed_forms():
         chi = float(rng.uniform(-math.pi, math.pi))
         assert abs(chsh.correlation(psi, alpha, chi) - math.cos(alpha + chi)) < 1e-10
         assert abs(chsh.correlation(phi, alpha, chi) - math.cos(alpha - chi)) < 1e-10
-    assert abs(chsh.psi_plus_correlation(math.pi / 2, -math.pi / 4) - math.cos(math.pi / 4)) < 1e-15
-    assert abs(chsh.phi_plus_correlation(0.3, 0.3) - 1.0) < 1e-15
+        result = chsh.s_factor(psi, chsh.MeasurementSettings(alpha, alpha, chi, chi))
+        assert abs(result.correlations[0] - psi_plus_correlation(alpha, chi)) < 1e-15
+        result = chsh.s_factor(phi, chsh.MeasurementSettings(alpha, alpha, chi, chi))
+        assert abs(result.correlations[0] - phi_plus_correlation(alpha, chi)) < 1e-15
+    assert abs(psi_plus_correlation(math.pi / 2, -math.pi / 4) - math.cos(math.pi / 4)) < 1e-15
+    assert abs(phi_plus_correlation(0.3, 0.3) - 1.0) < 1e-15
 
 
 def test_correlation_requires_two_qubits():

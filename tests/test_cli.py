@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving bellsim.cli.main in process."""
 
+import argparse
 import csv
 import io
 import math
@@ -8,12 +9,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import bellsim
-from bellsim import chsh
+from bellsim import chsh, cli
 from bellsim import statevector as sv
 from bellsim.cli import main
+from bellsim.errors import NORM_ATOL, BellSimError, NormalizationError
 
 TSIRELSON_ARGS = ["--alpha1", "pi/2", "--chi1", "-pi/4", "--alpha2", "0", "--chi2", "pi/4"]
 ZERO_S_ARGS = ["--alpha1", "pi/2", "--chi1", "-pi/4", "--alpha2", "0", "--chi2", "-3pi/4"]
@@ -184,6 +189,95 @@ def test_malformed_state_spec_is_a_usage_error(spec, capsys):
     assert caught.value.code == 2
     assert captured.out == ""
     assert f"error: argument --state: bad state {spec!r}: " in captured.err
+
+
+# The CLI checks --state amplitudes in plain Python, so that chsh-eval needs no numpy; the
+# library's StateVector and product_state are its oracle.  The two norms are each within
+# about an ulp of the exact one, so the verdicts may differ only where |norm - 1| lies
+# within 1e-15 of NORM_ATOL.
+EDGE_BAND = 1e-15
+
+special_amplitudes = hs.sampled_from(
+    [0j, complex(-0.0, -0.0), complex("nan"), complex("inf"), complex(0, -math.inf),
+     1e308 + 0j, 1e200j, 1e-320 + 0j]
+)
+# Scales that put a normalized vector's norm on, inside, beyond and at the 1e-10 edge.
+norm_scales = hs.one_of(
+    hs.sampled_from([1.0, 1 + 1e-11, 1 - 9e-11, 1 + NORM_ATOL, 1 - NORM_ATOL, 1 + 2e-10, 1.5]),
+    hs.floats(1 - 2e-10, 1 + 2e-10),
+)
+
+
+def vectors(size, other_sizes):
+    """Mostly ``size`` amplitudes scaled to a norm near 1; a quarter of them with
+    one entry replaced by a special value."""
+    def build(drawn):
+        amps, scale, special = drawn
+        with np.errstate(all="ignore"):
+            norm = float(np.linalg.norm(amps))
+        amps = [a / norm * scale for a in amps] if norm > 1e-100 else amps
+        if special is not None:
+            amps[special[0] % len(amps)] = special[1]
+        return amps
+
+    lengths = hs.sampled_from([size] * 3 + list(other_sizes))
+    finite = hs.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    return hs.tuples(
+        lengths.flatmap(lambda n: hs.lists(finite, min_size=n, max_size=n)),
+        norm_scales,
+        hs.one_of(hs.none(), hs.none(), hs.none(), hs.tuples(hs.integers(0, 4), special_amplitudes)),
+    ).map(build)
+
+
+def error_class(call):
+    try:
+        call()
+    except BellSimError as exc:
+        return type(exc)
+    return None
+
+
+def cli_error_class(spec):
+    # state_argument raises ArgumentTypeError from None: the check's own error is its context
+    try:
+        cli.state_argument(spec)
+    except argparse.ArgumentTypeError as exc:
+        assert isinstance(exc.__context__, BellSimError), exc
+        return type(exc.__context__)
+    return None
+
+
+def on_the_edge(*amplitudes):
+    with np.errstate(all="ignore"):
+        norms = [float(np.linalg.norm(amps)) for amps in amplitudes]
+    return any(abs(abs(norm - 1) - NORM_ATOL) <= EDGE_BAND for norm in norms)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(vectors(4, (1, 2, 3, 5)))
+def test_the_cli_amplitude_check_is_statevectors(amps):
+    got = cli_error_class(",".join(map(repr, amps)))
+    want = error_class(lambda: sv.StateVector(2, amps))
+    if got != want:
+        assert {got, want} == {None, NormalizationError} and on_the_edge(amps), (got, want)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(vectors(2, (1, 3)), vectors(2, (1, 3)))
+def test_the_cli_product_check_is_product_states(first, second):
+    got = cli_error_class("product:" + ";".join(",".join(map(repr, f)) for f in (first, second)))
+    want = error_class(lambda: sv.product_state([first, second]))
+    if got != want:
+        assert {got, want} == {None, NormalizationError}, (got, want)
+        assert on_the_edge(first, second, np.kron(first, second)), (got, want)
+
+
+def test_the_cli_checks_agree_on_both_sides_of_the_edge():
+    amps = [0.6, 0.8j, 0, 0]
+    for scale, want in ((1 + 0.99 * NORM_ATOL, None), (1 + 1.01 * NORM_ATOL, NormalizationError)):
+        spec = ",".join(repr(a * scale) for a in amps)
+        assert cli_error_class(spec) == want
+        assert error_class(lambda: sv.StateVector(2, [a * scale for a in amps])) == want
 
 
 @pytest.mark.parametrize("amplitudes", ["1,0,0", "nan,1"])

@@ -1,16 +1,20 @@
 """The runtime dependency list is numpy alone, and numpy loads only where numbers need it.
 
 SciPy must never load.  ``import bellsim`` loads no numpy: its submodules
-load on first access.  ``lhv-bound``, ``lhv-fit``, ``classify``,
-``superdense``, ``teleport --engine stabilizer`` and a ``run`` on the
-tableau, random measurements included, run without importing numpy: their
-draws come from ``_pcg64``, numpy's ``default_rng`` stream in pure Python.
-So the modules on their path (the package, ``cli``, ``dsl``, ``gates``,
-``stabilizer``, ``protocols``, ``lhv``, ``errors`` and ``_pcg64``) import
-neither numpy nor the modules that need it at module level, and
-``import bellsim.cli`` does not load ``_pcg64``: a command that draws
-nothing does not compile it.  ``lhv`` imports numpy nowhere, not even in a
-function.
+load on first access.  Every command but ``chsh-scan``, the dense
+``teleport`` and a dense ``run`` runs without importing numpy: ``lhv-bound``,
+``lhv-fit``, ``classify``, ``superdense``, ``teleport --engine stabilizer``,
+a ``run`` on the tableau, random measurements included, ``chsh-eval`` for
+every ``--state`` form, and ``bb84``.  Their draws come from ``_pcg64``,
+numpy's ``default_rng`` stream in pure Python; ``chsh-eval`` reads four
+amplitudes checked in plain Python, and ``bb84`` seeds ``random.Random``
+with one draw, importing ``random`` only inside ``bb84_simulate``.  So the
+modules on their path (the package, ``cli``, ``dsl``, ``gates``,
+``stabilizer``, ``protocols``, ``chsh``, ``lhv``, ``errors`` and
+``_pcg64``) import neither numpy nor the modules that need it at module
+level, and ``import bellsim.cli`` does not load ``_pcg64``: a command that
+draws nothing does not compile it.  ``lhv`` imports numpy nowhere, not
+even in a function.
 The stabilizer kernels call ``int.bit_count``, so the supported Python
 floor must stay at 3.10 or higher.  Building the CLI's parser
 builds no state: a ``--state`` default is resolved only when a
@@ -66,9 +70,11 @@ print(code, "numpy" in sys.modules)
 
 # Modules that the numpy-free commands import, and what they must not import
 # at module level.
-NUMPY_FREE = ("__init__", "_pcg64", "cli", "dsl", "errors", "gates", "lhv", "protocols",
+NUMPY_FREE = ("__init__", "_pcg64", "chsh", "cli", "dsl", "errors", "gates", "lhv", "protocols",
               "stabilizer")
-NEEDS_NUMPY = {"numpy", "bellsim.statevector", "bellsim.chsh"}
+NEEDS_NUMPY = {"numpy", "bellsim.statevector"}
+
+TSIRELSON = ["--alpha1", "pi/2", "--chi1", "-pi/4", "--alpha2", "0", "--chi2", "pi/4"]
 
 REVERSIBLE = "qubits 3\nx 0\ncnot 0 1\nrx 2 pi\ncz 1 2\ns 0\nmeasure 0\nmeasure 1\nmeasure 2\n"
 
@@ -107,19 +113,37 @@ def test_import_bellsim_leaves_numpy_unloaded():
         (["run", "-", "--seed", "7"], REVERSIBLE, 0),
         (["teleport", "--input=+", "--engine", "stabilizer", "--seed", "3"], "", 0),
         (["run", "-"], "qubits 1\nh 0\nmeasure 0\n", 0),
+        (["chsh-eval", *TSIRELSON], "", 0),
+        (["chsh-eval", "--state", "phi-plus", *TSIRELSON], "", 0),
+        (["chsh-eval", "--state", "0,0.6,0.8j,0", *TSIRELSON], "", 0),
+        (["chsh-eval", "--state", "product:1,0;0.6,0.8", *TSIRELSON], "", 0),
+        (["bb84", "--rounds", "200", "--seed", "5"], "", 0),
+        (["bb84", "--rounds", "200", "--eavesdrop", "--seed", "5"], "", 0),
     ],
     ids=[
         "lhv-bound", "lhv-fit", "lhv-fit-infeasible", "classify-clifford", "classify-nonclifford",
-        "superdense", "run", "teleport-stabilizer", "run-that-draws",
+        "superdense", "run", "teleport-stabilizer", "run-that-draws", "chsh-eval",
+        "chsh-eval-phi-plus", "chsh-eval-amplitudes", "chsh-eval-product", "bb84",
+        "bb84-eavesdrop",
     ],
 )
 def test_commands_that_compute_no_numbers_leave_numpy_unloaded(argv, stdin, code):
     assert python("-c", CLI_MAIN, *argv, stdin) == f"{code} False"
 
 
-def test_bb84_loads_numpy():
-    # The probe above can see numpy: the BB84 sampler draws arrays.
-    assert python("-c", CLI_MAIN, "bb84", "--rounds", "20", "") == "0 True"
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["chsh-scan", "--resolution", "3", "--out", os.devnull], ""),
+        (["teleport", "--input", "0.6,0.8"], ""),
+        (["run", "-", "--engine", "statevector"], "qubits 1\nh 0\nmeasure 0\n"),
+        (["run", "-"], "qubits 1\nt 0\nmeasure 0\n"),
+    ],
+    ids=["chsh-scan", "teleport-statevector", "run-statevector", "run-non-clifford"],
+)
+def test_commands_that_compute_with_arrays_load_numpy(argv, stdin):
+    # The probe above can see numpy: these commands build dense states.
+    assert python("-c", CLI_MAIN, *argv, stdin) == "0 True"
 
 
 def test_import_bellsim_cli_leaves_the_stream_uncompiled():
@@ -169,6 +193,42 @@ def test_numpy_free_modules_import_no_numpy_at_module_level(module):
 
 def test_lhv_imports_numpy_in_no_scope():
     assert not numpy_imports("lhv", every_scope=True)
+
+
+def imports_of(tree, name):
+    """The name of the function around each import of the module ``name`` in ``tree``
+    (``None`` at module level), in source order."""
+    found = []
+    stack = [(tree, None)]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == name for a in node.names) \
+                or isinstance(node, ast.ImportFrom) and not node.level \
+                and (node.module or "").split(".")[0] == name:
+            found.append((node.lineno, scope))
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return [scope for _, scope in sorted(found)]
+
+
+def test_only_the_bb84_sampler_imports_random():
+    # one seeded draw seeds random.Random there; an import anywhere else, or at
+    # module level, would load random for commands that never use it
+    uses = {
+        path.name: imports_of(ast.parse(path.read_text(encoding="utf-8")), "random")
+        for path in sorted((Path(SRC) / "bellsim").glob("*.py"))
+    }
+    assert {name: scopes for name, scopes in uses.items() if scopes} == {
+        "protocols.py": ["bb84_simulate"]
+    }
+
+
+def test_the_import_scope_check_sees_every_import():
+    tree = ast.parse("import random\ndef f():\n    from random import Random\n"
+                     "class C:\n    def g(self):\n        import os, random.x as r\n"
+                     "from .random import y\nimport randomness\n")
+    assert imports_of(tree, "random") == [None, "f", "g"]
 
 
 def test_the_import_check_sees_every_kind_of_import():

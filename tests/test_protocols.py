@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -268,28 +269,10 @@ def test_bb84_rejects_rounds_above_the_cap():
             pr.bb84_simulate(rounds, True, ExplodingRng())
 
 
-class Coins:
-    """Generator stand-in that answers every draw with one fixed coin, counting the draws:
-    a draw of 0.25 reads as a 1 coin, 0.75 as a 0 coin."""
-
-    def __init__(self, coin):
-        self.coin = coin
-        self.drawn = 0
-
-    def random(self, size):
-        self.drawn += size
-        return np.full(size, 0.25 if self.coin else 0.75)
-
-
 def assert_sampler_rule(probability, bit, sent_basis, basis):
-    """The sampler's outcome over both coins has P(1) = ``probability``, and
-    it draws a coin exactly when the outcome is random."""
-    outcomes = []
-    for coin in (0, 1):
-        rng = Coins(coin)
-        bits, sent, bases = (np.array([v], np.uint8) for v in (bit, sent_basis, basis))
-        outcomes.append(int(pr._bb84_measure(bits, sent, bases, rng)[0]))
-        assert rng.drawn == (probability == 0.5)
+    """The sampler's outcome over both coins has P(1) = ``probability``: it reads
+    the coin exactly when the outcome is random."""
+    outcomes = [pr._bb84_measure(bit, sent_basis, basis, coin) for coin in (0, 1)]
     assert sum(outcomes) / 2 == probability
 
 
@@ -312,35 +295,77 @@ def test_bb84_sampler_matches_tableau(bit, basis, eve_basis, bob_basis):
         assert_sampler_rule(st.outcome_probability(t, 0), seen, eve_basis, bob_basis)
 
 
-class Scripted:
-    """Generator stand-in that returns prepared coin arrays in order, recording the sizes
-    asked: a 1 coin is drawn as 0.25, a 0 coin as 0.75."""
+class ScriptedCoins:
+    """``random.Random`` stand-in that records its seed and answers each
+    ``getrandbits`` with the next prepared coin array, round i as bit i."""
 
     def __init__(self, *arrays):
         self.arrays = list(arrays)
-        self.sizes = []
+        self.seeds, self.sizes = [], []
 
-    def random(self, size):
-        self.sizes.append(size)
-        out = np.where(np.array(self.arrays.pop(0)) == 1, 0.25, 0.75)
-        assert out.shape == (size,)
-        return out
+    def __call__(self, seed):
+        self.seeds.append(seed)
+        return self
+
+    def getrandbits(self, k):
+        self.sizes.append(k)
+        return sum(coin << i for i, coin in enumerate(self.arrays.pop(0)))
 
 
-def test_bb84_draw_order():
-    rng = Scripted(
+class Quarter:
+    """A generator whose one draw is 0.25."""
+
+    def random(self):
+        return 0.25
+
+
+def test_bb84_draw_order(monkeypatch):
+    coins = ScriptedCoins(
         [0, 1, 1, 0],  # sender bits
         [0, 0, 1, 1],  # sender bases
         [0, 1, 1, 0],  # attacker bases
-        [1, 0],  # attacker coins, rounds 1 and 3
+        [1, 1, 0, 0],  # attacker coins, read in rounds 1 and 3 only
         [0, 1, 1, 1],  # receiver bases
-        [1],  # receiver coin, round 3 (attacker basis 0, receiver basis 1)
+        [1, 0, 0, 1],  # receiver coins, read in round 3 only (attacker basis 0, receiver 1)
     )
-    report = pr.bb84_simulate(4, True, rng)
-    assert rng.sizes == [4, 4, 4, 2, 4, 1]
+    monkeypatch.setattr(random, "Random", coins)
+    report = pr.bb84_simulate(4, True, Quarter())
+    assert coins.seeds == [2**51] and coins.sizes == [4] * 6
     assert report.classical_bits == [0, 1, 1]  # rounds 0, 2 and 3 are sifted
     assert report.metrics["error_count"] == 1.0  # round 3: sent 0, received 1
     assert report.engine == "sampler"
+
+
+def replay_bb84(x, num_rounds, eve):
+    """The sifted key and error count of ``bb84_simulate`` whose one draw is ``x``,
+    replayed one round at a time from the documented coin arrays."""
+    stream = random.Random(int(x * 2**53))
+    arrays = [stream.getrandbits(num_rounds) for _ in range(6 if eve else 4)]
+    key, errors = [], 0
+    for i in range(num_rounds):
+        coins = iter([array >> i & 1 for array in arrays])
+        bit, basis = next(coins), next(coins)
+        sent, sent_basis = bit, basis
+        if eve:
+            sent_basis, coin = next(coins), next(coins)
+            sent = bit if sent_basis == basis else coin
+        bob_basis, coin = next(coins), next(coins)
+        received = sent if bob_basis == sent_basis else coin
+        if bob_basis == basis:
+            key.append(received)
+            errors += received != bit
+    return key, errors
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("eve", [False, True])
+@pytest.mark.parametrize("num_rounds", [1, 7, 64, 65, 300])
+def test_bb84_bit_slicing_matches_a_round_by_round_replay(num_rounds, eve, seed):
+    report = pr.bb84_simulate(num_rounds, eve, np.random.default_rng(seed))
+    key, errors = replay_bb84(np.random.default_rng(seed).random(), num_rounds, eve)
+    assert report.classical_bits == key
+    assert report.metrics["error_count"] == errors
+    assert report.metrics["sifted_count"] == len(key)
 
 
 def test_report_key_value_lines():

@@ -4,9 +4,10 @@ Both engines, the LHV sampler and the protocol drivers draw one
 ``random()`` per random outcome and none per determined one.  So any
 generator with that method serves, :class:`random.Random` included, and
 on a Clifford circuit the two engines read one stream the same way.
-BB84 alone draws arrays, ``random(size)``.  A seeded run and the CLI's
-scalar draws read ``bellsim._pcg64``, numpy's ``default_rng(seed)`` stream
-computed in pure Python, so no tableau run needs numpy for its draws.
+BB84 takes exactly one ``random()`` per run and seeds its coins with it.
+A seeded run and the CLI's draws read ``bellsim._pcg64``, numpy's
+``default_rng(seed)`` stream computed in pure Python, so no tableau run and
+no ``bb84`` needs numpy for its draws.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from bellsim import _pcg64, dsl, lhv
+from bellsim import _pcg64, cli, dsl, lhv
 from bellsim import protocols as pr
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
@@ -114,12 +115,23 @@ def test_the_protocols_draw_once_per_random_outcome():
     assert rng.calls == [()] * 4
 
 
-def test_bb84_draws_one_array_per_step():
+@pytest.mark.parametrize("rounds", [1, 40, 1000])
+@pytest.mark.parametrize("eve", [False, True])
+def test_bb84_draws_once(rounds, eve):
     rng = Recording(5)
-    report = pr.bb84_simulate(40, True, rng)
-    sizes = [size for (size,) in rng.calls]  # every call passes a size
-    assert len(sizes) == 6 and sizes[:3] == [40, 40, 40] and sizes[4] == 40
+    report = pr.bb84_simulate(rounds, eve, rng)
+    assert rng.calls == [()]
     assert all(b in (0, 1) and type(b) is int for b in report.classical_bits)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("eve", [False, True])
+def test_the_cli_bb84_key_is_the_library_key_with_numpys_generator(seed, eve, capsys):
+    # --seed s draws _pcg64's stream, which is numpy's default_rng(s), bit for bit
+    argv = ["bb84", "--rounds", "300", "--seed", str(seed), *(["--eavesdrop"] if eve else [])]
+    assert cli.main(argv) == 0
+    report = pr.bb84_simulate(300, eve, np.random.default_rng(seed))
+    assert capsys.readouterr().out.splitlines() == report.to_key_value_lines()
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -141,6 +153,7 @@ def test_random_random_serves_every_scalar_draw():
         "teleport_statevector": lambda rng: pr.teleport_statevector(
             sv.StateVector(1, [0.6, 0.8]), rng)[0].to_key_value_lines(),
         "teleport_stabilizer": lambda rng: pr.teleport_stabilizer("-", rng).to_key_value_lines(),
+        "bb84_simulate": lambda rng: pr.bb84_simulate(8, True, rng).to_key_value_lines(),
     }
     for name, call in calls.items():
         results = [repr(call(random.Random(seed))) for seed in range(16)]
