@@ -31,8 +31,9 @@ Quantum states keep |S| <= 2*sqrt(2); local hidden variable models keep
 |S| <= 2.
 
 Angles must be finite and are canonicalized to [-pi, pi].  Everything is
-computed from u and w; nothing is drawn at random.  :func:`s_factor` and the
-free :func:`maximize_s` are plain Python; numpy loads only for the arrays of
+computed from u and w; nothing is drawn at random.  :func:`correlation`
+(:func:`s_factor`'s E11), :func:`s_factor` and the free :func:`maximize_s`
+are plain Python; numpy loads only for the arrays of
 :func:`correlation_matrix`, :func:`scan_s` and the fixed-pair maximum.
 """
 
@@ -123,8 +124,9 @@ def _g(u: complex, w: complex, chis) -> np.ndarray:
 
 
 def correlation(state: sv.StateVector, alpha: float, chi: float) -> float:
-    """E(alpha, chi) = <psi| A(alpha) (x) B(chi) |psi> on a two-qubit state."""
-    return float(correlation_matrix(state, alpha, chi)[0, 0])
+    """E(alpha, chi) = <psi| A(alpha) (x) B(chi) |psi> on a two-qubit state, in plain Python:
+    :func:`s_factor`'s E11, bit for bit, its angles checked as the settings' are."""
+    return _s_factor(*_products(state), MeasurementSettings(alpha, alpha, chi, chi)).correlations[0]
 
 
 def correlation_matrix(state: sv.StateVector, alphas: np.ndarray, chis: np.ndarray) -> np.ndarray:

@@ -42,6 +42,8 @@ if TYPE_CHECKING:
 
 _R = 1.0 / math.sqrt(2.0)
 _NAMED_STATES = {"psi-plus": (0j, _R + 0j, _R + 0j, 0j), "phi-plus": (_R + 0j, 0j, 0j, _R + 0j)}
+_ANGLE_FLAGS = ("--alpha1", "--chi1", "--alpha2", "--chi2")
+_CORRELATION_FLAGS = ("--e11", "--e12", "--e21", "--e22")  # their values print as E11 .. E22
 
 
 def _amplitudes(text: str, count: int, wrong_count: type = DimensionError) -> list[complex]:
@@ -150,8 +152,8 @@ def _cmd_chsh_eval(args: argparse.Namespace) -> int:
     from . import chsh
     settings = chsh.MeasurementSettings(args.alpha1, args.alpha2, args.chi1, args.chi2)
     result = chsh._s_factor(*chsh._uw(*args.state), settings)
-    for name, value in zip(("E11", "E12", "E21", "E22"), result.correlations):
-        print(f"{name}={value:#.10g}")
+    for flag, value in zip(_CORRELATION_FLAGS, result.correlations):
+        print(f"{flag[2:].upper()}={value:#.10g}")
     print(f"S={result.s_value:#.10g}")
     return 0
 
@@ -190,8 +192,8 @@ def _cmd_lhv_fit(args: argparse.Namespace) -> int:
         return 0
     for index, weight in enumerate(model.weights):
         print(f"w{index}={weight:.10f}")
-    for name, value in zip(("E11", "E12", "E21", "E22"), lhv.model_correlations(model)):
-        print(f"{name}={value:#.10g}")
+    for flag, value in zip(_CORRELATION_FLAGS, lhv.model_correlations(model)):
+        print(f"{flag[2:].upper()}={value:#.10g}")
     return 0
 
 
@@ -207,7 +209,8 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
             state = (protocols.stabilizer_input_state(args.input) if named
                      else sv.StateVector(1, _amplitudes(args.input, 2)))
         except (ValueError, BellSimError) as exc:
-            reason = "expected 0, 1, +, -, +i, -i or amplitudes a0,a1" if named else exc
+            reason = (f"expected {', '.join(protocols.STABILIZER_INPUTS)} or amplitudes a0,a1"
+                      if named else exc)
             print(f"error: bad input state {args.input!r}: {reason}", file=sys.stderr)
             return 2
         report, _ = protocols.teleport_statevector(state, rng)
@@ -262,18 +265,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("chsh-eval", help="S-factor at four analyzer angles")
-    p.add_argument("--state", type=state_argument, default="psi-plus")
-    p.add_argument("--alpha1", type=angle_argument, required=True)
-    p.add_argument("--chi1", type=angle_argument, required=True)
-    p.add_argument("--alpha2", type=angle_argument, required=True)
-    p.add_argument("--chi2", type=angle_argument, required=True)
-    p.set_defaults(func=_cmd_chsh_eval)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("chsh-scan", help="CSV sweep of S over (alpha2, chi2)")
+    p = command("chsh-eval", _cmd_chsh_eval, "S-factor at four analyzer angles")
     p.add_argument("--state", type=state_argument, default="psi-plus")
-    p.add_argument("--alpha1", type=angle_argument, default="pi/2")
-    p.add_argument("--chi1", type=angle_argument, default="-pi/4")
+    for flag in _ANGLE_FLAGS:
+        p.add_argument(flag, type=angle_argument, required=True)
+
+    p = command("chsh-scan", _cmd_chsh_scan, "CSV sweep of S over (alpha2, chi2)")
+    p.add_argument("--state", type=state_argument, default="psi-plus")
+    for flag, default in zip(_ANGLE_FLAGS, ("pi/2", "-pi/4")):  # alpha1, chi1
+        p.add_argument(flag, type=angle_argument, default=default)
     p.add_argument(
         "--resolution",
         type=int,
@@ -281,60 +286,48 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"points per axis, 2..{SCAN_MAX_RESOLUTION} (default 201)",
     )
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_chsh_scan)
 
-    p = sub.add_parser("lhv-bound", help="classical CHSH bound (exactly 2.0)")
-    p.set_defaults(func=_cmd_lhv_bound)
+    command("lhv-bound", _cmd_lhv_bound, "classical CHSH bound (exactly 2.0)")
 
-    p = sub.add_parser("lhv-fit", help="fit a local model to four correlations")
-    p.add_argument("--e11", type=correlation_argument, required=True)
-    p.add_argument("--e12", type=correlation_argument, required=True)
-    p.add_argument("--e21", type=correlation_argument, required=True)
-    p.add_argument("--e22", type=correlation_argument, required=True)
-    p.set_defaults(func=_cmd_lhv_fit)
+    p = command("lhv-fit", _cmd_lhv_fit, "fit a local model to four correlations")
+    for flag in _CORRELATION_FLAGS:
+        p.add_argument(flag, type=correlation_argument, required=True)
 
-    p = sub.add_parser("teleport", help="teleport a single-qubit state")
-    p.add_argument(
+    teleport = command("teleport", _cmd_teleport, "teleport a single-qubit state")
+    teleport.add_argument(
         "--input",
         required=True,
         help="named stabilizer state (0, 1, +, -, +i, -i) or amplitudes a0,a1",
     )
-    p.add_argument("--engine", choices=("statevector", "stabilizer"), default="statevector")
-    p.add_argument("--seed", type=seed_argument, default=0)
-    p.set_defaults(func=_cmd_teleport)
+    teleport.add_argument("--engine", choices=("statevector", "stabilizer"), default="statevector")
 
-    p = sub.add_parser("superdense", help="superdense coding of two bits")
-    p.add_argument("--bits", type=bits_argument, required=True, metavar="B1B2")
-    p.add_argument("--seed", type=seed_argument, default=0)
-    p.set_defaults(func=_cmd_superdense)
+    superdense = command("superdense", _cmd_superdense, "superdense coding of two bits")
+    superdense.add_argument("--bits", type=bits_argument, required=True, metavar="B1B2")
 
-    p = sub.add_parser("bb84", help="BB84 key distribution")
-    p.add_argument("--rounds", type=int, default=1000)
-    p.add_argument(
+    bb84 = command("bb84", _cmd_bb84, "BB84 key distribution")
+    bb84.add_argument("--rounds", type=int, default=1000)
+    bb84.add_argument(
         "--eavesdrop", action="store_true", help="insert an intercept-resend attacker"
     )
-    p.add_argument("--seed", type=seed_argument, default=0)
-    p.set_defaults(func=_cmd_bb84)
 
-    p = sub.add_parser("classify", help="stabilizer-simulability of a circuit file")
+    p = command("classify", _cmd_classify, "stabilizer-simulability of a circuit file")
     p.add_argument("file", help="circuit file path, or - for stdin")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("run", help="execute a circuit file")
-    p.add_argument("file", help="circuit file path, or - for stdin")
-    p.add_argument("--engine", choices=("auto", "statevector", "stabilizer"), default="auto")
-    p.add_argument("--seed", type=seed_argument, default=0)
-    p.set_defaults(func=_cmd_run)
+    run = command("run", _cmd_run, "execute a circuit file")
+    run.add_argument("file", help="circuit file path, or - for stdin")
+    run.add_argument("--engine", choices=("auto", "statevector", "stabilizer"), default="auto")
 
+    for p in (teleport, superdense, bb84, run):  # --seed is each one's last option
+        p.add_argument("--seed", type=seed_argument, default=0)
     return parser
 
 
-_NUMERIC_FLAGS = ("--alpha1", "--alpha2", "--chi1", "--chi2", "--e11", "--e12", "--e21", "--e22")
 # Flag -> the values starting with "-" that belong to it: negative numbers
 # and pi-tokens in any case (-inf and -nan too, which the flag's type
 # rejects), and for --input any value but one starting "--" (-i, -, -0.6,0.8).
 _DASH_VALUES = {
-    **dict.fromkeys(_NUMERIC_FLAGS, re.compile(r"^-(?:\d|\.\d|(?i:pi\b|inf|nan))")),
+    **dict.fromkeys(_ANGLE_FLAGS + _CORRELATION_FLAGS,
+                    re.compile(r"^-(?:\d|\.\d|(?i:pi\b|inf|nan))")),
     "--input": re.compile(r"^-(?!-)"),
 }
 

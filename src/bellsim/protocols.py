@@ -124,7 +124,7 @@ def resolve_stabilizer_input(name: str) -> tuple[str, ...]:
     if key not in STABILIZER_INPUTS:
         raise NonCliffordGate(
             f"input {name!r} is not one of the six single-qubit stabilizer states "
-            f"(0, 1, +, -, +i, -i) and cannot be prepared on the stabilizer engine"
+            f"({', '.join(STABILIZER_INPUTS)}) and cannot be prepared on the stabilizer engine"
         )
     return STABILIZER_INPUTS[key]
 

@@ -90,9 +90,9 @@ def _check_size(num_qubits) -> None:
         raise SizeError(f"statevector engine supports 1..{MAX_QUBITS} qubits, got {num_qubits}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """An n-qubit pure state with unit norm.
+    """An n-qubit pure state with unit norm, equal only to itself (compare with :func:`fidelity`).
 
     The amplitude array is copied on construction and frozen read-only.
     ``num_qubits`` must be an integer in 1..12 (:class:`SizeError`).

@@ -123,6 +123,14 @@ def test_correlation_requires_two_qubits():
         chsh.s_factor(sv.zero_state(3), chsh.MeasurementSettings(0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [[0.1, 0.2], np.array([0.1]), [[0.1]]],
+                         ids=["list", "array", "nested-list"])
+def test_correlation_rejects_an_angle_that_is_not_a_scalar(bad):
+    for alpha, chi in ((bad, 0.3), (0.3, bad)):
+        with pytest.raises(InputError):
+            chsh.correlation(sv.bell_psi_plus(), alpha, chi)
+
+
 def test_correlation_matrix_agrees_with_scalar():
     state = random_two_qubit_state(6)
     alphas = np.linspace(-3, 3, 7)
@@ -394,6 +402,17 @@ def test_s_factor_is_correlation_matrix_bit_for_bit(state, alpha1, alpha2, chi1,
         state, [wrapped.alpha1, wrapped.alpha2], [wrapped.chi1, wrapped.chi2]
     )
     assert chsh.s_factor(state, wrapped).correlations == tuple(e.ravel().tolist())
+
+
+wide_angles = st.floats(-20.0, 20.0, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), wide_angles, wide_angles, wide_angles, wide_angles)
+def test_correlation_is_s_factors_e11_bit_for_bit(seed, alpha1, alpha2, chi1, chi2):
+    state = random_two_qubit_state(seed)  # Haar: normalized complex Gaussians
+    chosen = chsh.MeasurementSettings(alpha1, alpha2, chi1, chi2)
+    assert chsh.correlation(state, alpha1, chi1) == chsh.s_factor(state, chosen).correlations[0]
 
 
 def chi2_grid_maximum(state, alpha1, chi1):

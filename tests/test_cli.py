@@ -581,6 +581,39 @@ def test_negative_pi_tokens_in_any_case_are_angles(value, angle, capsys):
     assert run_cli(capsys, ["chsh-eval", f"--alpha1={value}", *rest]) == expected
 
 
+def numeric_options():
+    """(subcommand parser, its name, option) for every option typed as an angle or a correlation."""
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return [(parser, name, action) for name, parser in subparsers.choices.items()
+            for action in parser._actions
+            if action.type in (cli.angle_argument, cli.correlation_argument)]
+
+
+NUMERIC_OPTIONS = [(name, action.option_strings[0]) for _, name, action in numeric_options()]
+
+
+def test_the_numeric_flag_families_are_the_ones_declared():
+    assert NUMERIC_OPTIONS == [
+        *(("chsh-eval", flag) for flag in ("--alpha1", "--chi1", "--alpha2", "--chi2")),
+        ("chsh-scan", "--alpha1"), ("chsh-scan", "--chi1"),
+        *(("lhv-fit", flag) for flag in ("--e11", "--e12", "--e21", "--e22")),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(NUMERIC_OPTIONS)),
+                         ids=[f"{name} {flag}" for name, flag in NUMERIC_OPTIONS])
+def test_every_numeric_option_takes_a_negative_value_as_its_own_token(index):
+    parser, _, action = numeric_options()[index]
+    flag = action.option_strings[0]
+    assert flag in cli._DASH_VALUES
+    value = "-pi/4" if action.type is cli.angle_argument else "-0.5"
+    required = [token for other in parser._actions if other.required and other.option_strings
+                for token in (other.option_strings[0], "0")]
+    args = parser.parse_args(cli._fold_negative_values([*required, flag, value]))
+    assert getattr(args, action.dest) == action.type(value)
+
+
 def test_chsh_scan_rejects_resolution_above_the_cap(tmp_path, monkeypatch, capsys):
     def no_grid(*args):
         raise AssertionError("the grid was built before the resolution was checked")

@@ -17,8 +17,8 @@ draws nothing does not compile it.  ``lhv`` imports numpy nowhere, not
 even in a function.
 The stabilizer kernels call ``int.bit_count``, so the supported Python
 floor must stay at 3.10 or higher.  Building the CLI's parser
-builds no state: a ``--state`` default is resolved only when a
-subcommand that takes it is parsed.  Every draw from a generator is a
+builds no state and loads no ``statevector``: a ``--state`` default is
+resolved only when a subcommand that takes it is parsed.  Every draw from a generator is a
 ``random()`` call: no module reads an ``integers`` method, and no code but
 ``errors.draw`` calls ``random``.  Every one-qubit gate on the dense
 engine runs through ``_unitary``: only it and ``expectation`` reference the
@@ -44,7 +44,6 @@ import pytest
 
 import bellsim
 from bellsim import cli, dsl, protocols
-from bellsim import statevector as sv
 
 SRC = str(Path(bellsim.__file__).resolve().parents[1])
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -458,6 +457,13 @@ def test_one_chsh_function_reads_the_amplitudes():
     assert reads_of(tree, "amplitudes") == ["_products"]
 
 
+def test_a_correlation_is_read_off_s_factors_formula():
+    # one formula per correlation: a second route through arrays differs in the last bits
+    tree = ast.parse((Path(SRC) / "bellsim" / "chsh.py").read_text(encoding="utf-8"))
+    assert "correlation" in reads_of(tree, "_s_factor")
+    assert "correlation" not in reads_of(tree, "np") + reads_of(tree, "correlation_matrix")
+
+
 def test_only_the_stabilizer_module_reads_its_gate_kernels():
     # one checked tableau gate step: a module indexing the kernels skips the Clifford rule
     readers = {
@@ -503,12 +509,27 @@ def test_the_gate_step_check_sees_every_use():
 
 
 def test_building_the_cli_parser_builds_no_state(monkeypatch):
-    def no_state(*args, **kwargs):
-        raise AssertionError("a StateVector was built")
+    # argparse resolves a string default when a subcommand that takes it is parsed;
+    # a parser that resolved --state while it was built would count a call there
+    calls, state_argument = [], cli.state_argument
 
-    monkeypatch.setattr(sv, "bell_psi_plus", no_state)
-    monkeypatch.setattr(sv.StateVector, "__post_init__", no_state)
-    assert cli.build_parser().parse_args(["lhv-bound"]).command == "lhv-bound"
+    def counted(text):
+        calls.append(text)
+        return state_argument(text)
+
+    monkeypatch.setattr(cli, "state_argument", counted)
+    parser = cli.build_parser()
+    assert calls == []
+    assert parser.parse_args(["lhv-bound"]).command == "lhv-bound"
+    assert calls == []
+    parser.parse_args(cli._fold_negative_values(["chsh-eval", *TSIRELSON]))
+    assert calls == ["psi-plus"]
+
+
+def test_building_the_cli_parser_leaves_the_dense_engine_unloaded():
+    probe = "import sys\nfrom bellsim import cli\ncli.build_parser()\n" \
+            "print('bellsim.statevector' in sys.modules)"
+    assert python("-c", probe) == "False"
 
 
 @pytest.mark.parametrize("record, names", [

@@ -7,7 +7,11 @@ CSV there; the test compares the file's sha256.  The cases are the 13
 README examples (with the README's ``circuit.qc``), ``run`` on a circuit
 with random and determined measurements on every engine, ``teleport`` on
 both engines, ``superdense`` for all four bit pairs, ``bb84`` with and
-without an attacker, and one failure for each of exit codes 1, 2 and 3.
+without an attacker, one failure for each of exit codes 1, 2 and 3, ``-h``
+for the top-level parser and each subcommand, and the usage error of
+``chsh-eval`` and ``lhv-fit`` with no flags, which names their required
+flags in declaration order.  Help is wrapped at ``COLUMNS=80``; argparse's
+wording belongs to the interpreter, so a new Python may regenerate it.
 
 A deliberate change of output (a new draw order, say) regenerates the
 file, and the change records why::
@@ -22,6 +26,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -61,6 +66,9 @@ FILES = {
     "wide.qc": "qubits 13\nh 0\n",
     "typo.qc": "qubits 2\nh 0\ncnto 0 1\n",
 }
+
+COMMANDS = ("chsh-eval", "chsh-scan", "lhv-bound", "lhv-fit", "teleport", "superdense", "bb84",
+            "classify", "run")
 
 TSIRELSON = ["--alpha1", "pi/2", "--chi1", "-pi/4", "--alpha2", "0", "--chi2", "pi/4"]
 
@@ -107,24 +115,31 @@ CASES = {
     "exit1-too-wide-for-the-dense-engine": ["run", "wide.qc", "--engine", "statevector"],
     "exit2-parse-error": ["run", "typo.qc"],
     "exit3-non-clifford-on-the-tableau": ["run", "t.qc", "--engine", "stabilizer"],
+    "help": ["-h"],
+    **{f"help-{command}": [command, "-h"] for command in COMMANDS},
+    "usage-chsh-eval": ["chsh-eval"],
+    "usage-lhv-fit": ["lhv-fit"],
 }
 
 
 def run_case(argv, workdir):
-    """Exit code, stdout and stderr of ``cli.main(argv)`` run in ``workdir``, and
-    the sha256 of the CSV ``chsh-scan`` writes there."""
+    """Exit code (a ``SystemExit``'s too), stdout and stderr of ``cli.main(argv)`` run
+    in ``workdir`` at 80 columns, and the sha256 of the CSV ``chsh-scan`` writes there."""
     for name, text in FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
             code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     finally:
         os.chdir(cwd)
     record = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-    if argv[0] == "chsh-scan":
+    if "--out" in argv:
         record["csv_sha256"] = hashlib.sha256((workdir / "scan.csv").read_bytes()).hexdigest()
     return record
 

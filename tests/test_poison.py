@@ -327,6 +327,35 @@ def test_valid_call_succeeds(name):
     assert_finite(call(func, valid()))
 
 
+def frozen_records(result):
+    """The frozen dataclass instances that ``result`` is or holds at the top of a tuple."""
+    return [x for x in (result if isinstance(result, tuple) else (result,))
+            if dataclasses.is_dataclass(x) and type(x).__dataclass_params__.frozen]
+
+
+RECORDS = sorted(name for name, (func, valid) in VALID.items()
+                 if frozen_records(call(func, valid())))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_frozen_records_compare_and_hash(name):
+    # == and hash on a record that holds an array must not raise numpy's ValueError
+    func, valid = VALID[name]
+    first, second = frozen_records(call(func, valid())), frozen_records(call(func, valid()))
+    for record, other in zip(first, second):
+        assert (record == record) is True
+        assert isinstance(record == other, bool)
+        hash(record)
+
+
+def test_dense_run_records_compare_by_their_states_identity():
+    circuit = dsl.parse("qubits 1\nh 0\nt 0\n")
+    first, second = dsl.run(circuit), dsl.run(circuit)
+    assert first.final_statevector is not None
+    assert (first == first) is True
+    assert (first == second) is False  # equal amplitudes, two states: sv.fidelity compares them
+
+
 def test_poisoned_arguments_raise_bellsim_errors():
     escapes = []
     for name, func, valid, param, label, poison in poisoned_calls():
