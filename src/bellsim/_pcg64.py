@@ -1,7 +1,10 @@
-"""numpy's ``default_rng(seed).random()`` stream in the standard library: ``SeedSequence``
-hashes the seed's 32-bit words into a pool of four and draws eight state words; PCG64
-(O'Neill, HMC-CS-2014-0905) seeds its 128-bit LCG with them, and each draw is one LCG step
-through the XSL-RR output, made a double as ``(next64 >> 11) * 2**-53``, bit for bit."""
+"""numpy's ``default_rng(seed).random()`` in the standard library, bit for bit, and bellsim's one
+seed rule (a non-negative int or numpy integer, not ``bool``, else ConfigError). ``SeedSequence``
+seeds the 128-bit LCG of PCG64 (O'Neill, HMC-CS-2014-0905); each draw is its XSL-RR output."""
+
+import math
+
+from .errors import ConfigError, is_int
 
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -13,9 +16,9 @@ class PCG64:
     __slots__ = ("_state", "_inc")
 
     def __init__(self, seed: int) -> None:
-        seed = seed.__index__()  # an int or a numpy integer
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+        if not is_int(seed, 0, math.inf):
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        seed = int(seed)  # a numpy integer seeds as its value
         words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
         hash_a = 0x43B0D7E5
 

@@ -22,7 +22,8 @@ numpy, and the modules that need it, load only in the handlers that compute
 with arrays: ``chsh-scan``, the dense ``teleport`` and a dense ``run``.  A
 ``--state`` is four complex numbers checked in plain Python, from which
 ``chsh-eval`` takes u and w.  Seeded draws are numpy's ``default_rng(seed)``
-stream in pure Python; ``bb84`` seeds its coins from one such draw.
+stream in pure Python (``_pcg64.PCG64``, which holds the seed rule; ``seed_argument``
+reads ``--seed``'s text as an int first); ``bb84`` seeds its coins from one such draw.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def correlation_argument(text: str) -> float:
 
 
 def seed_argument(text: str) -> int:
-    """A seed for the stream of :func:`numpy.random.default_rng`: a non-negative integer."""
+    """``--seed``'s text as an int; one that breaks ``_pcg64.PCG64``'s rule exits 2 here."""
     try:
         value = int(text)
     except ValueError:
@@ -198,8 +199,8 @@ def _cmd_lhv_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_teleport(args: argparse.Namespace) -> int:
-    from . import protocols
-    rng = dsl._LazyRng(args.seed)
+    from . import _pcg64, protocols
+    rng = _pcg64.PCG64(args.seed)
     if args.engine == "stabilizer":
         report = protocols.teleport_stabilizer(args.input, rng)
     else:
@@ -219,14 +220,14 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
 
 
 def _cmd_superdense(args: argparse.Namespace) -> int:
-    from . import protocols
-    _print_report(protocols.superdense_code(args.bits, dsl._LazyRng(args.seed)))
+    from . import _pcg64, protocols
+    _print_report(protocols.superdense_code(args.bits, _pcg64.PCG64(args.seed)))
     return 0
 
 
 def _cmd_bb84(args: argparse.Namespace) -> int:
-    from . import protocols
-    _print_report(protocols.bb84_simulate(args.rounds, args.eavesdrop, dsl._LazyRng(args.seed)))
+    from . import _pcg64, protocols
+    _print_report(protocols.bb84_simulate(args.rounds, args.eavesdrop, _pcg64.PCG64(args.seed)))
     return 0
 
 

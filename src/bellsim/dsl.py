@@ -35,9 +35,9 @@ then checks every instruction in program order into a flat program of
 unchecked kernel calls, so the first bad one raises before anything runs,
 and one loop runs it on a copy of the starting state, in place: a gate
 through its kernel, a measurement through the engine's one ``_measure`` step.
-Parsing, classifying and every tableau run load no numpy: the draws are
-numpy's ``default_rng(seed)`` stream computed in pure Python
-(:mod:`bellsim._pcg64`), and only the dense engine imports numpy.
+Parsing, classifying and every tableau run load no numpy: :func:`run` seeds
+numpy's ``default_rng(seed)`` stream, computed in pure Python by
+:class:`bellsim._pcg64.PCG64`, as it starts, and only the dense engine imports numpy.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import stabilizer as st
-from .errors import BellSimError, ConfigError, InputError, NonCliffordGate, QubitIndexError, is_int
+from .errors import BellSimError, ConfigError, InputError, NonCliffordGate, QubitIndexError
 from .gates import GATES, _check_qubit, _sequence, check_gate
 
 if TYPE_CHECKING:
@@ -277,29 +277,6 @@ class RunRecord:
         return "stabilizer" if self.final_statevector is None else "statevector"
 
 
-class _LazyRng:
-    """``numpy.random.default_rng(seed)``'s stream in pure Python
-    (:class:`bellsim._pcg64.PCG64`), built at the first draw, so no run imports
-    numpy to draw and a run that draws nothing never loads the generator.
-
-    Only ``random``, the one method bellsim draws through, is offered.  Its
-    first lookup builds the generator and stores the bound method in the
-    slot, where later lookups find it without a Python-level call.
-    """
-
-    __slots__ = ("_seed", "random")
-
-    def __init__(self, seed: int) -> None:
-        self._seed = seed
-
-    def __getattr__(self, name: str):  # reached only while the slot is empty
-        if name != "random":
-            raise AttributeError(name)
-        from ._pcg64 import PCG64
-        self.random = PCG64(self._seed).random
-        return self.random
-
-
 def _execute(circuit: Circuit, state, rng, forced=None,
              kinds=None) -> tuple[list[int], list, object]:
     """Run ``circuit`` from ``state``: ``(outcomes, infos, final_state)``.
@@ -369,21 +346,21 @@ def run(circuit: Circuit, engine: str = "auto", seed: int = 0) -> RunRecord:
     randomness is seeded, and both engines draw one ``random()`` per
     random outcome and none per determined one, so a Clifford circuit gets
     the same outcomes from either engine for the same seed.  The draws are
-    ``numpy.random.default_rng(seed).random()``'s, computed in pure Python
-    from the first random draw on: a tableau run imports no numpy.
+    ``numpy.random.default_rng(seed).random()``'s, computed in pure Python by
+    :class:`bellsim._pcg64.PCG64`, which checks the seed: a tableau run imports no numpy.
     """
     if engine not in ("auto", "statevector", "stabilizer"):
         raise ConfigError(f"engine must be auto, statevector or stabilizer, got {engine!r}")
-    if not is_int(seed, 0, math.inf):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    from ._pcg64 import PCG64
+    rng = PCG64(seed)
     kinds, witnesses = _clifford_pass(circuit) if engine != "statevector" else (None, ())
     if engine == "stabilizer" and witnesses:
         spots = ", ".join(f"line {ln} column {col}" for ln, col in witnesses)
         raise NonCliffordGate(f"circuit has non-Clifford instructions at {spots}")
     if engine == "statevector" or witnesses:
         from . import statevector as sv
-        outcomes, _, state = _execute(circuit, sv.zero_state(circuit.num_qubits), _LazyRng(seed))
+        outcomes, _, state = _execute(circuit, sv.zero_state(circuit.num_qubits), rng)
         return RunRecord(outcomes, final_statevector=state)
     start = st.init_zero(circuit.num_qubits)
-    outcomes, _, state = _execute(circuit, start, _LazyRng(seed), kinds=kinds)
+    outcomes, _, state = _execute(circuit, start, rng, kinds=kinds)
     return RunRecord(outcomes, final_stabilizers=st.stabilizer_strings(state))

@@ -12,9 +12,10 @@ with one draw, importing ``random`` only inside ``bb84_simulate``.  So the
 modules on their path (the package, ``cli``, ``dsl``, ``gates``,
 ``stabilizer``, ``protocols``, ``chsh``, ``lhv``, ``errors`` and
 ``_pcg64``) import neither numpy nor the modules that need it at module
-level, and ``import bellsim.cli`` does not load ``_pcg64``: a command that
-draws nothing does not compile it.  ``lhv`` imports numpy nowhere, not
-even in a function.
+level, and ``import bellsim.cli`` does not load ``_pcg64``: only the commands
+that take ``--seed`` (``teleport``, ``superdense``, ``bb84`` and ``run``) build
+the stream, and so compile it, whether they draw or not.  ``lhv`` imports numpy
+nowhere, not even in a function.
 The stabilizer kernels call ``int.bit_count``, so the supported Python
 floor must stay at 3.10 or higher.  Building the CLI's parser
 builds no state and loads no ``statevector``: a ``--state`` default is
@@ -59,12 +60,13 @@ except SystemExit as exc:
 print("scipy" in sys.modules)
 """
 
-# Runs cli.main on sys.argv[1:] with sys.argv[-1] as stdin, then reports numpy.
+# Runs cli.main on sys.argv[1:] with sys.argv[-1] as stdin, then reports numpy and the
+# seeded stream.
 CLI_MAIN = """import io, sys
 from bellsim import cli
 sys.stdin = io.TextIOWrapper(io.BytesIO(sys.argv.pop().encode()))
 code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "bellsim._pcg64" in sys.modules)
 """
 
 # Modules that the numpy-free commands import, and what they must not import
@@ -101,23 +103,25 @@ def test_import_bellsim_leaves_numpy_unloaded():
 
 
 @pytest.mark.parametrize(
-    "argv, stdin, code",
+    "argv, stdin, code, stream",
     [
-        (["lhv-bound"], "", 0),
-        (["lhv-fit", "--e11", "0.5", "--e12", "0.1", "--e21", "-0.2", "--e22", "0.3"], "", 0),
-        (["lhv-fit", "--e11", "0.75", "--e12", "-0.75", "--e21", "0.75", "--e22", "0.75"], "", 0),
-        (["classify", "-"], "qubits 2\nh 0\nrz 1 pi/2\ncnot 0 1\nmeasure 1\n", 0),
-        (["classify", "-"], "qubits 2\nh 0\nt 1\n", 3),
-        (["superdense", "--bits", "10", "--seed", "4"], "", 0),
-        (["run", "-", "--seed", "7"], REVERSIBLE, 0),
-        (["teleport", "--input=+", "--engine", "stabilizer", "--seed", "3"], "", 0),
-        (["run", "-"], "qubits 1\nh 0\nmeasure 0\n", 0),
-        (["chsh-eval", *TSIRELSON], "", 0),
-        (["chsh-eval", "--state", "phi-plus", *TSIRELSON], "", 0),
-        (["chsh-eval", "--state", "0,0.6,0.8j,0", *TSIRELSON], "", 0),
-        (["chsh-eval", "--state", "product:1,0;0.6,0.8", *TSIRELSON], "", 0),
-        (["bb84", "--rounds", "200", "--seed", "5"], "", 0),
-        (["bb84", "--rounds", "200", "--eavesdrop", "--seed", "5"], "", 0),
+        (["lhv-bound"], "", 0, False),
+        (["lhv-fit", "--e11", "0.5", "--e12", "0.1", "--e21", "-0.2", "--e22", "0.3"], "", 0,
+         False),
+        (["lhv-fit", "--e11", "0.75", "--e12", "-0.75", "--e21", "0.75", "--e22", "0.75"], "", 0,
+         False),
+        (["classify", "-"], "qubits 2\nh 0\nrz 1 pi/2\ncnot 0 1\nmeasure 1\n", 0, False),
+        (["classify", "-"], "qubits 2\nh 0\nt 1\n", 3, False),
+        (["superdense", "--bits", "10", "--seed", "4"], "", 0, True),
+        (["run", "-", "--seed", "7"], REVERSIBLE, 0, True),
+        (["teleport", "--input=+", "--engine", "stabilizer", "--seed", "3"], "", 0, True),
+        (["run", "-"], "qubits 1\nh 0\nmeasure 0\n", 0, True),
+        (["chsh-eval", *TSIRELSON], "", 0, False),
+        (["chsh-eval", "--state", "phi-plus", *TSIRELSON], "", 0, False),
+        (["chsh-eval", "--state", "0,0.6,0.8j,0", *TSIRELSON], "", 0, False),
+        (["chsh-eval", "--state", "product:1,0;0.6,0.8", *TSIRELSON], "", 0, False),
+        (["bb84", "--rounds", "200", "--seed", "5"], "", 0, True),
+        (["bb84", "--rounds", "200", "--eavesdrop", "--seed", "5"], "", 0, True),
     ],
     ids=[
         "lhv-bound", "lhv-fit", "lhv-fit-infeasible", "classify-clifford", "classify-nonclifford",
@@ -126,28 +130,29 @@ def test_import_bellsim_leaves_numpy_unloaded():
         "bb84-eavesdrop",
     ],
 )
-def test_commands_that_compute_no_numbers_leave_numpy_unloaded(argv, stdin, code):
-    assert python("-c", CLI_MAIN, *argv, stdin) == f"{code} False"
+def test_commands_that_compute_no_numbers_leave_numpy_unloaded(argv, stdin, code, stream):
+    # the seeded stream loads in exactly the commands that take --seed, draws or not
+    assert python("-c", CLI_MAIN, *argv, stdin) == f"{code} False {stream}"
 
 
 @pytest.mark.parametrize(
-    "argv, stdin",
+    "argv, stdin, stream",
     [
-        (["chsh-scan", "--resolution", "3", "--out", os.devnull], ""),
-        (["teleport", "--input", "0.6,0.8"], ""),
-        (["run", "-", "--engine", "statevector"], "qubits 1\nh 0\nmeasure 0\n"),
-        (["run", "-"], "qubits 1\nt 0\nmeasure 0\n"),
+        (["chsh-scan", "--resolution", "3", "--out", os.devnull], "", False),
+        (["teleport", "--input", "0.6,0.8"], "", True),
+        (["run", "-", "--engine", "statevector"], "qubits 1\nh 0\nmeasure 0\n", True),
+        (["run", "-"], "qubits 1\nt 0\nmeasure 0\n", True),
     ],
     ids=["chsh-scan", "teleport-statevector", "run-statevector", "run-non-clifford"],
 )
-def test_commands_that_compute_with_arrays_load_numpy(argv, stdin):
+def test_commands_that_compute_with_arrays_load_numpy(argv, stdin, stream):
     # The probe above can see numpy: these commands build dense states.
-    assert python("-c", CLI_MAIN, *argv, stdin) == "0 True"
+    assert python("-c", CLI_MAIN, *argv, stdin) == f"0 True {stream}"
 
 
 def test_import_bellsim_cli_leaves_the_stream_uncompiled():
-    # the stream module loads at the first draw: under PYTHONDONTWRITEBYTECODE every
-    # command would otherwise compile it at startup
+    # the stream module loads in the handlers that read --seed: under
+    # PYTHONDONTWRITEBYTECODE every command would otherwise compile it at startup
     assert python("-c", "import sys, bellsim.cli\nprint('bellsim._pcg64' in sys.modules)") == "False"
 
 

@@ -785,39 +785,15 @@ def test_the_engines_agree_seed_for_seed_on_clifford_circuits(case, seed):
     assert abs(fid - 1.0) < 1e-10
 
 
-def test_a_run_that_draws_nothing_builds_no_generator(monkeypatch):
-    def no_generator(seed):
-        raise AssertionError("a generator was built")
+def test_a_run_that_needs_no_draw_draws_nothing(monkeypatch):
+    def no_draw(self):
+        raise AssertionError("drew a number")
 
-    monkeypatch.setattr(_pcg64, "PCG64", no_generator)
+    monkeypatch.setattr(_pcg64.PCG64, "random", no_draw)
     reversible = dsl.parse("qubits 3\nx 0\ncnot 0 1\nh 2\nh 2\nmeasure 0\nmeasure 1\nmeasure 2\n")
     assert dsl.run(reversible, seed=3).outcomes == [1, 1, 0]
-    with pytest.raises(AssertionError, match="a generator was built"):
+    with pytest.raises(AssertionError, match="drew a number"):
         dsl.run(dsl.parse("qubits 1\nh 0\nmeasure 0\n"), seed=3)
-
-
-def test_the_generator_is_built_once_at_the_first_draw(monkeypatch):
-    # Later draws find the generator's bound methods in the slots.
-    lookups = []
-    build = dsl._LazyRng.__getattr__
-
-    def counting(self, name):
-        lookups.append(name)
-        return build(self, name)
-
-    monkeypatch.setattr(dsl._LazyRng, "__getattr__", counting)
-    circuit = dsl.parse("qubits 3\nh 0\nh 1\nh 2\nmeasure 0\nmeasure 1\nmeasure 2\n")
-    for engine in ("stabilizer", "statevector"):
-        lookups.clear()
-        dsl.run(circuit, engine=engine, seed=1)
-        assert lookups == ["random"]
-    # any other method raises and builds nothing: the slot stays empty
-    rng = dsl._LazyRng(1)
-    with pytest.raises(AttributeError):
-        rng.integers
-    assert lookups == ["random", "integers"]
-    with pytest.raises(AttributeError):
-        object.__getattribute__(rng, "random")
 
 
 def test_run_measures_flipped_qubit_on_both_engines():
@@ -1086,10 +1062,7 @@ def test_the_first_bad_instruction_raises_on_every_route(monkeypatch, first, sec
     program = GOOD_PREFIX + (ins, dsl.Instruction("X", (1,)), BAD_INSTRUCTIONS[second][0])
     circuit = dsl.Circuit(2, program)
 
-    def no_generator(seed):
-        raise AssertionError("built a generator before the bad instruction raised")
-
-    monkeypatch.setattr(_pcg64, "PCG64", no_generator)
+    monkeypatch.setattr(_pcg64.PCG64, "random", NoDraw.random)
     routes = [
         ("run-auto", lambda: dsl.run(circuit), False),
         ("run-stabilizer", lambda: dsl.run(circuit, engine="stabilizer"), False),

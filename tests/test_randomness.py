@@ -7,7 +7,8 @@ on a Clifford circuit the two engines read one stream the same way.
 BB84 takes exactly one ``random()`` per run and seeds its coins with it.
 A seeded run and the CLI's draws read ``bellsim._pcg64``, numpy's
 ``default_rng(seed)`` stream computed in pure Python, so no tableau run and
-no ``bb84`` needs numpy for its draws.
+no ``bb84`` needs numpy for its draws.  ``PCG64`` holds the one seed rule:
+``dsl.run`` builds it right after its engine check, so a bad seed raises its error.
 """
 
 import math
@@ -22,6 +23,7 @@ from bellsim import _pcg64, cli, dsl, lhv
 from bellsim import protocols as pr
 from bellsim import stabilizer as st
 from bellsim import statevector as sv
+from bellsim.errors import ConfigError
 
 
 class Recording:
@@ -177,5 +179,33 @@ def test_the_stdlib_stream_is_numpys_draw_for_draw(seed, k):
 
 def test_the_stdlib_stream_pins_seed_zero_and_rejects_negative_seeds():
     assert _pcg64.PCG64(0).random() == 0.6369616873214543
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ConfigError, match="non-negative"):
         _pcg64.PCG64(-1)
+
+
+# Each bad seed and its message, written out: the text dsl.run has always raised.
+BAD_SEEDS = {
+    -1: "seed must be a non-negative integer, got -1",
+    True: "seed must be a non-negative integer, got True",
+    False: "seed must be a non-negative integer, got False",
+    1.5: "seed must be a non-negative integer, got 1.5",
+    "3": "seed must be a non-negative integer, got '3'",
+    None: "seed must be a non-negative integer, got None",
+}
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_run_and_the_stream_share_one_seed_rule(seed):
+    circuit = dsl.parse("qubits 1\nh 0\nmeasure 0\n")
+    for build in (lambda: dsl.run(circuit, seed=seed), lambda: _pcg64.PCG64(seed)):
+        with pytest.raises(ConfigError) as excinfo:
+            build()
+        assert (type(excinfo.value), str(excinfo.value)) == (ConfigError, BAD_SEEDS[seed])
+
+
+def test_a_numpy_integer_seeds_a_run_as_its_value():
+    circuit = dsl.parse("qubits 3\nh 0\nh 1\nh 2\nmeasure 0\nmeasure 1\nmeasure 2\n")
+    for seed in range(8):
+        for engine in ("stabilizer", "statevector"):
+            want = dsl.run(circuit, engine, seed).outcomes
+            assert dsl.run(circuit, engine, np.int64(seed)).outcomes == want, (seed, engine)
